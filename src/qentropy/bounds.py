@@ -32,6 +32,7 @@ from .errors import (
 from .qmath import _as_q, q_log
 from .quasilinear import (
     GeneratorPsi,
+    _as_eval,
     check_psi_convexity,
     quasilinear_mean,
     tsallis_quasilinear_entropy,
@@ -114,10 +115,6 @@ class SecondDerivativeRange:
         object.__setattr__(self, "interval", (float(lo), float(hi)))
         object.__setattr__(self, "m", float(self.m))
         object.__setattr__(self, "M", float(self.M))
-
-
-def _as_eval(f):
-    return getattr(f, "eval", f)
 
 
 _HYPOTHESIS_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -234,10 +231,14 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
 def pairwise_spread(xs, p: ProbDist) -> float:
     """sum_{i<j} p_i p_j (x_j - x_i)^2, computed two ways and cross-checked.
 
-    The pairwise double sum equals the p-weighted variance around the
-    p-mean; both forms are evaluated and must agree to 1e-10 (relative),
-    otherwise a ConsistencyError flags a numerics problem.  Returns the
-    variance form.
+    The pairwise double sum equals the p-weighted variance around the p-mean
+    (Lemma 4.2), so both routes here are O(n) in time and memory: the
+    variance form w . (x - xbar)^2, which is returned, and the corrected
+    two-pass form fsum(w d^2) - fsum(w d)^2 over the centred values
+    d = x - xbar, each sum correctly rounded by math.fsum (Chan, Golub &
+    LeVeque 1983).  They must agree to 1e-10 (relative), otherwise a
+    ConsistencyError flags a numerics problem.  The literal double sum is
+    checked by the registry.
     """
     arr = np.asarray(xs, dtype=float)
     if arr.shape != (p.n,):
@@ -246,26 +247,37 @@ def pairwise_spread(xs, p: ProbDist) -> float:
         raise DomainError("xs must be finite")
     w = p.weights
     xbar = float(w @ arr)
-    s_var = float(w @ (arr - xbar) ** 2)
-    diffs = arr[:, None] - arr[None, :]
-    s_pair = 0.5 * float(np.sum((w[:, None] * w[None, :]) * diffs**2))
-    if abs(s_pair - s_var) > 1e-10 * (1.0 + max(abs(s_pair), abs(s_var))):
+    d = arr - xbar
+    s_var = float(w @ d**2)
+    wd = w * d
+    s_two = math.fsum((wd * d).tolist()) - math.fsum(wd.tolist()) ** 2
+    if abs(s_two - s_var) > 1e-10 * (1.0 + max(abs(s_two), abs(s_var))):
         raise ConsistencyError(
-            f"pairwise form {s_pair!r} and variance form {s_var!r} disagree"
+            f"two-pass form {s_two!r} and variance form {s_var!r} disagree"
         )
     return s_var
 
 
 def lagrange_identity(a, b) -> tuple[float, float]:
-    """Return both sides of (sum a^2)(sum b^2) - (sum ab)^2 = sum_{i<j} (a_i b_j - a_j b_i)^2."""
+    """Return both sides of (sum a^2)(sum b^2) - (sum ab)^2 = sum_{i<j} (a_i b_j - a_j b_i)^2.
+
+    Both sides are O(n) in time and memory.  The left side is computed as
+    written.  The right side, the double sum, equals (a . a) ||b_perp||^2
+    with b_perp = b - (a . b / a . a) a the part of b orthogonal to a (and 0
+    when a = 0); this projection route does not cancel when a and b are
+    nearly parallel, where the left side does.
+    """
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     if av.shape != bv.shape or av.ndim != 1:
         raise LengthMismatchError("a and b must be 1-d vectors of equal length")
-    lhs = float(av @ av) * float(bv @ bv) - float(av @ bv) ** 2
-    cross = av[:, None] * bv[None, :] - av[None, :] * bv[:, None]
-    rhs = 0.5 * float(np.sum(cross**2))
-    return lhs, rhs
+    aa = float(av @ av)
+    ab = float(av @ bv)
+    lhs = aa * float(bv @ bv) - ab**2
+    if aa == 0.0:
+        return lhs, 0.0
+    b_perp = bv - (ab / aa) * av
+    return lhs, aa * float(b_perp @ b_perp)
 
 
 def smooth_jensen_sandwich(f, drange: SecondDerivativeRange, xs, p: ProbDist) -> BoundReport:

@@ -362,7 +362,10 @@ def _trial_reversed_kl(rng, n, q, profile):
 def _trial_lagrange(rng, n, q, profile):
     a = rng.normal(0.0, 1.0, n)
     b = rng.normal(0.0, 1.0, n)
-    lhs, rhs = lagrange_identity(a, b)
+    lhs, _ = lagrange_identity(a, b)
+    # the identity as the paper states it: the literal double sum over i < j
+    cross = a[:, None] * b[None, :] - a[None, :] * b[:, None]
+    rhs = 0.5 * float(np.sum(cross**2))
     return _eq(lhs, rhs), {"a": _lst(a), "b": _lst(b)}
 
 

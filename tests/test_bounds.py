@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +43,24 @@ from qentropy import (
 
 def _sq(x):
     return np.asarray(x) ** 2
+
+
+def _exact_spread(xs, w) -> float:
+    # sum_{i<j} w_i w_j (x_j - x_i)^2 in exact rational arithmetic
+    x = [Fraction(v) for v in xs]
+    f = [Fraction(v) for v in w]
+    n = len(x)
+    return float(sum(f[i] * f[j] * (x[j] - x[i]) ** 2 for i in range(n) for j in range(i + 1, n)))
+
+
+def _exact_lagrange(a, b) -> float:
+    # sum_{i<j} (a_i b_j - a_j b_i)^2 in exact rational arithmetic
+    fa = [Fraction(v) for v in a]
+    fb = [Fraction(v) for v in b]
+    n = len(fa)
+    return float(
+        sum((fa[i] * fb[j] - fa[j] * fb[i]) ** 2 for i in range(n) for j in range(i + 1, n))
+    )
 
 
 # --- BoundReport -----------------------------------------------------------
@@ -267,6 +287,37 @@ def test_lagrange_identity_random():
         assert rhs >= -1e-12  # Cauchy-Schwarz residual form
 
 
+def test_spread_and_lagrange_match_exact_double_sum():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(rng.integers(2, 65))
+        xs = rng.normal(0.0, 3.0, n)
+        w = rng.exponential(size=n)
+        p = ProbDist(w / w.sum())
+        assert pairwise_spread(xs, p) == pytest.approx(_exact_spread(xs, p.weights), rel=1e-12)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        exact = _exact_lagrange(a, b)
+        lhs, rhs = lagrange_identity(a, b)
+        assert lhs == pytest.approx(exact, rel=1e-10)
+        assert rhs == pytest.approx(exact, rel=1e-12)
+
+
+def test_lagrange_rhs_accurate_for_nearly_parallel_vectors():
+    # lhs cancels catastrophically here; the projection route must not
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        n = int(rng.integers(2, 65))
+        a = rng.normal(size=n)
+        b = 3.0 * a + 1e-5 * rng.normal(size=n)
+        _, rhs = lagrange_identity(a, b)
+        assert rhs >= 0.0
+        assert rhs == pytest.approx(_exact_lagrange(a, b), rel=1e-8)
+
+
+def test_lagrange_identity_zero_vector():
+    assert lagrange_identity([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]) == (0.0, 0.0)
+
+
 def test_smooth_jensen_hand_value():
     p = make_dist([0.5, 0.5])
     rep = smooth_jensen_sandwich(
@@ -415,6 +466,32 @@ def test_pairwise_spread_consistency_guard():
     # pathological cancellation and must not fire here
     p = make_dist([0.5, 0.5])
     assert pairwise_spread([1e8, 1e8 + 1.0], p) == pytest.approx(0.25, rel=1e-6)
+    # at 1e16 the rounded mean is off by an ulp (2.0), so the variance form
+    # reads 8/3 where the true spread is 8/9; the second route sees it
+    with pytest.raises(ConsistencyError, match="disagree"):
+        pairwise_spread([1e16, 1e16 + 2.0], make_dist([1 / 3, 2 / 3]))
+
+
+def test_spread_kernels_run_in_linear_memory():
+    # One n x n float64 temporary is 128 MiB at n = 4096 and 32 GiB at
+    # n = 65536; the small size runs first so that a quadratic kernel fails
+    # the assertion before it can ask for the large one.
+    rng = np.random.default_rng(71)
+    for n in (4096, 65536):
+        a, b = rng.exponential(size=n) + 1e-3, rng.exponential(size=n) + 1e-3
+        p, r = ProbDist(a / a.sum()), ProbDist(b / b.sum())
+        xs = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            pairwise_spread(xs, p)
+            lagrange_identity(a, b)
+            dr = tightest_constants(p, r, 2.0)
+            rep = tsallis_cross_entropy_sandwich(p, r, 2.0, dr.m, dr.M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"n={n}: peak {peak} bytes"
+        assert rep.holds()
 
 
 @given(seed=st.integers(0, 100_000), q=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]))
