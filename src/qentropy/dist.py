@@ -7,6 +7,7 @@ caller's bug and is rejected with a specific error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ def _clean_vector(values, *, what: str) -> np.ndarray:
         raise DimensionError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError(f"{what} must contain at least one entry")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    # a NaN makes min() return NaN, which fails the comparison too
+    if not (arr.min() > 0.0 and arr.max() < math.inf):
         raise PositivityError(f"{what} entries must be finite and strictly positive")
     arr.flags.writeable = False
     return arr

@@ -7,6 +7,7 @@ D~_f*(a||b) = sum_j a_j f*(b_j/a_j) accept unnormalized positive weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .dist import IncompleteDist, ProbDist, check_lengths
 from .errors import DomainError, GeneratorError
-from .qmath import _as_q, is_deformed, q_exp, q_log
+from .qmath import _as_q, _cached_by_q, is_deformed, q_exp, q_log
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bounds import SecondDerivativeRange
@@ -80,18 +81,30 @@ class ConvexGenerator:
     def __post_init__(self) -> None:
         _validate_convex(self.eval, self.label)
 
+    @functools.cached_property
+    def _dual(self) -> "ConvexGenerator":
+        # built, and so validated, on first use only; see dual_generator
+        f = self.eval
 
+        def _eval(t):
+            arr = np.asarray(t, dtype=float)
+            return arr * np.asarray(f(1.0 / arr), dtype=float)
+
+        return ConvexGenerator(eval=_eval, label=f"dual({self.label})")
+
+
+@_cached_by_q
 def tsallis_generator(q) -> ConvexGenerator:
     """f(x) = -x ln_q(1/x); generates the deformed relative entropy."""
-    qf = _as_q(q)
 
     def _eval(x):
         arr = np.asarray(x, dtype=float)
-        return -arr * q_log(1.0 / arr, qf)
+        return -arr * q_log(1.0 / arr, q)
 
-    return ConvexGenerator(eval=_eval, label=f"tsallis[q={qf:g}]")
+    return ConvexGenerator(eval=_eval, label=f"tsallis[q={q:g}]")
 
 
+@functools.lru_cache(maxsize=1)
 def xlogx_generator() -> ConvexGenerator:
     """f(x) = x log x; generates the Kullback-Leibler divergence."""
 
@@ -102,6 +115,7 @@ def xlogx_generator() -> ConvexGenerator:
     return ConvexGenerator(eval=_eval, label="xlogx")
 
 
+@functools.lru_cache(maxsize=1)
 def neglog_generator() -> ConvexGenerator:
     """f(x) = -log x; generates the reversed Kullback-Leibler divergence."""
 
@@ -111,14 +125,14 @@ def neglog_generator() -> ConvexGenerator:
     return ConvexGenerator(eval=_eval, label="neglog")
 
 
+@_cached_by_q
 def neg_qlog_generator(q) -> ConvexGenerator:
     """f(x) = -ln_q(x); convex for every q >= 0 (f'' = q x^(-q-1))."""
-    qf = _as_q(q)
 
     def _eval(x):
-        return -np.asarray(q_log(x, qf))
+        return -np.asarray(q_log(x, q))
 
-    return ConvexGenerator(eval=_eval, label=f"neg_lnq[q={qf:g}]")
+    return ConvexGenerator(eval=_eval, label=f"neg_lnq[q={q:g}]")
 
 
 def f_by_label(label: str, q: float | None = None) -> ConvexGenerator:
@@ -163,13 +177,14 @@ def f_divergence(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> float:
 
 
 def dual_generator(f: ConvexGenerator) -> ConvexGenerator:
-    """f*(t) = t f(1/t).  An involution: dual(dual(f)) equals f pointwise."""
+    """f*(t) = t f(1/t).  An involution: dual(dual(f)) equals f pointwise.
 
-    def _eval(t):
-        arr = np.asarray(t, dtype=float)
-        return arr * np.asarray(f.eval(1.0 / arr), dtype=float)
-
-    return ConvexGenerator(eval=_eval, label=f"dual({f.label})")
+    The dual is a ConvexGenerator, so it passes the same f(1) = 0 and
+    midpoint-convexity checks as any other generator, but only once per
+    generator object: the first call builds and validates it, and every
+    later call returns that same instance.
+    """
+    return f._dual
 
 
 def incomplete_f_divergence(

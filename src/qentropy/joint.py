@@ -6,6 +6,7 @@ Cells are strictly positive and stored row-major as a numpy array; axes are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ class JointDist:
             raise DimensionError("cells must have at least one axis")
         if arr.size == 0:
             raise DimensionError("cells must be non-empty")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        if not (arr.min() > 0.0 and arr.max() < math.inf):
             raise PositivityError("every cell must be finite and strictly positive")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:

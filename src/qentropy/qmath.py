@@ -11,6 +11,7 @@ Both reduce to ln/exp as q -> 1, and that limit is taken explicitly for
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,9 @@ from .errors import DomainError, UndefinedValueError
 # Deformation parameters closer to 1 than this use the q -> 1 limit branch.
 Q1_EPS = 1e-8
 
+# Distinct q values each generator factory keeps built and validated.
+_GENERATOR_CACHE_SIZE = 256
+
 __all__ = ["Q1_EPS", "EntropicIndex", "is_deformed", "q_log", "q_exp"]
 
 
@@ -30,6 +34,23 @@ def _as_q(q) -> float:
     if not math.isfinite(qf) or qf < 0.0:
         raise DomainError(f"entropic index must be a finite real >= 0, got {q!r}")
     return qf
+
+
+def _cached_by_q(factory):
+    """Memoize a generator factory of one entropic index q.
+
+    The cache key is the validated float from ``_as_q`` with -0.0 folded into
+    0.0, so 0.5, np.float64(0.5) and EntropicIndex(0.5) share one entry and
+    an invalid q raises before any lookup.  Generators are frozen, so every
+    caller can share the one instance whose self checks already ran.
+    """
+    cached = functools.lru_cache(maxsize=_GENERATOR_CACHE_SIZE)(factory)
+
+    @functools.wraps(factory)
+    def wrapper(q):
+        return cached(_as_q(q) + 0.0)
+
+    return wrapper
 
 
 def is_deformed(q: float) -> bool:
@@ -65,12 +86,17 @@ def q_log(x, q):
     Accepts scalars or arrays; requires x > 0 elementwise.  Evaluated as
     expm1((1-q) log x)/(1-q) so values near x = 1 and q near 1 do not lose
     precision to cancellation.
+
+    Every call checks its input: q must be a finite real >= 0 and x a
+    non-empty array of finite values > 0 (NaN, inf, 0 and -0.0 raise
+    DomainError).  The check is one min and one max reduction.
     """
     qf = _as_q(q)
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DomainError("q_log requires at least one value")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    # a NaN makes min() return NaN, which fails the comparison too
+    if not (arr.min() > 0.0 and arr.max() < math.inf):
         raise DomainError("q_log is defined only for finite x > 0")
     if is_deformed(qf):
         out = np.expm1((1.0 - qf) * np.log(arr)) / (1.0 - qf)
@@ -87,16 +113,20 @@ def q_exp(x, q):
     Defined only where 1 + (1-q) x > 0; raises UndefinedValueError outside
     that region (a distinct condition from a bad argument type or a bad q).
     Evaluated as exp(log1p((1-q) x)/(1-q)) for the deformed branch.
+
+    Every call checks its input: q must be a finite real >= 0 and x a
+    non-empty array of finite values (DomainError otherwise), and in the
+    deformed branch min((1-q) x) must exceed -1.
     """
     qf = _as_q(q)
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DomainError("q_exp requires at least one value")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("q_exp requires finite arguments")
     if is_deformed(qf):
         t = (1.0 - qf) * arr
-        if np.any(t <= -1.0):
+        if t.min() <= -1.0:
             raise UndefinedValueError(
                 f"exp_q undefined: 1 + (1-q)x <= 0 for q={qf!r}"
             )

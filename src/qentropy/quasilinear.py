@@ -8,6 +8,7 @@ collapses onto the classical entropies and divergences for specific psi.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .dist import ProbDist, check_lengths
 from .errors import DomainError, GeneratorError, LengthMismatchError
-from .qmath import _as_q, is_deformed, q_exp, q_log
+from .qmath import _cached_by_q, is_deformed, q_exp, q_log
 
 __all__ = [
     "GeneratorPsi",
@@ -142,7 +143,7 @@ class GeneratorPsi:
         )
 
     def check_domain(self, xs: np.ndarray) -> None:
-        if self.positive_domain and np.any(xs <= 0.0):
+        if self.positive_domain and (xs <= 0.0).any():
             raise DomainError(f"generator {self.label!r} requires strictly positive arguments")
 
 
@@ -150,6 +151,7 @@ def _ident(x):
     return np.asarray(x, dtype=float)
 
 
+@functools.lru_cache(maxsize=1)
 def identity_generator() -> GeneratorPsi:
     # Affine, so weakly concave; with 'increasing' this satisfies the
     # relative-entropy hypothesis (the divergence is identically 0).
@@ -163,6 +165,7 @@ def identity_generator() -> GeneratorPsi:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def log_generator() -> GeneratorPsi:
     return GeneratorPsi(
         forward=np.log,
@@ -173,37 +176,37 @@ def log_generator() -> GeneratorPsi:
     )
 
 
+@_cached_by_q
 def power_generator(q) -> GeneratorPsi:
     """psi(x) = x^(1-q); the q -> 1 limit is served by the log generator."""
-    qf = _as_q(q)
-    if not is_deformed(qf):
+    if not is_deformed(q):
         return GeneratorPsi(
             forward=np.log,
             inverse=np.exp,
             direction="increasing",
             shape="concave",
-            label=f"power[q={qf:g}]",
+            label=f"power[q={q:g}]",
         )
-    a = 1.0 - qf
+    a = 1.0 - q
     return GeneratorPsi(
         forward=lambda x: np.asarray(x, dtype=float) ** a,
         inverse=lambda y: np.asarray(y, dtype=float) ** (1.0 / a),
         direction="increasing" if a > 0 else "decreasing",
         # x^a with 0 < a <= 1 is concave, with a < 0 convex
         shape="concave" if a > 0 else "convex",
-        label=f"power[q={qf:g}]",
+        label=f"power[q={q:g}]",
     )
 
 
+@_cached_by_q
 def lnq_generator(q) -> GeneratorPsi:
     """psi = ln_q, inverse exp_q; concave increasing for every q >= 0."""
-    qf = _as_q(q)
     return GeneratorPsi(
-        forward=lambda x: q_log(x, qf),
-        inverse=lambda y: q_exp(y, qf),
+        forward=lambda x: q_log(x, q),
+        inverse=lambda y: q_exp(y, q),
         direction="increasing",
         shape="concave",
-        label=f"lnq[q={qf:g}]",
+        label=f"lnq[q={q:g}]",
     )
 
 

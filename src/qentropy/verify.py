@@ -41,14 +41,13 @@ from .bounds import (
 )
 from .dist import IncompleteDist, NestedDist, Partition, ProbDist, coarsen, power_sum
 from .divergence import (
-    ConvexGenerator,
     complement_cross_entropy,
+    f_by_label,
     kl_divergence,
     neg_qlog_generator,
     neglog_generator,
     renyi_relative,
     renyi_tsallis_relative_bridge,
-    tsallis_generator,
     tsallis_relative,
     xlogx_generator,
 )
@@ -66,9 +65,8 @@ from .joint import (
 from .quasilinear import (
     GeneratorPsi,
     identity_generator,
-    lnq_generator,
     log_generator,
-    power_generator,
+    psi_by_label,
     tsallis_quasilinear_entropy,
     tsallis_quasilinear_relative,
 )
@@ -98,12 +96,28 @@ DEFAULT_Q_GRID = (0.0, 0.25, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0, 4.0)
 IDENTITY_TOL = 1e-10
 
 
+def _check_tol(tol) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class Profile:
-    """Sampling floor and violation threshold for a verification run."""
+    """Sampling floor and violation threshold for a verification run.
+
+    ``min_mass`` must lie in [0, 1) and ``tol`` must be finite and >= 0: a
+    NaN threshold would pass every trial and a negative one fail them all.
+    """
 
     min_mass: float = MIN_MASS
     tol: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.min_mass < 1.0:
+            raise DomainError(
+                f"min_mass must be finite and in [0, 1), got {self.min_mass!r}"
+            )
+        _check_tol(self.tol)
 
 
 DEFAULT_PROFILE = Profile()
@@ -161,7 +175,7 @@ def _sample_nested(rng: np.random.Generator, profile: Profile) -> NestedDist:
 
 
 def _lst(arr) -> list:
-    return [float(x) for x in np.asarray(arr).ravel()]
+    return np.asarray(arr, dtype=float).ravel().tolist()
 
 
 def _ineq(lhs: float, rhs: float) -> float:
@@ -177,47 +191,11 @@ def _chain(report: BoundReport) -> float:
     return report.violation() / (1.0 + report.scale())
 
 
-# Generator factories are pure functions of q; memoize so trials skip
-# re-running the construction-time self checks.
-_PSI_CACHE: dict[tuple[str, float], GeneratorPsi] = {}
-_F_CACHE: dict[tuple[str, float], ConvexGenerator] = {}
-
-
-def _psi(kind: str, q: float = 0.0) -> GeneratorPsi:
-    key = (kind, q if kind in ("lnq", "power") else 0.0)
-    got = _PSI_CACHE.get(key)
-    if got is None:
-        if kind == "identity":
-            got = identity_generator()
-        elif kind == "log":
-            got = log_generator()
-        elif kind == "lnq":
-            got = lnq_generator(q)
-        else:
-            got = power_generator(q)
-        _PSI_CACHE[key] = got
-    return got
-
-
-def _f(kind: str, q: float = 0.0) -> ConvexGenerator:
-    key = (kind, q if kind in ("tsallis", "neg_qlog") else 0.0)
-    got = _F_CACHE.get(key)
-    if got is None:
-        if kind == "tsallis":
-            got = tsallis_generator(q)
-        elif kind == "neg_qlog":
-            got = neg_qlog_generator(q)
-        elif kind == "xlogx":
-            got = xlogx_generator()
-        else:
-            got = neglog_generator()
-        _F_CACHE[key] = got
-    return got
-
-
+# The generator factories memoize on q, so a trial that draws a generator
+# gets the instance whose construction-time self checks already ran.
 def _pick_entropy_psi(rng: np.random.Generator, q: float) -> GeneratorPsi:
     kind = ("identity", "log", "lnq", "power")[int(rng.integers(4))]
-    return _psi(kind, q)
+    return psi_by_label(kind, q)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +265,12 @@ def _pick_sandwich_pair(rng, q):
     n_opts = 4 if q >= 1.0 else 3
     k = int(rng.integers(n_opts))
     if k == 0:
-        return _square, "square", _psi("identity")
+        return _square, "square", identity_generator()
     if k == 1:
-        return _f("neg_qlog", q), "neg_qlog", _psi("identity")
+        return neg_qlog_generator(q), "neg_qlog", identity_generator()
     if k == 2:
-        return _f("xlogx"), "xlogx", _psi("identity")
-    return _f("neg_qlog", q), "neg_qlog", _psi("log")
+        return xlogx_generator(), "xlogx", identity_generator()
+    return neg_qlog_generator(q), "neg_qlog", log_generator()
 
 
 def _trial_ratio_sandwich(rng, n, q, profile):
@@ -312,7 +290,7 @@ def _trial_ratio_sandwich(rng, n, q, profile):
 
 def _pick_maxent_psi(rng, q):
     kinds = ("identity", "lnq", "power", "log") if q >= 1.0 else ("identity", "lnq", "power")
-    return _psi(kinds[int(rng.integers(len(kinds)))], q)
+    return psi_by_label(kinds[int(rng.integers(len(kinds)))], q)
 
 
 def _trial_quasilinear_gap(rng, n, q, profile):
@@ -334,7 +312,7 @@ def _trial_fdiv_sandwich(rng, n, q, profile):
     p = sample_simplex(n, rng, profile.min_mass)
     r = sample_simplex(n, rng, profile.min_mass)
     kind = ("tsallis", "xlogx", "neglog")[int(rng.integers(3))]
-    f = _f(kind, q)
+    f = f_by_label(kind, q)
     rep = f_divergence_sandwich(f, p, r)
     v = max(_chain(rep), -rep.lower / (1.0 + rep.scale()))
     return v, {"f": f.label, "p": _lst(p.weights), "r": _lst(r.weights)}
@@ -343,7 +321,7 @@ def _trial_fdiv_sandwich(rng, n, q, profile):
 def _trial_reversed_kl(rng, n, q, profile):
     p = sample_simplex(n, rng, profile.min_mass)
     r = sample_simplex(n, rng, profile.min_mass)
-    rep = f_divergence_sandwich(_f("neglog"), p, r)
+    rep = f_divergence_sandwich(neglog_generator(), p, r)
     # independent route to the same chain
     t = p.weights**2 / r.weights
     factor = float(np.log(t.sum())) - kl_divergence(p, r)
@@ -381,7 +359,7 @@ def _pick_smooth_f(rng, q, lo, hi):
         return np.exp, "exp", math.exp(lo), math.exp(hi)
     if k == 2:
         return _quartic, "quartic", 12.0 * lo * lo, 12.0 * hi * hi
-    f = _f("neg_qlog", q)
+    f = neg_qlog_generator(q)
     return f, f.label, q * hi ** (-q - 1.0), q * lo ** (-q - 1.0)
 
 
@@ -734,6 +712,8 @@ def run_case(
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo < 1 or hi < lo:
         raise DomainError(f"bad n_range {n_range!r}")
+    if tol is not None:
+        _check_tol(tol)
 
     qs: list[float] | None
     in_hypothesis = True

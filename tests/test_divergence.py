@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qentropy import (
     ConvexGenerator,
     DomainError,
+    EntropicIndex,
     GeneratorError,
     IncompleteDist,
     LengthMismatchError,
@@ -18,6 +19,7 @@ from qentropy import (
     dual_generator,
     f_by_label,
     f_divergence,
+    f_divergence_sandwich,
     incomplete_f_divergence,
     kl_divergence,
     make_dist,
@@ -234,3 +236,62 @@ def test_complement_inequality_random():
         p, r = ProbDist(a / a.sum()), ProbDist(b / b.sum())
         self_term, cross_term = complement_cross_entropy(p, r)
         assert self_term <= cross_term + 1e-10 * (1 + abs(cross_term))
+
+
+def _count_validations(monkeypatch):
+    import qentropy.divergence as div
+
+    calls = []
+    real = div._validate_convex
+
+    def counting(eval_fn, label):
+        calls.append(label)
+        real(eval_fn, label)
+
+    monkeypatch.setattr(div, "_validate_convex", counting)
+    return calls
+
+
+def test_dual_is_built_and_validated_once(monkeypatch, p_half, r_quarter):
+    calls = _count_validations(monkeypatch)
+    f = ConvexGenerator(eval=lambda x: np.asarray(x) * np.log(x), label="xlogx-local")
+    g = ConvexGenerator(eval=lambda x: -np.log(np.asarray(x)), label="neglog-local")
+    assert calls == ["xlogx-local", "neglog-local"]
+    assert dual_generator(f) is dual_generator(f)
+    assert dual_generator(g) is not dual_generator(f)
+    for _ in range(3):
+        f_divergence_sandwich(f, p_half, r_quarter)
+        f_divergence_sandwich(g, p_half, r_quarter)
+    # one validation per distinct generator, its dual included
+    assert calls == ["xlogx-local", "neglog-local", "dual(xlogx-local)", "dual(neglog-local)"]
+    # the dual of the dual is its own generator, validated once too
+    assert dual_generator(dual_generator(f)) is dual_generator(dual_generator(f))
+    assert calls[-1] == "dual(dual(xlogx-local))"
+    assert len(calls) == 5
+
+
+def test_factories_share_one_validated_generator(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    q = 2.718281828  # a q no other test builds
+    f = tsallis_generator(q)
+    assert calls == [f"tsallis[q={q:g}]"]
+    assert tsallis_generator(np.float64(q)) is f
+    assert tsallis_generator(EntropicIndex(q)) is f
+    assert f_by_label("tsallis", q) is f
+    assert neg_qlog_generator(q) is neg_qlog_generator(EntropicIndex(q))
+    assert xlogx_generator() is f_by_label("xlogx")
+    assert neglog_generator() is neglog_generator()
+    assert calls == [f"tsallis[q={q:g}]", f"neg_lnq[q={q:g}]"]
+    # -0.0 and 0.0 are one key with one label
+    assert tsallis_generator(-0.0) is tsallis_generator(0.0)
+    assert tsallis_generator(-0.0).label == "tsallis[q=0]"
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, "x"])
+def test_cached_factories_still_reject_bad_q(bad):
+    exc = ValueError if isinstance(bad, str) else DomainError
+    for factory in (tsallis_generator, neg_qlog_generator):
+        with pytest.raises(exc):
+            factory(bad)
+    with pytest.raises(exc):
+        f_by_label("tsallis", bad)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qentropy import (
     DomainError,
+    EntropicIndex,
     GeneratorError,
     GeneratorPsi,
     LengthMismatchError,
@@ -154,6 +155,23 @@ def test_generator_labels_and_lookup():
         psi_by_label("lnq")
     with pytest.raises(DomainError):
         psi_by_label("sqrt")
+
+
+def test_generator_factories_are_memoized_on_q():
+    q = 0.3183098862  # a q no other test builds
+    for factory, label in ((lnq_generator, "lnq"), (power_generator, "power")):
+        psi = factory(q)
+        assert factory(np.float64(q)) is psi
+        assert factory(EntropicIndex(q)) is psi
+        assert psi_by_label(label, q) is psi
+        assert factory(1.5) is not psi
+    assert identity_generator() is psi_by_label("identity")
+    assert log_generator() is psi_by_label("log")
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            lnq_generator(bad)
+        with pytest.raises(DomainError):
+            psi_by_label("power", bad)
 
 
 def test_relative_nonneg_hypothesis_flag():

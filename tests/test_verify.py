@@ -170,3 +170,31 @@ def test_profile_fields():
     prof = Profile(min_mass=1e-4, tol=1e-8)
     assert prof.min_mass == 1e-4
     assert prof.tol == 1e-8
+
+
+BAD_TOLS = [math.nan, math.inf, -math.inf, -1e-12]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_run_case_rejects_bad_tol(tol):
+    # a NaN threshold would pass every trial, a negative one fail them all
+    with pytest.raises(DomainError, match=r"tol must be finite and >= 0, got"):
+        run_case("id14", trials=5, seed=1, tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_profile_rejects_bad_tol(tol):
+    with pytest.raises(DomainError, match=r"tol must be finite and >= 0, got"):
+        Profile(tol=tol)
+
+
+@pytest.mark.parametrize("min_mass", [math.nan, math.inf, -math.inf, -1e-12, 1.0, 2.0])
+def test_profile_rejects_bad_min_mass(min_mass):
+    with pytest.raises(DomainError, match=r"min_mass must be finite and in \[0, 1\), got"):
+        Profile(min_mass=min_mass)
+
+
+def test_boundary_tol_and_min_mass_are_accepted():
+    assert Profile(min_mass=0.0, tol=0.0).tol == 0.0
+    rep = run_case("id14", trials=5, seed=1, tol=0.0)
+    assert rep.trials == 5
