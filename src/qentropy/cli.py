@@ -6,6 +6,13 @@ Three subcommands:
 * ``bounds``   -- two-sided bound chains with their computed constants
 * ``verify``   -- the randomized verification harness, as JSON lines
 
+Each compute functional and each bound case is one ``_Spec`` in
+``_ENTROPY_SPECS``, ``_DIVERGENCE_SPECS`` or ``_BOUND_SPECS``: the files it
+reads, whether it needs, rejects or optionally takes ``--q``, which
+generator flag (``--psi`` or ``--f``) it takes, the name it reports, and the
+callable that computes it.  Argparse choices, the cross-flag checks and
+dispatch all read those tables.
+
 Distribution files are either a JSON document ``{"weights": [...]}`` or a
 single-column CSV (one weight per line, optional ``weight`` header). Joint
 distributions use ``{"dims": [...], "cells": [...]}`` with cells flattened in
@@ -21,7 +28,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,56 +55,13 @@ from .entropy import renyi_entropy, shannon_entropy, tsallis_entropy
 from .errors import QEntropyError
 from .quasilinear import psi_by_label, tsallis_quasilinear_entropy, tsallis_quasilinear_relative
 from .serialize import SCHEMA, dumps, format_float
-from .verify import DEFAULT_Q_GRID, REGISTRY, VerifyReport, get_case, has_failures, run_case
+from .verify import DEFAULT_Q_GRID, REGISTRY, get_case, has_failures, run_case
 
-__all__ = ["CliConfig", "cmd_compute", "cmd_bounds", "cmd_verify", "main", "entrypoint"]
-
-_ENTROPIES = ("tsallis", "shannon", "renyi", "quasilinear")
-_DIVERGENCES = ("tsallis", "kl", "renyi", "f", "quasilinear")
-_BOUND_CASES = ("thm3.1", "cor3.1", "thm3.2", "cor_dra", "thm4.2", "cor4", "cf")
-# files each bounds case reads; cf takes a point file then a weight file
-_BOUND_FILE_COUNT = {
-    "thm3.1": 1,
-    "cor3.1": 1,
-    "thm3.2": 2,
-    "cor_dra": 2,
-    "thm4.2": 2,
-    "cor4": 2,
-    "cf": 2,
-}
-_BOUND_NEEDS_Q = {"thm3.1", "cor3.1", "thm4.2"}
-_BOUND_REJECTS_Q = {"cor_dra", "cor4", "cf"}
+__all__ = ["main", "entrypoint"]
 
 
 class _CliError(Exception):
     """Usage or input problem; rendered to stderr, exit status 1."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    inputs: tuple[str, ...] = ()
-    q: float | None = None
-    psi_label: str | None = None
-    f_label: str | None = None
-    output: str = "json"
-    entropy: str | None = None
-    divergence: str | None = None
-    echo: bool = False
-    case: str | None = None
-    run_all: bool = False
-    seed: int = 42
-    trials: int = 1000
-    override_hypothesis: bool = False
-    q_grid: tuple[float, ...] = field(default=DEFAULT_Q_GRID)
-
-    def __post_init__(self):
-        if self.q is not None and (not math.isfinite(self.q) or self.q < 0.0):
-            raise _CliError(f"error: --q must be a finite number >= 0, got {self.q}")
-        if self.trials < 1:
-            raise _CliError(f"error: --trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise _CliError(f"error: --seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,134 +148,187 @@ def _load_points(path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# compute
+# the functionals and bound cases
 # ---------------------------------------------------------------------------
 
+_NEEDS, _REJECTS, _OPTIONAL = "needs", "rejects", "optional"
 
-def cmd_compute(config: CliConfig) -> dict:
-    if config.echo:
-        p = _load_dist(config.inputs[0])
-        return {"schema": SCHEMA, "weights": [float(w) for w in p.weights]}
 
-    doc: dict = {"schema": SCHEMA, "command": "compute"}
-    if config.entropy is not None:
-        kind = config.entropy
-        p = _load_dist(config.inputs[0])
-        if kind == "tsallis":
-            value = tsallis_entropy(p, config.q)
-            name = "tsallis_entropy"
-        elif kind == "shannon":
-            value = shannon_entropy(p)
-            name = "shannon_entropy"
-        elif kind == "renyi":
-            value = renyi_entropy(p, config.q)
-            name = "renyi_entropy"
-        else:
-            psi = psi_by_label(config.psi_label, config.q)
-            value = tsallis_quasilinear_entropy(psi, p, config.q)
-            name = "quasilinear_entropy"
-            doc["psi"] = config.psi_label
+@dataclass(frozen=True)
+class _Spec:
+    """One compute functional or bound case.
+
+    ``run(q, label, *inputs)`` gets ``--q``, the label passed to the ``gen``
+    flag and one input per reader, and returns a functional's value or a
+    bound case's ``(report, constants)``.  Its body names the library
+    functions, so they are looked up when it runs.  A case stated at one q
+    rejects ``--q`` and is computed and reported at ``fixed_q``.
+    """
+
+    name: str
+    reads: tuple[Callable, ...]
+    q_policy: str
+    gen: str | None
+    run: Callable
+    fixed_q: float | None = None
+
+
+_ONE = (_load_dist,)
+_TWO = (_load_dist, _load_dist)
+
+
+def _r_extremes(r: ProbDist) -> dict:
+    return {"n_min_r": r.n * float(r.weights.min()), "n_max_r": r.n * float(r.weights.max())}
+
+
+def _sandwich(gen, p: ProbDist, r: ProbDist, **extra) -> tuple:
+    rep = f_divergence_sandwich(gen, p, r)
+    ratios = r.weights / p.weights
+    return rep, {
+        "min_ratio": float(ratios.min()),
+        "max_ratio": float(ratios.max()),
+        "sum_t": float((p.weights**2 / r.weights).sum()),
+        **extra,
+    }
+
+
+def _cross_entropy(q, _label, p: ProbDist, r: ProbDist) -> tuple:
+    dr = tightest_constants(p, r, q)
+    rep = tsallis_cross_entropy_sandwich(p, r, q, dr.m, dr.M)
+    lo, hi = dr.interval
+    return rep, {"m_q": dr.m, "M_q": dr.M, "interval_lo": lo, "interval_hi": hi}
+
+
+_ENTROPY_SPECS = {
+    "tsallis": _Spec("tsallis_entropy", _ONE, _NEEDS, None, lambda q, _, p: tsallis_entropy(p, q)),
+    "shannon": _Spec("shannon_entropy", _ONE, _REJECTS, None, lambda q, _, p: shannon_entropy(p)),
+    "renyi": _Spec("renyi_entropy", _ONE, _NEEDS, None, lambda q, _, p: renyi_entropy(p, q)),
+    "quasilinear": _Spec(
+        "quasilinear_entropy", _ONE, _NEEDS, "psi",
+        lambda q, psi, p: tsallis_quasilinear_entropy(psi_by_label(psi, q), p, q),
+    ),
+}
+
+_DIVERGENCE_SPECS = {
+    "tsallis": _Spec(
+        "tsallis_divergence", _TWO, _NEEDS, None, lambda q, _, p, r: tsallis_relative(p, r, q)
+    ),
+    "kl": _Spec("kl_divergence", _TWO, _REJECTS, None, lambda q, _, p, r: kl_divergence(p, r)),
+    "renyi": _Spec(
+        "renyi_divergence", _TWO, _NEEDS, None, lambda q, _, p, r: renyi_relative(p, r, q)
+    ),
+    "f": _Spec(
+        "f_divergence", _TWO, _OPTIONAL, "f",
+        lambda q, f, p, r: f_divergence(f_by_label(f, q), p, r),
+    ),
+    "quasilinear": _Spec(
+        "quasilinear_divergence", _TWO, _NEEDS, "psi",
+        lambda q, psi, p, r: tsallis_quasilinear_relative(psi_by_label(psi, q), p, r, q),
+    ),
+}
+
+_BOUND_SPECS = {
+    "thm3.1": _Spec("thm3.1", _ONE, _NEEDS, "psi", lambda q, psi, r: (
+        quasilinear_vs_tsallis_bounds(psi_by_label(psi, q), r, q), _r_extremes(r)
+    )),
+    "cor3.1": _Spec(
+        "cor3.1", _ONE, _NEEDS, None, lambda q, _, r: (refined_maxent_bounds(r, q), _r_extremes(r))
+    ),
+    "thm3.2": _Spec(
+        "thm3.2", _TWO, _OPTIONAL, "f", lambda q, f, p, r: _sandwich(f_by_label(f, q), p, r, f=f)
+    ),
+    "cor_dra": _Spec(
+        "cor_dra", _TWO, _REJECTS, None, lambda q, _, p, r: _sandwich(neglog_generator(), p, r)
+    ),
+    "thm4.2": _Spec("thm4.2", _TWO, _NEEDS, None, _cross_entropy),
+    "cor4": _Spec("cor4", _TWO, _REJECTS, None, _cross_entropy, fixed_q=1.0),
+    # cf reads a point file, then a weight file
+    "cf": _Spec("cf", (_load_points, _load_dist), _REJECTS, None, lambda q, _, xs, p: (
+        cartwright_field(xs, p),
+        {"min_x": float(xs.min()), "max_x": float(xs.max()), "spread": pairwise_spread(xs, p)},
+    )),
+}
+
+
+def _check(args, spec: _Spec, *, what: str, no_q: str, needs: dict, owners: dict) -> None:
+    """Cross-flag checks: file count, then ``--q``, ``--psi``, ``--f``; the first failure raises.
+
+    The wording is the subcommand's: ``what`` names the choice, ``no_q`` is
+    the whole message for a rejected ``--q``, ``needs[flag]`` names who needs
+    a missing flag and ``owners[flag]`` what a stray ``--psi``/``--f`` is for.
+    """
+    want, got = len(spec.reads), len(args.inputs)
+    if got != want:
+        raise _CliError(
+            f"error: {what} reads exactly {want} file{'s' if want > 1 else ''}, got {got}"
+        )
+    if spec.q_policy == _REJECTS and args.q is not None:
+        raise _CliError(f"error: {no_q}")
+    if spec.q_policy == _NEEDS and args.q is None:
+        raise _CliError(f"error: {needs['q']} needs --q")
+    for flag in ("psi", "f"):
+        given = getattr(args, flag) is not None
+        if spec.gen == flag and not given:
+            raise _CliError(f"error: {needs[flag]} needs --{flag}")
+        if spec.gen != flag and given:
+            raise _CliError(f"error: --{flag} only applies to {owners[flag]}")
+
+
+def _check_q(q: float | None) -> None:
+    if q is not None and (not math.isfinite(q) or q < 0.0):
+        raise _CliError(f"error: --q must be a finite number >= 0, got {q}")
+
+
+def _run_spec(args) -> dict:
+    """Check, load and compute one ``compute`` or ``bounds`` request."""
+    if args.command == "compute":
+        if (args.entropy is None) == (args.divergence is None):
+            raise _CliError("error: pass exactly one of --entropy or --divergence (or --echo)")
+        flag = "entropy" if args.entropy else "divergence"
+        kind = getattr(args, flag)
+        spec = (_ENTROPY_SPECS if args.entropy else _DIVERGENCE_SPECS)[kind]
+        _check(args, spec, what=f"--{flag} {kind}", no_q=f"--q is not accepted for {kind}",
+               needs={"q": kind, "psi": kind, "f": f"--{flag} {kind}"},
+               owners={"psi": "quasilinear", "f": "--divergence f"})
+        doc: dict = {"schema": SCHEMA, "command": "compute"}
+        if spec.gen is not None:
+            doc[spec.gen] = getattr(args, spec.gen)
+        doc["functional"] = spec.name
     else:
-        kind = config.divergence
-        p = _load_dist(config.inputs[0])
-        r = _load_dist(config.inputs[1])
-        if kind == "tsallis":
-            value = tsallis_relative(p, r, config.q)
-            name = "tsallis_divergence"
-        elif kind == "kl":
-            value = kl_divergence(p, r)
-            name = "kl_divergence"
-        elif kind == "renyi":
-            value = renyi_relative(p, r, config.q)
-            name = "renyi_divergence"
-        elif kind == "f":
-            f = f_by_label(config.f_label, config.q)
-            value = f_divergence(f, p, r)
-            name = "f_divergence"
-            doc["f"] = config.f_label
-        else:
-            psi = psi_by_label(config.psi_label, config.q)
-            value = tsallis_quasilinear_relative(psi, p, r, config.q)
-            name = "quasilinear_divergence"
-            doc["psi"] = config.psi_label
-    doc["functional"] = name
-    if config.q is not None:
-        doc["q"] = float(config.q)
-    doc["inputs"] = list(config.inputs)
-    doc["value"] = float(value)
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# bounds
-# ---------------------------------------------------------------------------
-
-
-def cmd_bounds(config: CliConfig) -> dict:
-    case = config.case
-    q = config.q
-    if case == "thm3.1":
-        r = _load_dist(config.inputs[0])
-        psi = psi_by_label(config.psi_label, q)
-        rep = quasilinear_vs_tsallis_bounds(psi, r, q)
-        constants = {
-            "n_min_r": r.n * float(r.weights.min()),
-            "n_max_r": r.n * float(r.weights.max()),
-        }
-    elif case == "cor3.1":
-        r = _load_dist(config.inputs[0])
-        rep = refined_maxent_bounds(r, q)
-        constants = {
-            "n_min_r": r.n * float(r.weights.min()),
-            "n_max_r": r.n * float(r.weights.max()),
-        }
-    elif case in ("thm3.2", "cor_dra"):
-        p = _load_dist(config.inputs[0])
-        r = _load_dist(config.inputs[1])
-        f = f_by_label(config.f_label, q) if case == "thm3.2" else neglog_generator()
-        rep = f_divergence_sandwich(f, p, r)
-        ratios = r.weights / p.weights
-        constants = {
-            "min_ratio": float(ratios.min()),
-            "max_ratio": float(ratios.max()),
-            "sum_t": float((p.weights**2 / r.weights).sum()),
-        }
-        if case == "thm3.2":
-            constants["f"] = config.f_label
-    elif case in ("thm4.2", "cor4"):
-        p = _load_dist(config.inputs[0])
-        r = _load_dist(config.inputs[1])
-        q_eff = 1.0 if case == "cor4" else q
-        dr = tightest_constants(p, r, q_eff)
-        rep = tsallis_cross_entropy_sandwich(p, r, q_eff, dr.m, dr.M)
-        q = q_eff
-        constants = {
-            "m_q": dr.m,
-            "M_q": dr.M,
-            "interval_lo": dr.interval[0],
-            "interval_hi": dr.interval[1],
-        }
-    else:  # cf
-        xs = _load_points(config.inputs[0])
-        p = _load_dist(config.inputs[1])
-        rep = cartwright_field(xs, p)
-        constants = {
-            "min_x": float(xs.min()),
-            "max_x": float(xs.max()),
-            "spread": pairwise_spread(xs, p),
-        }
-    doc: dict = {"schema": SCHEMA, "command": "bounds", "case": case}
+        spec = _BOUND_SPECS[args.case]
+        what = f"bounds --case {args.case}"
+        _check(args, spec, what=what, no_q=f"{what} does not take --q",
+               needs=dict.fromkeys(("q", "psi", "f"), what),
+               owners={"psi": "thm3.1", "f": "thm3.2"})
+        doc = {"schema": SCHEMA, "command": "bounds", "case": args.case}
+    _check_q(args.q)
+    q = args.q if spec.fixed_q is None else spec.fixed_q
+    inputs = [read(path) for read, path in zip(spec.reads, args.inputs)]
+    label = None if spec.gen is None else getattr(args, spec.gen)
+    result = spec.run(q, label, *inputs)
     if q is not None:
         doc["q"] = float(q)
-    doc["inputs"] = list(config.inputs)
-    doc["report"] = rep.as_dict()
-    doc["constants"] = constants
+    doc["inputs"] = list(args.inputs)
+    if args.command == "compute":
+        doc["value"] = float(result)
+    else:
+        doc["report"] = result[0].as_dict()
+        doc["constants"] = result[1]
     return doc
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
+def _echo(args) -> None:
+    if args.entropy or args.divergence or args.psi or args.f or args.q is not None:
+        raise _CliError("error: --echo takes no functional flags")
+    if len(args.inputs) != 1:
+        raise _CliError("error: --echo reads exactly one file")
+    weights = [float(w) for w in _load_dist(args.inputs[0]).weights]
+    if args.output == "table":
+        print("weight")
+        for w in weights:
+            print(format_float(w))
+    else:
+        print(dumps({"schema": SCHEMA, "weights": weights}))
 
 
 def _env_tol() -> float | None:
@@ -326,21 +344,36 @@ def _env_tol() -> float | None:
     return tol
 
 
-def cmd_verify(config: CliConfig) -> tuple[list[VerifyReport], int]:
+def _verify(args) -> int:
+    if args.list:
+        for cid, case in REGISTRY.items():
+            print(f"{cid}: {case.description}")
+        return 0
+    if args.run_all == (args.case is not None):
+        raise _CliError("error: pass exactly one of --all or --case")
+    _check_q(args.q)
+    if args.trials < 1:
+        raise _CliError(f"error: --trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise _CliError(f"error: --seed must be >= 0, got {args.seed}")
     tol = _env_tol()
-    cases = list(REGISTRY.values()) if config.run_all else [get_case(config.case)]
+    cases = list(REGISTRY.values()) if args.run_all else [get_case(args.case)]
+    q_grid = DEFAULT_Q_GRID if args.q is None else (args.q,)
     reports = [
-        run_case(
-            c,
-            trials=config.trials,
-            seed=config.seed,
-            q_grid=config.q_grid,
-            override_hypothesis=config.override_hypothesis,
-            tol=tol,
-        )
+        run_case(c, args.trials, args.seed, q_grid=q_grid,
+                 override_hypothesis=args.override_hypothesis, tol=tol)
         for c in cases
     ]
-    return reports, (2 if has_failures(reports) else 0)
+    for rep in reports:
+        if args.output == "json":
+            print(rep.to_json_line())
+        else:
+            flag = "" if rep.in_hypothesis else " (outside hypothesis)"
+            print(
+                f"{rep.case}: trials={rep.trials} violations={rep.violations} "
+                f"worst={format_float(rep.worst_violation)}{flag}"
+            )
+    return 2 if has_failures(reports) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="entropies and divergences from distribution files",
         epilog=_FILE_HELP,
     )
-    pc.add_argument("--entropy", choices=_ENTROPIES)
-    pc.add_argument("--divergence", choices=_DIVERGENCES)
+    pc.add_argument("--entropy", choices=_ENTROPY_SPECS)
+    pc.add_argument("--divergence", choices=_DIVERGENCE_SPECS)
     pc.add_argument("--q", type=float, default=None, help="entropic index, q >= 0")
     pc.add_argument("--psi", default=None, help="mean generator label (identity, log, lnq, power)")
     pc.add_argument("--f", default=None, help="convex generator label (tsallis, xlogx, neglog)")
@@ -379,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("inputs", nargs="+", metavar="FILE")
 
     pb = sub.add_parser("bounds", help="two-sided bound chains with constants", epilog=_FILE_HELP)
-    pb.add_argument("--case", required=True, choices=_BOUND_CASES)
+    pb.add_argument("--case", required=True, choices=_BOUND_SPECS)
     pb.add_argument("--q", type=float, default=None)
     pb.add_argument("--psi", default=None)
     pb.add_argument("--f", default=None)
@@ -402,100 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> CliConfig:
-    if args.command == "compute":
-        if args.echo:
-            if args.entropy or args.divergence or args.psi or args.f or args.q is not None:
-                raise _CliError("error: --echo takes no functional flags")
-            if len(args.inputs) != 1:
-                raise _CliError("error: --echo reads exactly one file")
-        else:
-            if (args.entropy is None) == (args.divergence is None):
-                raise _CliError("error: pass exactly one of --entropy or --divergence (or --echo)")
-            kind = args.entropy or args.divergence
-            want = 1 if args.entropy else 2
-            if len(args.inputs) != want:
-                raise _CliError(
-                    f"error: --{'entropy' if args.entropy else 'divergence'} {kind} reads "
-                    f"exactly {want} file{'s' if want > 1 else ''}, got {len(args.inputs)}"
-                )
-            no_q = ("shannon",) if args.entropy else ("kl",)
-            needs_q = ("tsallis", "renyi", "quasilinear")
-            if kind in no_q and args.q is not None:
-                raise _CliError(f"error: --q is not accepted for {kind}")
-            if kind in needs_q and args.q is None:
-                raise _CliError(f"error: {kind} needs --q")
-            if kind == "quasilinear" and args.psi is None:
-                raise _CliError("error: quasilinear needs --psi")
-            if kind != "quasilinear" and args.psi is not None:
-                raise _CliError("error: --psi only applies to quasilinear")
-            if args.divergence == "f" and args.f is None:
-                raise _CliError("error: --divergence f needs --f")
-            if args.f is not None and args.divergence != "f":
-                raise _CliError("error: --f only applies to --divergence f")
-        return CliConfig(
-            command="compute",
-            inputs=tuple(args.inputs),
-            q=args.q,
-            psi_label=args.psi,
-            f_label=args.f,
-            output=args.output,
-            entropy=args.entropy,
-            divergence=args.divergence,
-            echo=args.echo,
-        )
-    if args.command == "bounds":
-        want = _BOUND_FILE_COUNT[args.case]
-        if len(args.inputs) != want:
-            raise _CliError(
-                f"error: bounds --case {args.case} reads exactly {want} "
-                f"file{'s' if want > 1 else ''}, got {len(args.inputs)}"
-            )
-        if args.case in _BOUND_NEEDS_Q and args.q is None:
-            raise _CliError(f"error: bounds --case {args.case} needs --q")
-        if args.case in _BOUND_REJECTS_Q and args.q is not None:
-            raise _CliError(f"error: bounds --case {args.case} does not take --q")
-        if args.case == "thm3.1" and args.psi is None:
-            raise _CliError("error: bounds --case thm3.1 needs --psi")
-        if args.psi is not None and args.case != "thm3.1":
-            raise _CliError("error: --psi only applies to thm3.1")
-        if args.case == "thm3.2" and args.f is None:
-            raise _CliError("error: bounds --case thm3.2 needs --f")
-        if args.f is not None and args.case != "thm3.2":
-            raise _CliError("error: --f only applies to thm3.2")
-        return CliConfig(
-            command="bounds",
-            inputs=tuple(args.inputs),
-            q=args.q,
-            psi_label=args.psi,
-            f_label=args.f,
-            output=args.output,
-            case=args.case,
-        )
-    # verify
-    if getattr(args, "list", False):
-        return CliConfig(command="verify", case="--list", output=args.output)
-    if args.run_all == (args.case is not None):
-        raise _CliError("error: pass exactly one of --all or --case")
-    return CliConfig(
-        command="verify",
-        q=args.q,
-        output=args.output,
-        case=args.case,
-        run_all=args.run_all,
-        seed=args.seed,
-        trials=args.trials,
-        override_hypothesis=args.override_hypothesis,
-        q_grid=DEFAULT_Q_GRID if args.q is None else (args.q,),
-    )
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format_float(v)
-    return str(v)
+def _text(v) -> str:
+    return v if isinstance(v, str) else dumps(v)
 
 
 def _print_doc(doc: dict, output: str) -> None:
@@ -508,45 +449,21 @@ def _print_doc(doc: dict, output: str) -> None:
         if isinstance(value, dict):
             print(f"{key}:")
             for k2, v2 in value.items():
-                print(f"  {k2}: {_fmt_value(v2)}")
-        elif isinstance(value, (list, tuple)):
-            print(f"{key}: {dumps(list(value))}")
+                print(f"  {k2}: {_text(v2)}")
         else:
-            print(f"{key}: {_fmt_value(value)}")
+            print(f"{key}: {_text(value)}")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        if config.command == "compute":
-            doc = cmd_compute(config)
-            if config.echo and config.output == "table":
-                print("weight")
-                for w in doc["weights"]:
-                    print(format_float(w))
-            else:
-                _print_doc(doc, config.output)
-            return 0
-        if config.command == "bounds":
-            _print_doc(cmd_bounds(config), config.output)
-            return 0
-        if config.case == "--list":
-            for cid, case in REGISTRY.items():
-                print(f"{cid}: {case.description}")
-            return 0
-        reports, status = cmd_verify(config)
-        for rep in reports:
-            if config.output == "json":
-                print(rep.to_json_line())
-            else:
-                flag = "" if rep.in_hypothesis else " (outside hypothesis)"
-                print(
-                    f"{rep.case}: trials={rep.trials} violations={rep.violations} "
-                    f"worst={format_float(rep.worst_violation)}{flag}"
-                )
-        return status
+        args = build_parser().parse_args(argv)
+        if args.command == "verify":
+            return _verify(args)
+        if args.command == "compute" and args.echo:
+            _echo(args)
+        else:
+            _print_doc(_run_spec(args), args.output)
+        return 0
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ caller's bug and is rejected with a specific error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ from .qmath import _as_q
 
 # Largest tolerated |sum(weights) - 1|.
 SUM_TOL = 1e-9
+
+_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "SUM_TOL",
@@ -49,6 +52,17 @@ def _clean_vector(values, *, what: str) -> np.ndarray:
     return arr
 
 
+def _sum(arr: np.ndarray) -> float:
+    """Sum of finite entries; inf, with no warning, if it overflows."""
+    with np.errstate(over="ignore"):
+        return float(arr.sum())
+
+
+def _sum_text(total: float) -> str:
+    """A weight total for an error message, never 'inf'."""
+    return repr(total) if total < math.inf else f"more than {_FLOAT_MAX!r}"
+
+
 @dataclass(frozen=True)
 class ProbDist:
     """Strictly positive weights summing to 1 within SUM_TOL."""
@@ -57,10 +71,10 @@ class ProbDist:
 
     def __post_init__(self) -> None:
         arr = _clean_vector(self.weights, what="probability weights")
-        total = float(arr.sum())
+        total = _sum(arr)
         if abs(total - 1.0) > SUM_TOL:
             raise NormalizationError(
-                f"weights sum to {total!r}; |sum - 1| must be <= {SUM_TOL}"
+                f"weights sum to {_sum_text(total)}; |sum - 1| must be <= {SUM_TOL}"
             )
         object.__setattr__(self, "weights", arr)
 
@@ -140,10 +154,10 @@ class NestedDist:
         if not self.rows:
             raise DimensionError("NestedDist needs at least one row")
         rows = tuple(_clean_vector(r, what="row weights") for r in self.rows)
-        total = float(sum(float(r.sum()) for r in rows))
+        total = float(sum(_sum(r) for r in rows))
         if abs(total - 1.0) > SUM_TOL:
             raise NormalizationError(
-                f"grand total is {total!r}; |total - 1| must be <= {SUM_TOL}"
+                f"grand total is {_sum_text(total)}; |total - 1| must be <= {SUM_TOL}"
             )
         object.__setattr__(self, "rows", rows)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dist import SUM_TOL, ProbDist
+from .dist import SUM_TOL, ProbDist, _sum, _sum_text
 from .errors import DimensionError, HypothesisError, NormalizationError, PositivityError
 from .qmath import _as_q, q_log
 
@@ -41,10 +41,10 @@ class JointDist:
             raise DimensionError("cells must be non-empty")
         if not (arr.min() > 0.0 and arr.max() < math.inf):
             raise PositivityError("every cell must be finite and strictly positive")
-        total = float(arr.sum())
+        total = _sum(arr)
         if abs(total - 1.0) > SUM_TOL:
             raise NormalizationError(
-                f"cells sum to {total!r}; |sum - 1| must be <= {SUM_TOL}"
+                f"cells sum to {_sum_text(total)}; |sum - 1| must be <= {SUM_TOL}"
             )
         arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)

@@ -116,23 +116,38 @@ def q_exp(x, q):
 
     Every call checks its input: q must be a finite real >= 0 and x a
     non-empty array of finite values (DomainError otherwise), and in the
-    deformed branch min((1-q) x) must exceed -1.
+    deformed branch min((1-q) x) must exceed -1.  A (1-q) x or a result too
+    large for a double raises DomainError.
     """
     qf = _as_q(q)
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DomainError("q_exp requires at least one value")
-    if not np.isfinite(arr).all():
+    lo, hi = float(arr.min()), float(arr.max())
+    # a NaN makes min() and max() return NaN, which fails the comparison too
+    if not (-math.inf < lo and hi < math.inf):
         raise DomainError("q_exp requires finite arguments")
+    # exp_q and (1-q) x are monotone in x, so every check is made on lo and
+    # hi in Python float math, where an overflow gives inf or OverflowError
+    # instead of a RuntimeWarning
     if is_deformed(qf):
-        t = (1.0 - qf) * arr
-        if t.min() <= -1.0:
+        a = 1.0 - qf
+        if min(a * lo, a * hi) <= -1.0:
             raise UndefinedValueError(
                 f"exp_q undefined: 1 + (1-q)x <= 0 for q={qf!r}"
             )
-        out = np.exp(np.log1p(t) / (1.0 - qf))
+        if max(a * lo, a * hi) == math.inf:
+            raise DomainError(f"exp_q: (1-q)x overflows a double for q={qf!r}")
+        top = math.log1p(a * hi) / a
+        power = np.log1p(a * arr) / a
     else:
-        out = np.exp(arr)
+        top = hi
+        power = arr
+    try:
+        math.exp(top)
+    except OverflowError:
+        raise DomainError(f"exp_q overflows a double for q={qf!r}") from None
+    out = np.exp(power)
     if arr.ndim == 0:
         return float(out)
     return out

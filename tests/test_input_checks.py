@@ -4,7 +4,9 @@ Each check is written as one or two array reductions.  The table below pins,
 for every checked constructor and kernel, the exception class and message
 (or acceptance) for the awkward values: NaN, both infinities, both zeros, a
 negative, the smallest subnormal, a value near the float maximum, and 0-d
-and 2-d arrays.  The property tests compare each check with the original
+and 2-d arrays, and the intermediate overflows: a weight total or a
+(1-q) x past the float maximum, and an exp_q result too large for a
+double.  The property tests compare each check with the original
 elementwise form ``not all(isfinite(a)) or any(a <= 0)`` on random arrays
 seeded with the same awkward values.  No check may raise a RuntimeWarning.
 """
@@ -41,6 +43,7 @@ HUGE = 1.7e308
 
 QLOG_MSG = "q_log is defined only for finite x > 0"
 QEXP_MSG = "q_exp requires finite arguments"
+OVER_SUM = "more than 1.7976931348623157e+308"
 PSI_MSG = "generator 'lnq[q=0.5]' requires strictly positive arguments"
 
 
@@ -101,6 +104,17 @@ CASES = [
     ("q_exp-q<1-at-minus-one", lambda: q_exp(-2.0, 0.5), (UndefinedValueError, "exp_q undefined: 1 + (1-q)x <= 0 for q=0.5")),
     ("q_exp-q<1-2d-below", lambda: q_exp(_as_2d(-3.0), 0.5), (UndefinedValueError, "exp_q undefined: 1 + (1-q)x <= 0 for q=0.5")),
     ("q_exp-undeformed-nan", lambda: q_exp(NAN, 1.0), (DomainError, QEXP_MSG)),
+    # (1-q) x overflows to -inf: still outside the domain, with no warning
+    ("q_exp-q>2-huge", lambda: q_exp(HUGE, 4.0), (UndefinedValueError, "exp_q undefined: 1 + (1-q)x <= 0 for q=4.0")),
+    # (1-q) x overflows to +inf: exp_q itself would be a small double, but
+    # its log1p form cannot be evaluated
+    ("q_exp-q>2-minus-huge", lambda: q_exp(np.array([-HUGE, 0.0, 0.25]), 4.0), (DomainError, "exp_q: (1-q)x overflows a double for q=4.0")),
+    # the result does not fit in a double
+    ("q_exp-overflow", lambda: q_exp(1e300, 0.5), (DomainError, "exp_q overflows a double for q=0.5")),
+    ("q_exp-2d-overflow", lambda: q_exp(_as_2d(1e300), 0.5), (DomainError, "exp_q overflows a double for q=0.5")),
+    ("q_exp-undeformed-overflow", lambda: q_exp(1000.0, 1.0), (DomainError, "exp_q overflows a double for q=1.0")),
+    # q > 1: the result grows without bound as 1 + (1-q) x falls to 0
+    ("q_exp-q>1-near-pole-overflow", lambda: q_exp(np.array([0.0, 999.99]), 1.001), (DomainError, "exp_q overflows a double for q=1.001")),
     # ProbDist: 1-d, positive and finite, then normalized
     *[
         (f"ProbDist-{name}", lambda v=v: ProbDist(np.array([0.5, 0.5, v])), exp)
@@ -118,6 +132,7 @@ CASES = [
     ("ProbDist-0d-nan", lambda: ProbDist(_as_0d(NAN)), (DimensionError, "probability weights must be one-dimensional, got shape ()")),
     ("ProbDist-2d", lambda: ProbDist(_as_2d(0.25)), (DimensionError, "probability weights must be one-dimensional, got shape (2, 2)")),
     ("ProbDist-empty", lambda: ProbDist(np.array([])), (DimensionError, "probability weights must contain at least one entry")),
+    ("ProbDist-sum-overflows", lambda: ProbDist(np.array([HUGE, HUGE])), (NormalizationError, f"weights sum to {OVER_SUM}; |sum - 1| must be <= 1e-09")),
     # IncompleteDist: the same checks without normalization
     *[
         (f"IncompleteDist-{name}", lambda v=v: IncompleteDist(np.array([0.5, v])), exp)
@@ -149,6 +164,8 @@ CASES = [
         )
     ],
     ("NestedDist-2d-row", lambda: NestedDist((_as_2d(0.25),)), (DimensionError, "row weights must be one-dimensional, got shape (2, 2)")),
+    ("NestedDist-row-sum-overflows", lambda: NestedDist((np.array([HUGE, HUGE]),)), (NormalizationError, f"grand total is {OVER_SUM}; |total - 1| must be <= 1e-09")),
+    ("NestedDist-total-overflows", lambda: NestedDist((np.array([HUGE]), np.array([HUGE]))), (NormalizationError, f"grand total is {OVER_SUM}; |total - 1| must be <= 1e-09")),
     # JointDist: any number of axes >= 1
     *[
         (f"JointDist-{name}", lambda v=v: JointDist(np.array([[0.25, 0.25], [0.5, v]])), exp)
@@ -165,6 +182,7 @@ CASES = [
     ],
     ("JointDist-0d", lambda: JointDist(_as_0d(1.0)), (DimensionError, "cells must have at least one axis")),
     ("JointDist-empty", lambda: JointDist(np.zeros((2, 0))), (DimensionError, "cells must be non-empty")),
+    ("JointDist-sum-overflows", lambda: JointDist(np.full((2, 2), 1e308)), (NormalizationError, f"cells sum to {OVER_SUM}; |sum - 1| must be <= 1e-09")),
     # GeneratorPsi.check_domain: only the sign; finiteness is the caller's check
     *[
         (f"check_domain-{name}", lambda v=v: _check_domain([0.5, v]), exp)
@@ -235,22 +253,35 @@ def test_positivity_checks_match_elementwise_form(a):
     rejects = _elementwise_rejects(a)
     assert (_outcome(lambda: q_log(a, 0.5)) is DomainError) == rejects
     assert (_outcome(lambda: IncompleteDist(a.ravel())) is PositivityError) == rejects
-    with np.errstate(over="ignore"):
-        # the normalization sum after the check may overflow on huge cells
-        assert (_outcome(lambda: JointDist(a)) is PositivityError) == rejects
+    assert (_outcome(lambda: JointDist(a)) is PositivityError) == rejects
     assert (_outcome(lambda: _check_domain(a)) is DomainError) == bool(np.any(a <= 0.0))
+
+
+def _q_exp_fits(x, q):
+    """Whether (1-q) x and exp_q(x) are doubles, by scalar math."""
+    try:
+        if abs(q - 1.0) > 1e-8:
+            if (1.0 - q) * x == math.inf:
+                return False
+            math.exp(math.log1p((1.0 - q) * x) / (1.0 - q))
+        else:
+            math.exp(x)
+    except OverflowError:
+        return False
+    return True
 
 
 @settings(max_examples=300, deadline=None)
 @given(_ARRAYS, st.sampled_from([0.0, 0.5, 1.0, 1.5, 4.0]))
 def test_q_exp_checks_match_elementwise_form(a, q):
-    with np.errstate(over="ignore"):
-        # (1-q) x may overflow to -inf (rejected) and an accepted input may
-        # overflow exp; only the accept/reject decision is under test here
-        if not np.all(np.isfinite(a)):
-            expected = DomainError
-        elif abs(q - 1.0) > 1e-8 and np.any((1.0 - q) * a <= -1.0):
-            expected = UndefinedValueError
-        else:
-            expected = None
-        assert _outcome(lambda: q_exp(a, q)) is expected
+    # elementwise on Python floats, where (1-q) x overflows to +-inf silently
+    xs = a.ravel().tolist()
+    if not np.all(np.isfinite(a)):
+        expected = DomainError
+    elif abs(q - 1.0) > 1e-8 and any((1.0 - q) * x <= -1.0 for x in xs):
+        expected = UndefinedValueError
+    elif not all(_q_exp_fits(x, q) for x in xs):
+        expected = DomainError
+    else:
+        expected = None
+    assert _outcome(lambda: q_exp(a, q)) is expected
