@@ -115,24 +115,25 @@ def xlogx_generator() -> ConvexGenerator:
     return ConvexGenerator(eval=_eval, label="xlogx")
 
 
-@functools.lru_cache(maxsize=1)
-def neglog_generator() -> ConvexGenerator:
-    """f(x) = -log x; generates the reversed Kullback-Leibler divergence."""
+def _neg_lnq_family(q: float, label: str) -> ConvexGenerator:
+    """f(x) = -ln_q(x) under ``label``, validated once; -log at q = 1."""
 
     def _eval(x):
-        return -np.log(np.asarray(x, dtype=float))
+        return -np.asarray(q_log(x, q))
 
-    return ConvexGenerator(eval=_eval, label="neglog")
+    return ConvexGenerator(eval=_eval, label=label)
+
+
+@functools.lru_cache(maxsize=1)
+def neglog_generator() -> ConvexGenerator:
+    """f(x) = -log x, the neg_lnq generator at q = 1; generates the reversed KL divergence."""
+    return _neg_lnq_family(1.0, "neglog")
 
 
 @_cached_by_q
 def neg_qlog_generator(q) -> ConvexGenerator:
     """f(x) = -ln_q(x); convex for every q >= 0 (f'' = q x^(-q-1))."""
-
-    def _eval(x):
-        return -np.asarray(q_log(x, q))
-
-    return ConvexGenerator(eval=_eval, label=f"neg_lnq[q={q:g}]")
+    return _neg_lnq_family(q, f"neg_lnq[q={q:g}]")
 
 
 def f_by_label(label: str, q: float | None = None) -> ConvexGenerator:

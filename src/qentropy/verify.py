@@ -733,8 +733,8 @@ def run_case(
         else:
             if not admitted:
                 raise HypothesisError(
-                    f"case {case.id} admits no q in {grid}; "
-                    "pass override_hypothesis=True to probe outside its hypothesis"
+                    f"case {case.id} admits no q in {grid}; pass override_hypothesis=True "
+                    "(CLI: --override-hypothesis) to probe outside its hypothesis"
                 )
             qs = admitted
 

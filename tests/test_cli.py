@@ -41,7 +41,7 @@ def test_compute_tsallis_gold(capsys, dist_json):
     status, out, err = _run(capsys, ["compute", "--entropy", "tsallis", "--q", "2", dist_json])
     assert status == 0 and not err
     doc = json.loads(out)
-    assert doc["schema"] == "qentropy/1"
+    assert doc["schema"] == "qentropy/2"
     assert doc["functional"] == "tsallis_entropy"
     assert doc["value"] == pytest.approx(0.375, abs=1e-12)
 
@@ -658,7 +658,8 @@ ERROR_ROWS = [
     ("verify --case id14", "-1", "error: QENTROPY_CHECK_TOL must be finite and >= 0, got '-1'"),
     ("verify --case id14", "nan", "error: QENTROPY_CHECK_TOL must be finite and >= 0, got 'nan'"),
     ("verify --case thm5.1 --q 0.5 --trials 5", None,
-     "error: case thm5.1 admits no q in [0.5]; pass override_hypothesis=True to probe outside its hypothesis"),
+     "error: case thm5.1 admits no q in [0.5]; pass override_hypothesis=True "
+     "(CLI: --override-hypothesis) to probe outside its hypothesis"),
 ]
 
 

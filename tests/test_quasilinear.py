@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from qentropy import (
     LengthMismatchError,
     ProbDist,
     check_psi_convexity,
+    dual_generator,
     identity_generator,
     kl_divergence,
     lnq_generator,
     log_generator,
     make_dist,
+    neglog_generator,
     power_generator,
     psi_by_label,
     quasilinear_entropy,
@@ -174,12 +177,39 @@ def test_generator_factories_are_memoized_on_q():
             psi_by_label("power", bad)
 
 
+def test_special_cases_keep_their_labels():
+    # power, log and neglog are ln_q-family generators under their own labels;
+    # a bad q is reported under the label that was asked for
+    for build in (lambda: power_generator(60), lambda: psi_by_label("power", 60)):
+        with pytest.raises(GeneratorError, match=r"'power\[q=60\]'"):
+            build()
+    assert log_generator().label == "log"
+    assert power_generator(0.5).label == "power[q=0.5]"
+    assert neglog_generator().label == "neglog"
+    assert dual_generator(neglog_generator()).label == "dual(neglog)"
+    assert power_generator(0.5) is power_generator(0.5)
+    assert log_generator() is log_generator()
+    assert neglog_generator() is neglog_generator()
+
+
+@pytest.mark.parametrize("q", [3.7, 3.75, 6.75, 7.5, 20.0, 51.5])
+def test_lnq_family_builds_where_it_saturates(q):
+    # for large q, ln_q is within a few ulps of its supremum 1/(q-1) at the
+    # top of the validation grid: inversion there is ill-conditioned, and a
+    # value rounded onto the supremum has no exp_q at all; neither may fail
+    # validation
+    xs = 2.0 ** (np.linspace(-4.0, 4.0, 9) / (q - 1.0))  # x^(1-q) in [1/16, 16]
+    for psi in (lnq_generator(q), power_generator(q)):
+        np.testing.assert_allclose(psi.inverse(psi.forward(xs)), xs, rtol=1e-12)
+
+
 def test_relative_nonneg_hypothesis_flag():
     assert identity_generator().relative_nonneg_hypothesis
     assert log_generator().relative_nonneg_hypothesis
     assert lnq_generator(3.0).relative_nonneg_hypothesis
-    assert power_generator(0.5).relative_nonneg_hypothesis  # concave increasing
-    assert power_generator(2.0).relative_nonneg_hypothesis  # convex decreasing
+    # power is ln_q under its own label, so concave increasing at every q
+    assert power_generator(0.5).relative_nonneg_hypothesis
+    assert power_generator(2.0).relative_nonneg_hypothesis
     bad = GeneratorPsi(
         forward=np.square, inverse=np.sqrt, direction="increasing", shape="convex", label="square"
     )
@@ -263,3 +293,43 @@ def test_entropy_continuity_in_q(q, seed):
     h = tsallis_entropy(p, q)
     val = tsallis_quasilinear_entropy(lnq_generator(q), p, q)
     assert val == pytest.approx(h, rel=1e-9, abs=1e-9)
+
+
+def _dyadic_simplex(rng, n):
+    # weights k / 2^40 with integer k summing to 2^40: exact doubles summing
+    # to exactly 1, so the power and ln_q forms of the mean are one number.
+    # Masses stay above ~0.1/n: near a point mass H_q -> 0, and rounding the
+    # mean exp_q(H_q) ~ 1 + H_q to a double alone costs eps/H_q relative.
+    g = rng.uniform(0.1, 1.0, n)
+    k = np.floor(g / g.sum() * 2.0**40) + 1.0
+    k[-1] = 2.0**40 - k[:-1].sum()
+    return ProbDist(k / 2.0**40)
+
+
+def _oracle(p, r, q):
+    """Tsallis entropy of p and relative entropy of p to r at 50 digits.
+
+    H_q(p) = (sum p^q - 1)/(1-q) and D_q(p||r) = (1 - sum p^q r^(1-q))/(1-q),
+    from the exact decimal values of the float inputs.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        qd = Decimal(q)
+        ps = [Decimal(w) for w in p.weights.tolist()]
+        rs = [Decimal(w) for w in r.weights.tolist()]
+        h = (sum(a**qd for a in ps) - 1) / (1 - qd)
+        d = (1 - sum(a**qd * b ** (1 - qd) for a, b in zip(ps, rs))) / (1 - qd)
+        return float(h), float(d)
+
+
+@pytest.mark.parametrize("q", [1 + s * e for e in (1e-2, 1e-4, 1e-6, 2e-8) for s in (-1, 1)])
+def test_quasilinear_family_matches_decimal_oracle_near_one(q):
+    rng = np.random.default_rng(20261018)
+    for n in (2, 3, 5, 8, 16):
+        for _ in range(4):
+            p, r = _dyadic_simplex(rng, n), _dyadic_simplex(rng, n)
+            h, d = _oracle(p, r, q)
+            for psi in (power_generator(q), lnq_generator(q)):
+                assert abs(tsallis_quasilinear_entropy(psi, p, q) - h) <= 1e-13 * abs(h)
+                err = abs(tsallis_quasilinear_relative(psi, p, r, q) - d)
+                assert err <= 1e-13 * (1.0 + abs(d))

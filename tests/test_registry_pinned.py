@@ -17,7 +17,7 @@ PINNED = [
     ('prop2.3', 0, 34, 2.2204460492503126e-16),
     ('prop2.4', 0, 96, 1.1569578532824272e-13),
     ('prop3.1', 0, 110, 5.5491980314401444e-14),
-    ('thm3.1', 0, 81, 9.419866459745047e-13),
+    ('thm3.1', 0, 12, 3.859403378847278e-13),
     ('cor3.1', 0, 132, 7.067843932278171e-13),
     ('thm3.2', 0, 154, 1.0485910795590562e-14),
     ('cor_dra', 0, 50, 4.776045714686535e-15),

@@ -90,7 +90,7 @@ def test_report_json_shape():
         "schema", "case", "trials", "violations", "worst_violation",
         "worst_witness", "seed", "in_hypothesis",
     ]
-    assert doc["schema"] == "qentropy/1"
+    assert doc["schema"] == "qentropy/2"
     assert doc["case"] == "qadd"
     assert doc["trials"] == 10
     assert doc["in_hypothesis"] is True
@@ -198,3 +198,12 @@ def test_boundary_tol_and_min_mass_are_accepted():
     assert Profile(min_mass=0.0, tol=0.0).tol == 0.0
     rep = run_case("id14", trials=5, seed=1, tol=0.0)
     assert rep.trials == 5
+
+
+@pytest.mark.parametrize("cid", ["prop2.1", "prop2.3", "thm3.1"])
+def test_psi_cases_clean_near_one(cid):
+    # every case that draws a mean generator, within 2e-8 of q = 1; x^(1-q)
+    # inverted as y^(1/(1-q)) once gave thm3.1 56 violations here
+    grid = (1 - 1e-8, 1 - 2e-8, 1 + 2e-8, 0.99999, 1.00001)
+    rep = run_case(cid, trials=500, seed=7, q_grid=grid)
+    assert rep.violations == 0, f"{cid}: worst={rep.worst_violation} at {rep.worst_witness}"
