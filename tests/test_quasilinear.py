@@ -158,6 +158,14 @@ def test_generator_labels_and_lookup():
         psi_by_label("lnq")
     with pytest.raises(DomainError):
         psi_by_label("sqrt")
+    # log and neglog are ln_q-family generators under their own labels, as is
+    # power near q = 1; a bad q is reported under the label that was asked for
+    for build in (lambda: power_generator(60), lambda: psi_by_label("power", 60)):
+        with pytest.raises(GeneratorError, match=r"'power\[q=60\]'"):
+            build()
+    assert power_generator(0.9).label == "power[q=0.9]"
+    assert neglog_generator().label == "neglog"
+    assert dual_generator(neglog_generator()).label == "dual(neglog)"
 
 
 def test_generator_factories_are_memoized_on_q():
@@ -177,39 +185,12 @@ def test_generator_factories_are_memoized_on_q():
             psi_by_label("power", bad)
 
 
-def test_special_cases_keep_their_labels():
-    # power, log and neglog are ln_q-family generators under their own labels;
-    # a bad q is reported under the label that was asked for
-    for build in (lambda: power_generator(60), lambda: psi_by_label("power", 60)):
-        with pytest.raises(GeneratorError, match=r"'power\[q=60\]'"):
-            build()
-    assert log_generator().label == "log"
-    assert power_generator(0.5).label == "power[q=0.5]"
-    assert neglog_generator().label == "neglog"
-    assert dual_generator(neglog_generator()).label == "dual(neglog)"
-    assert power_generator(0.5) is power_generator(0.5)
-    assert log_generator() is log_generator()
-    assert neglog_generator() is neglog_generator()
-
-
-@pytest.mark.parametrize("q", [3.7, 3.75, 6.75, 7.5, 20.0, 51.5])
-def test_lnq_family_builds_where_it_saturates(q):
-    # for large q, ln_q is within a few ulps of its supremum 1/(q-1) at the
-    # top of the validation grid: inversion there is ill-conditioned, and a
-    # value rounded onto the supremum has no exp_q at all; neither may fail
-    # validation
-    xs = 2.0 ** (np.linspace(-4.0, 4.0, 9) / (q - 1.0))  # x^(1-q) in [1/16, 16]
-    for psi in (lnq_generator(q), power_generator(q)):
-        np.testing.assert_allclose(psi.inverse(psi.forward(xs)), xs, rtol=1e-12)
-
-
 def test_relative_nonneg_hypothesis_flag():
     assert identity_generator().relative_nonneg_hypothesis
     assert log_generator().relative_nonneg_hypothesis
     assert lnq_generator(3.0).relative_nonneg_hypothesis
-    # power is ln_q under its own label, so concave increasing at every q
-    assert power_generator(0.5).relative_nonneg_hypothesis
-    assert power_generator(2.0).relative_nonneg_hypothesis
+    assert power_generator(0.5).relative_nonneg_hypothesis  # concave increasing
+    assert power_generator(2.0).relative_nonneg_hypothesis  # convex decreasing
     bad = GeneratorPsi(
         forward=np.square, inverse=np.sqrt, direction="increasing", shape="convex", label="square"
     )
@@ -295,41 +276,64 @@ def test_entropy_continuity_in_q(q, seed):
     assert val == pytest.approx(h, rel=1e-9, abs=1e-9)
 
 
-def _dyadic_simplex(rng, n):
+def _dyadic_simplex(rng, n, spread):
     # weights k / 2^40 with integer k summing to 2^40: exact doubles summing
     # to exactly 1, so the power and ln_q forms of the mean are one number.
-    # Masses stay above ~0.1/n: near a point mass H_q -> 0, and rounding the
-    # mean exp_q(H_q) ~ 1 + H_q to a double alone costs eps/H_q relative.
-    g = rng.uniform(0.1, 1.0, n)
+    # Masses differ by up to a factor e^spread.  Near a point mass H_q -> 0,
+    # and rounding the mean exp_q(H_q) ~ 1 + H_q to a double alone costs
+    # eps/H_q relative, so small n keep the spread small.
+    g = np.exp(rng.uniform(-spread, 0.0, n))
     k = np.floor(g / g.sum() * 2.0**40) + 1.0
-    k[-1] = 2.0**40 - k[:-1].sum()
+    k[np.argmax(k)] += 2.0**40 - k.sum()
     return ProbDist(k / 2.0**40)
 
 
 def _oracle(p, r, q):
-    """Tsallis entropy of p and relative entropy of p to r at 50 digits.
+    """Tsallis and Renyi entropies of p and relative entropies of p to r at 50 digits.
 
-    H_q(p) = (sum p^q - 1)/(1-q) and D_q(p||r) = (1 - sum p^q r^(1-q))/(1-q),
-    from the exact decimal values of the float inputs.
+    With S = sum p^q and T = sum p^q r^(1-q), from the exact decimal values
+    of the float inputs: H_q = (S - 1)/(1-q), R_q = log S/(1-q),
+    D_q = (1 - T)/(1-q) and R_q(p||r) = -log T/(1-q).
     """
     with localcontext() as ctx:
         ctx.prec = 50
         qd = Decimal(q)
         ps = [Decimal(w) for w in p.weights.tolist()]
         rs = [Decimal(w) for w in r.weights.tolist()]
-        h = (sum(a**qd for a in ps) - 1) / (1 - qd)
-        d = (1 - sum(a**qd * b ** (1 - qd) for a, b in zip(ps, rs))) / (1 - qd)
-        return float(h), float(d)
+        s = sum(a**qd for a in ps)
+        t = sum(a**qd * b ** (1 - qd) for a, b in zip(ps, rs))
+        return [float(v / (1 - qd)) for v in (s - 1, s.ln(), 1 - t, -t.ln())]
 
 
-@pytest.mark.parametrize("q", [1 + s * e for e in (1e-2, 1e-4, 1e-6, 2e-8) for s in (-1, 1)])
-def test_quasilinear_family_matches_decimal_oracle_near_one(q):
+# q near 1, where power is the ln_q pair, and far from it, where power keeps
+# x^(1-q); the far q see larger n with more spread-out masses
+NEAR_ONE = [1 + s * e for e in (1e-2, 1e-4, 1e-6, 2e-8) for s in (-1, 1)]
+FAR = [0.25, 1.5, 3.0, 10.0, 30.0]
+
+
+@pytest.mark.parametrize("q", NEAR_ONE + FAR)
+def test_power_mean_matches_decimal_oracle(q):
     rng = np.random.default_rng(20261018)
-    for n in (2, 3, 5, 8, 16):
-        for _ in range(4):
-            p, r = _dyadic_simplex(rng, n), _dyadic_simplex(rng, n)
-            h, d = _oracle(p, r, q)
-            for psi in (power_generator(q), lnq_generator(q)):
-                assert abs(tsallis_quasilinear_entropy(psi, p, q) - h) <= 1e-13 * abs(h)
-                err = abs(tsallis_quasilinear_relative(psi, p, r, q) - d)
-                assert err <= 1e-13 * (1.0 + abs(d))
+    shapes = [(n, math.log(10.0)) for n in (2, 3, 5, 8, 16) for _ in range(4)]
+    if q in FAR:
+        shapes += [(1024, 8.0)] * 2
+    psi = power_generator(q)
+    for n, spread in shapes:
+        p, r = _dyadic_simplex(rng, n, spread), _dyadic_simplex(rng, n, spread)
+        h, rh, d, rd = _oracle(p, r, q)
+        assert abs(tsallis_quasilinear_entropy(psi, p, q) - h) <= 1e-13 * abs(h)
+        assert abs(quasilinear_entropy(psi, p) - rh) <= 1e-13 * abs(rh)
+        assert abs(tsallis_quasilinear_relative(psi, p, r, q) - d) <= 1e-13 * (1.0 + abs(d))
+        assert abs(quasilinear_relative(psi, p, r) - rd) <= 1e-13 * (1.0 + abs(rd))
+
+
+def test_power_mean_is_exact_where_ln_q_saturates():
+    # ln_q(128) at q = 10 rounds onto its supremum 1/9, where exp_q is
+    # undefined; x^(1-q) = 2^-63 keeps the whole value
+    uniform = ProbDist(np.full(128, 1 / 128))
+    assert quasilinear_entropy(power_generator(10.0), uniform) == math.log(128)
+    # through ln_q, exp_q would multiply the rounding by M^(q-1) ~ 5e6 here
+    w = np.exp(np.random.default_rng(3).uniform(-8.0, 0.0, 10_000))
+    p = ProbDist(w / w.sum())
+    renyi = renyi_entropy(p, 3.0)
+    assert quasilinear_entropy(power_generator(3.0), p) == pytest.approx(renyi, rel=1e-13)
