@@ -232,13 +232,21 @@ def pairwise_spread(xs, p: ProbDist) -> float:
     """sum_{i<j} p_i p_j (x_j - x_i)^2, computed two ways and cross-checked.
 
     The pairwise double sum equals the p-weighted variance around the p-mean
-    (Lemma 4.2), so both routes here are O(n) in time and memory: the
-    variance form w . (x - xbar)^2, which is returned, and the corrected
-    two-pass form fsum(w d^2) - fsum(w d)^2 over the centred values
-    d = x - xbar, each sum correctly rounded by math.fsum (Chan, Golub &
-    LeVeque 1983).  They must agree to 1e-10 (relative), otherwise a
-    ConsistencyError flags a numerics problem.  The literal double sum is
-    checked by the registry.
+    (Lemma 4.2), so the spread costs a few O(n) dots in time and memory.
+    The variance form s_var = w . d^2 over the centred values d = x - xbar
+    is returned.  The corrected two-pass form of Chan, Golub & LeVeque
+    (1983), s_var - (w . d)^2, cross-checks it: w . d is the error of the
+    rounded mean xbar, zero in exact arithmetic, and its square grows when
+    the x_j share an offset far above their spread.  The two forms must
+    agree to 1e-10 (relative), otherwise a ConsistencyError flags a
+    numerics problem.  The literal double sum is checked by the registry.
+
+    One floating-point dot suffices for the correction.  Since sum w = 1,
+    Cauchy-Schwarz bounds sum |w_j d_j| by sqrt(s_var), so the dot's
+    rounding error on c = w . d is at most about n u sqrt(s_var) (u the unit
+    roundoff), and |c| <= sqrt(s_var) as well.  Its error on c^2 is then below 2 n u |c| sqrt(s_var) +
+    (n u)^2 s_var, orders of magnitude under the 1e-10 (1 + s_var)
+    threshold for any realistic n.
     """
     arr = np.asarray(xs, dtype=float)
     if arr.shape != (p.n,):
@@ -249,8 +257,8 @@ def pairwise_spread(xs, p: ProbDist) -> float:
     xbar = float(w @ arr)
     d = arr - xbar
     s_var = float(w @ d**2)
-    wd = w * d
-    s_two = math.fsum((wd * d).tolist()) - math.fsum(wd.tolist()) ** 2
+    c = float(w @ d)
+    s_two = s_var - c * c
     if abs(s_two - s_var) > 1e-10 * (1.0 + max(abs(s_two), abs(s_var))):
         raise ConsistencyError(
             f"two-pass form {s_two!r} and variance form {s_var!r} disagree"

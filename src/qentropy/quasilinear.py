@@ -91,12 +91,13 @@ def _validate_generator(forward, inverse, direction: str, label: str) -> None:
         raise GeneratorError(f"generator {label!r} inverse failed on the grid")
 
     # Local inversion condition number: one ulp of y moved through the local
-    # slope, relative to x.
-    slope = np.abs(dy) / np.diff(x)
-    slope = np.maximum(
-        np.concatenate([slope[:1], slope]), np.concatenate([slope, slope[-1:]])
-    )
-    with np.errstate(divide="ignore"):
+    # slope, relative to x.  A slope too steep for a double (large q near
+    # the grid's bottom) reads as inf, so that point's kappa is 0.
+    with np.errstate(over="ignore", divide="ignore"):
+        slope = np.abs(dy) / np.diff(x)
+        slope = np.maximum(
+            np.concatenate([slope[:1], slope]), np.concatenate([slope, slope[-1:]])
+        )
         kappa = np.where(slope > 0.0, np.spacing(np.abs(y)) / (slope * x), np.inf)
     rel = np.abs(back - x[live]) / x[live]
     allowed = _ROUNDTRIP_TOL + 16.0 * kappa[live]

@@ -472,6 +472,40 @@ def test_pairwise_spread_consistency_guard():
         pairwise_spread([1e16, 1e16 + 2.0], make_dist([1 / 3, 2 / 3]))
 
 
+def _fsum_guard_fires(xs, w) -> bool:
+    # The earlier guard, kept as a reference: the corrected two-pass form
+    # with both sums correctly rounded by math.fsum.
+    d = xs - float(w @ xs)
+    s_var = float(w @ d**2)
+    wd = w * d
+    s_two = math.fsum((wd * d).tolist()) - math.fsum(wd.tolist()) ** 2
+    return abs(s_two - s_var) > 1e-10 * (1.0 + max(abs(s_two), abs(s_var)))
+
+
+def test_pairwise_spread_guard_matches_fsum_reference():
+    # Huge offsets with small spreads make the rounded mean wrong and the
+    # guard fire; the dot-product guard must decide exactly as the fsum
+    # reference does, and the returned variance form must be untouched.
+    rng = np.random.default_rng(79)
+    fired = kept = 0
+    for n in (2, 3, 16, 1024, 4096):
+        for offset in 10.0 ** np.arange(0, 18):
+            for spread in 10.0 ** np.arange(-10, 9):
+                w = rng.exponential(size=n)
+                p = ProbDist(w / w.sum())
+                xs = offset + spread * rng.normal(size=n)
+                if _fsum_guard_fires(xs, p.weights):
+                    fired += 1
+                    with pytest.raises(ConsistencyError, match="disagree"):
+                        pairwise_spread(xs, p)
+                else:
+                    kept += 1
+                    want = float(p.weights @ (xs - float(p.weights @ xs)) ** 2)
+                    assert pairwise_spread(xs, p) == want
+    # the grid exercises both sides of the guard
+    assert fired > 100 and kept > 100
+
+
 def test_spread_kernels_run_in_linear_memory():
     # One n x n float64 temporary is 128 MiB at n = 4096 and 32 GiB at
     # n = 65536; the small size runs first so that a quadratic kernel fails

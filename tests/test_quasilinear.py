@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -20,6 +21,7 @@ from qentropy import (
     lnq_generator,
     log_generator,
     make_dist,
+    neg_qlog_generator,
     neglog_generator,
     power_generator,
     psi_by_label,
@@ -221,6 +223,21 @@ def test_generator_validation_rejects_overflow():
             direction="increasing",
             label="blow-up",
         )
+
+
+@pytest.mark.parametrize("factory", [power_generator, lnq_generator, neg_qlog_generator])
+def test_generator_validation_raises_no_raw_warning(factory):
+    # At large q the slope of the generator near the bottom of the
+    # validation grid exceeds a double; validation must either build the
+    # generator or reject it with a GeneratorError, never emit a numpy
+    # RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for q in np.arange(0.0, 60.25, 0.5):
+            try:
+                factory(float(q))
+            except GeneratorError:
+                pass
 
 
 def test_check_psi_convexity_square_holds():
