@@ -29,7 +29,7 @@ from .errors import (
     LengthMismatchError,
     ConsistencyError,
 )
-from .qmath import _as_q, q_log
+from .qmath import _as_q, _ln_q, _require_finite_ratio, q_log
 from .quasilinear import (
     GeneratorPsi,
     _as_eval,
@@ -175,19 +175,16 @@ def quasilinear_vs_tsallis_bounds(
     compatibility hypothesis.
     """
     qf = _as_q(q)
+    _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
     inv = 1.0 / r.weights
     if validate_hypothesis:
         _require_compatible(neg_qlog_generator(qf), psi, inv)
     n = r.n
     braced = q_log(float(psi.inverse(np.asarray(np.mean(psi.forward(inv))))), qf) - float(
-        np.mean(np.asarray(q_log(inv, qf)))
+        np.mean(_ln_q(inv, qf))
     )
     value = tsallis_quasilinear_entropy(psi, r, qf) - tsallis_entropy(r, qf)
-    return BoundReport(
-        lower=n * float(r.weights.min()) * braced,
-        value=value,
-        upper=n * float(r.weights.max()) * braced,
-    )
+    return BoundReport(lower=n * r._lo * braced, value=value, upper=n * r._hi * braced)
 
 
 def refined_maxent_bounds(r: ProbDist, q) -> BoundReport:
@@ -197,15 +194,12 @@ def refined_maxent_bounds(r: ProbDist, q) -> BoundReport:
     since the identity mean of the inverse probabilities is exactly n.
     """
     qf = _as_q(q)
+    _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
     inv = 1.0 / r.weights
     n = r.n
-    braced = q_log(float(np.mean(inv)), qf) - float(np.mean(np.asarray(q_log(inv, qf))))
+    braced = q_log(float(np.mean(inv)), qf) - float(np.mean(_ln_q(inv, qf)))
     value = q_log(float(n), qf) - tsallis_entropy(r, qf)
-    return BoundReport(
-        lower=n * float(r.weights.min()) * braced,
-        value=value,
-        upper=n * float(r.weights.max()) * braced,
-    )
+    return BoundReport(lower=n * r._lo * braced, value=value, upper=n * r._hi * braced)
 
 
 def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> BoundReport:
@@ -215,6 +209,9 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
     lower bound chains 0 <= min_i(r_i/p_i) (...) <= D_f(p||r).
     """
     check_lengths(p, r)
+    # f meets the ratios p/r, its dual the ratios r/p: both must be finite
+    _require_finite_ratio(p.weights, p._hi, r.weights, r._lo)
+    _require_finite_ratio(r.weights, r._hi, p.weights, p._lo)
     value = f_divergence(f, p, r)
     t = IncompleteDist(p.weights**2 / r.weights)
     factor = incomplete_f_divergence(dual_generator(f), t, IncompleteDist(p.weights)) - float(
@@ -251,7 +248,7 @@ def pairwise_spread(xs, p: ProbDist) -> float:
     arr = np.asarray(xs, dtype=float)
     if arr.shape != (p.n,):
         raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("xs must be finite")
     w = p.weights
     xbar = float(w @ arr)
@@ -302,7 +299,8 @@ def smooth_jensen_sandwich(f, drange: SecondDerivativeRange, xs, p: ProbDist) ->
     lo, hi = drange.interval
     # tiny slack so hull endpoints produced by floating arithmetic stay legal
     pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
-    if np.any(arr < lo - pad) or np.any(arr > hi + pad):
+    # fmin/fmax skip a NaN, as the elementwise comparisons do
+    if np.fmin.reduce(arr) < lo - pad or np.fmax.reduce(arr) > hi + pad:
         raise DomainError("xs must lie inside the interval of the curvature range")
     fe = _as_eval(f)
     gap = float(p.weights @ np.asarray(fe(arr), dtype=float)) - float(
@@ -325,17 +323,16 @@ def cartwright_field(xs, p: ProbDist) -> BoundReport:
     arr = np.asarray(xs, dtype=float)
     if arr.shape != (p.n,):
         raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    lo = float(np.minimum.reduce(arr))
+    hi = float(np.maximum.reduce(arr))
+    # a NaN makes the minimum NaN, which fails the comparison too
+    if not (lo > 0.0 and hi < math.inf):
         raise DomainError("the arithmetic-geometric gap needs strictly positive xs")
     w = p.weights
     am = float(w @ arr)
     gm = float(np.exp(w @ np.log(arr)))
     v = float(w @ (arr - am) ** 2)
-    return BoundReport(
-        lower=v / (2.0 * float(arr.max())),
-        value=am - gm,
-        upper=v / (2.0 * float(arr.min())),
-    )
+    return BoundReport(lower=v / (2.0 * hi), value=am - gm, upper=v / (2.0 * lo))
 
 
 def tightest_constants(p: ProbDist, r: ProbDist, q) -> SecondDerivativeRange:
@@ -350,9 +347,8 @@ def tightest_constants(p: ProbDist, r: ProbDist, q) -> SecondDerivativeRange:
     qf = _as_q(q)
     if qf == 0.0:
         raise DegenerateRangeError("q = 0 has identically zero curvature; no usable range")
-    comps = np.concatenate([p.weights, r.weights])
-    cmin = float(comps.min())
-    cmax = float(comps.max())
+    cmin = min(p._lo, r._lo)
+    cmax = max(p._hi, r._hi)
     return SecondDerivativeRange(
         m=qf * cmin ** (qf + 1.0),
         M=qf * cmax ** (qf + 1.0),
@@ -368,6 +364,7 @@ def maxent_variance_bounds(p: ProbDist, q, mq: float, Mq: float) -> BoundReport:
         (mq/2) P <= ln_q(n) - H_q(p) <= (Mq/2) P.
     """
     qf = _as_q(q)
+    _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
     spread = pairwise_spread(1.0 / p.weights, p)
     value = q_log(float(p.n), qf) - tsallis_entropy(p, qf)
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
@@ -381,10 +378,11 @@ def cross_term_gap_sandwich(p: ProbDist, r: ProbDist, q, mq: float, Mq: float) -
     """
     check_lengths(p, r)
     qf = _as_q(q)
+    _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
     inv_r = 1.0 / r.weights
     spread = pairwise_spread(inv_r, p)
-    value = q_log(float(np.sum(p.weights / r.weights)), qf) - float(
-        p.weights @ np.asarray(q_log(inv_r, qf))
+    value = q_log(float((p.weights / r.weights).sum()), qf) - float(
+        p.weights @ _ln_q(inv_r, qf)
     )
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
 
@@ -404,13 +402,13 @@ def tsallis_cross_entropy_sandwich(
     """
     check_lengths(p, r)
     qf = _as_q(q)
+    _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
+    _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
     w = p.weights
-    base = q_log(float(np.sum(w / r.weights)), qf) - q_log(float(p.n), qf)
+    base = q_log(float((w / r.weights).sum()), qf) - q_log(float(p.n), qf)
     spread_p = pairwise_spread(1.0 / w, p)
     spread_r = pairwise_spread(1.0 / r.weights, p)
-    value = float(w @ np.asarray(q_log(1.0 / r.weights, qf))) - float(
-        w @ np.asarray(q_log(1.0 / w, qf))
-    )
+    value = float(w @ _ln_q(1.0 / r.weights, qf)) - float(w @ _ln_q(1.0 / w, qf))
     return BoundReport(
         lower=base + 0.5 * mq * spread_p - 0.5 * Mq * spread_r,
         value=value,

@@ -26,6 +26,10 @@ from .qmath import _as_q
 SUM_TOL = 1e-9
 
 _FLOAT_MAX = sys.float_info.max
+_HALF_FLOAT_MAX = _FLOAT_MAX / 2.0
+# Sums of powers below the smallest normal double have lost digits to
+# gradual underflow, or are 0.
+_FLOAT_TINY = sys.float_info.min
 
 __all__ = [
     "SUM_TOL",
@@ -39,23 +43,53 @@ __all__ = [
 ]
 
 
-def _clean_vector(values, *, what: str) -> np.ndarray:
+def _validated(arr: np.ndarray, *, positivity: str, sum_what: str | None):
+    """Check a freshly copied float array; return it frozen, with (min, max).
+
+    Every entry must be finite and > 0 (else PositivityError with the
+    ``positivity`` message).  With ``sum_what`` the entries must also sum
+    to 1 within SUM_TOL.  The extremes are Python floats, so the O(1)
+    domain checks made on them later cannot raise a numpy warning.
+    """
+    lo = float(np.minimum.reduce(arr, axis=None))
+    hi = float(np.maximum.reduce(arr, axis=None))
+    # a NaN makes the minimum NaN, which fails the comparison too
+    if not (lo > 0.0 and hi < math.inf):
+        raise PositivityError(positivity)
+    if sum_what is not None:
+        total = _sum(arr, hi)
+        if abs(total - 1.0) > SUM_TOL:
+            raise NormalizationError(
+                f"{sum_what} {_sum_text(total)}; |sum - 1| must be <= {SUM_TOL}"
+            )
+    arr.flags.writeable = False
+    return arr, lo, hi
+
+
+def _clean_vector(values, *, what: str, normalized: bool = False):
+    """A validated 1-d copy of ``values`` with its (min, max)."""
     arr = np.array(values, dtype=float)  # copy: instances own their storage
     if arr.ndim != 1:
         raise DimensionError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError(f"{what} must contain at least one entry")
-    # a NaN makes min() return NaN, which fails the comparison too
-    if not (arr.min() > 0.0 and arr.max() < math.inf):
-        raise PositivityError(f"{what} entries must be finite and strictly positive")
-    arr.flags.writeable = False
-    return arr
+    return _validated(
+        arr,
+        positivity=f"{what} entries must be finite and strictly positive",
+        sum_what="weights sum to" if normalized else None,
+    )
 
 
-def _sum(arr: np.ndarray) -> float:
-    """Sum of finite entries; inf, with no warning, if it overflows."""
+def _sum(arr: np.ndarray, hi: float) -> float:
+    """Sum of finite entries no larger than ``hi``; inf, with no warning, if it overflows.
+
+    When n * hi stays below half the float maximum no partial sum can
+    overflow, so the error state is only entered for huge entries.
+    """
+    if hi * arr.size <= _HALF_FLOAT_MAX:
+        return float(np.add.reduce(arr, axis=None))
     with np.errstate(over="ignore"):
-        return float(arr.sum())
+        return float(np.add.reduce(arr, axis=None))
 
 
 def _sum_text(total: float) -> str:
@@ -70,13 +104,11 @@ class ProbDist:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _clean_vector(self.weights, what="probability weights")
-        total = _sum(arr)
-        if abs(total - 1.0) > SUM_TOL:
-            raise NormalizationError(
-                f"weights sum to {_sum_text(total)}; |sum - 1| must be <= {SUM_TOL}"
-            )
+        arr, lo, hi = _clean_vector(self.weights, what="probability weights", normalized=True)
         object.__setattr__(self, "weights", arr)
+        # extremes found by validation, not fields: repr and == ignore them
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
 
     @property
     def n(self) -> int:
@@ -97,9 +129,8 @@ class IncompleteDist:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "weights", _clean_vector(self.weights, what="incomplete weights")
-        )
+        arr, _, _ = _clean_vector(self.weights, what="incomplete weights")
+        object.__setattr__(self, "weights", arr)
 
     @property
     def n(self) -> int:
@@ -153,8 +184,9 @@ class NestedDist:
     def __post_init__(self) -> None:
         if not self.rows:
             raise DimensionError("NestedDist needs at least one row")
-        rows = tuple(_clean_vector(r, what="row weights") for r in self.rows)
-        total = float(sum(_sum(r) for r in rows))
+        checked = [_clean_vector(r, what="row weights") for r in self.rows]
+        rows = tuple(arr for arr, _, _ in checked)
+        total = float(sum(_sum(arr, hi) for arr, _, hi in checked))
         if abs(total - 1.0) > SUM_TOL:
             raise NormalizationError(
                 f"grand total is {_sum_text(total)}; |total - 1| must be <= {SUM_TOL}"
@@ -195,7 +227,7 @@ def coarsen(p: ProbDist, partition: Partition) -> ProbDist:
 def power_sum(p: ProbDist, q) -> float:
     """sum_j p_j^q for q >= 0."""
     qf = _as_q(q)
-    return float(np.sum(p.weights**qf))
+    return float((p.weights**qf).sum())
 
 
 def check_lengths(p: ProbDist | IncompleteDist, r: ProbDist | IncompleteDist) -> None:

@@ -8,14 +8,23 @@ D~_f*(a||b) = sum_j a_j f*(b_j/a_j) accept unnormalized positive weights.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .dist import IncompleteDist, ProbDist, check_lengths
+from .dist import _FLOAT_MAX, _FLOAT_TINY, IncompleteDist, ProbDist, check_lengths
 from .errors import DomainError, GeneratorError
-from .qmath import _as_q, _cached_by_q, is_deformed, q_exp, q_log
+from .qmath import (
+    _as_q,
+    _cached_by_q,
+    _ln_q,
+    _require_finite_ratio,
+    is_deformed,
+    q_exp,
+    q_log,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bounds import SecondDerivativeRange
@@ -38,6 +47,8 @@ __all__ = [
 ]
 
 _CONVEXITY_GRID = 2.0 ** np.arange(-20, 21)
+
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 
 
 def _validate_convex(eval_fn: Callable, label: str) -> None:
@@ -152,7 +163,9 @@ def f_by_label(label: str, q: float | None = None) -> ConvexGenerator:
 def tsallis_relative(p: ProbDist, r: ProbDist, q) -> float:
     """D_q(p||r) = -sum_j p_j ln_q(r_j/p_j); KL divergence at q = 1, always >= 0."""
     check_lengths(p, r)
-    return float(-(p.weights @ q_log(r.weights / p.weights, q)))
+    qf = _as_q(q)
+    _require_finite_ratio(r.weights, r._hi, p.weights, p._lo)
+    return float(-(p.weights @ _ln_q(r.weights / p.weights, qf)))
 
 
 def kl_divergence(p: ProbDist, r: ProbDist) -> float:
@@ -162,13 +175,29 @@ def kl_divergence(p: ProbDist, r: ProbDist) -> float:
 
 
 def renyi_relative(p: ProbDist, r: ProbDist, q) -> float:
-    """R_q(p||r) = log(sum_j p_j^q r_j^(1-q)) / (q-1); KL divergence at q = 1."""
+    """R_q(p||r) = log(sum_j p_j^q r_j^(1-q)) / (q-1); KL divergence at q = 1.
+
+    At large q a factor r_j^(1-q) can overflow, or the sum underflow to 0
+    or to a subnormal.  Only then, the sum is taken in log space with its
+    largest term factored out.  Whether a factor can overflow is decided in
+    O(1) from the extremes p and r carry.
+    """
     check_lengths(p, r)
     qf = _as_q(q)
     if not is_deformed(qf):
         return kl_divergence(p, r)
-    s = float(np.sum(p.weights**qf * r.weights ** (1.0 - qf)))
-    return float(np.log(s) / (qf - 1.0))
+    a = 1.0 - qf
+    # logs of upper bounds on each factor and on the sum (n times the
+    # largest possible term)
+    p_top = qf * math.log(p._hi)
+    r_top = a * math.log(r._lo if a < 0.0 else r._hi)
+    if max(p_top, r_top, p_top + r_top + math.log(p.n)) < _LOG_FLOAT_MAX - 1.0:
+        s = float((p.weights**qf * r.weights**a).sum())
+        if s >= _FLOAT_TINY:
+            return float(np.log(s) / (qf - 1.0))
+    t = qf * np.log(p.weights) + a * np.log(r.weights)
+    m = float(np.maximum.reduce(t))
+    return (m + math.log(float(np.exp(t - m).sum()))) / (qf - 1.0)
 
 
 def f_divergence(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> float:
@@ -216,7 +245,7 @@ def complement_cross_entropy(p: ProbDist, r: ProbDist) -> tuple[float, float]:
     nonnegativity of the KL divergence of the normalized complements.
     """
     check_lengths(p, r)
-    if np.any(p.weights >= 1.0) or np.any(r.weights >= 1.0):
+    if p._hi >= 1.0 or r._hi >= 1.0:
         raise DomainError("complement terms need every component < 1 (n >= 2)")
     cp = 1.0 - p.weights
     cr = 1.0 - r.weights

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .dist import ProbDist
-from .qmath import _as_q, is_deformed, q_exp, q_log
+from .dist import _FLOAT_TINY, ProbDist
+from .qmath import _as_q, _ln_q, _require_finite_ratio, is_deformed, q_exp
 
 __all__ = [
     "tsallis_entropy",
@@ -20,7 +22,9 @@ def tsallis_entropy(p: ProbDist, q) -> float:
 
     Value lies in [0, ln_q(n)], with the maximum at the uniform distribution.
     """
-    return float(p.weights @ q_log(1.0 / p.weights, q))
+    qf = _as_q(q)
+    _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
+    return float(p.weights @ _ln_q(1.0 / p.weights, qf))
 
 
 def shannon_entropy(p: ProbDist) -> float:
@@ -30,11 +34,22 @@ def shannon_entropy(p: ProbDist) -> float:
 
 
 def renyi_entropy(p: ProbDist, q) -> float:
-    """R_q(p) = log(sum_j p_j^q) / (1-q); Shannon at q = 1, log(n) at q = 0."""
+    """R_q(p) = log(sum_j p_j^q) / (1-q); Shannon at q = 1, log(n) at q = 0.
+
+    At large q the power sum underflows to 0, or to a subnormal that has
+    lost digits.  Only then, the largest mass m is factored out:
+    log(sum_j p_j^q) = q log m + log(sum_j (p_j/m)^q), where the last sum
+    is at least 1.
+    """
     qf = _as_q(q)
     if not is_deformed(qf):
         return shannon_entropy(p)
-    return float(np.log(np.sum(p.weights**qf)) / (1.0 - qf))
+    s = float((p.weights**qf).sum())
+    if s >= _FLOAT_TINY:
+        return float(np.log(s) / (1.0 - qf))
+    m = p._hi
+    rest = float(((p.weights / m) ** qf).sum())
+    return (qf * math.log(m) + math.log(rest)) / (1.0 - qf)
 
 
 def renyi_tsallis_bridge(p: ProbDist, q) -> tuple[float, float]:

@@ -6,15 +6,14 @@ Cells are strictly positive and stored row-major as a numpy array; axes are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundReport
-from .dist import SUM_TOL, ProbDist, _sum, _sum_text
-from .errors import DimensionError, HypothesisError, NormalizationError, PositivityError
-from .qmath import _as_q, q_log
+from .dist import _validated
+from .errors import DimensionError, HypothesisError
+from .qmath import _as_q, _ln_q, _require_finite_ratio
 
 __all__ = [
     "JointDist",
@@ -39,15 +38,15 @@ class JointDist:
             raise DimensionError("cells must have at least one axis")
         if arr.size == 0:
             raise DimensionError("cells must be non-empty")
-        if not (arr.min() > 0.0 and arr.max() < math.inf):
-            raise PositivityError("every cell must be finite and strictly positive")
-        total = _sum(arr)
-        if abs(total - 1.0) > SUM_TOL:
-            raise NormalizationError(
-                f"cells sum to {_sum_text(total)}; |sum - 1| must be <= {SUM_TOL}"
-            )
-        arr.flags.writeable = False
+        arr, lo, hi = _validated(
+            arr,
+            positivity="every cell must be finite and strictly positive",
+            sum_what="cells sum to",
+        )
         object.__setattr__(self, "cells", arr)
+        # extremes found by validation, not fields: repr and == ignore them
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -58,8 +57,13 @@ class JointDist:
         return self.cells.ndim
 
 
-def _check_axes(j: JointDist, axes: tuple[int, ...], *, what: str) -> tuple[int, ...]:
-    axes = tuple(int(a) for a in axes)
+def _check_axes(j: JointDist, axes, *, what: str) -> tuple[int, ...]:
+    try:
+        axes = tuple(int(a) for a in axes)
+    except (TypeError, ValueError):
+        raise DimensionError(
+            f"{what} must be a sequence of integer axes, got {axes!r}"
+        ) from None
     if len(set(axes)) != len(axes):
         raise DimensionError(f"{what} contains repeated axes: {axes!r}")
     for a in axes:
@@ -70,7 +74,7 @@ def _check_axes(j: JointDist, axes: tuple[int, ...], *, what: str) -> tuple[int,
 
 def marginal(j: JointDist, axes) -> JointDist:
     """Sum out every axis not listed; kept axes stay in original order."""
-    keep = _check_axes(j, tuple(axes), what="axes")
+    keep = _check_axes(j, axes, what="axes")
     if not keep:
         raise DimensionError("must keep at least one axis")
     drop = tuple(a for a in range(j.ndim) if a not in keep)
@@ -80,8 +84,10 @@ def marginal(j: JointDist, axes) -> JointDist:
 
 def tsallis_joint_entropy(j: JointDist, q) -> float:
     """H_q of the flattened cell distribution."""
+    qf = _as_q(q)
     flat = j.cells.ravel()
-    return float(flat @ np.asarray(q_log(1.0 / flat, q)))
+    _require_finite_ratio(1.0, 1.0, flat, j._lo)
+    return float(flat @ _ln_q(1.0 / flat, qf))
 
 
 def tsallis_conditional_entropy(j: JointDist, target_axes, given_axes, q) -> float:
@@ -91,8 +97,8 @@ def tsallis_conditional_entropy(j: JointDist, target_axes, given_axes, q) -> flo
     reduces to the entropy of the target marginal.
     """
     qf = _as_q(q)
-    target = _check_axes(j, tuple(target_axes), what="target_axes")
-    given = _check_axes(j, tuple(given_axes), what="given_axes")
+    target = _check_axes(j, target_axes, what="target_axes")
+    given = _check_axes(j, given_axes, what="given_axes")
     if not target:
         raise DimensionError("target_axes must be non-empty")
     if set(target) & set(given):
@@ -103,8 +109,9 @@ def tsallis_conditional_entropy(j: JointDist, target_axes, given_axes, q) -> flo
     kept = sorted(target + given)
     target_pos = tuple(kept.index(a) for a in target)
     p_given = sub.cells.sum(axis=target_pos, keepdims=True)
+    # each cell is a term of its p_given, so cond lies in (0, 1]
     cond = sub.cells / p_given
-    return float(-np.sum(sub.cells**qf * np.asarray(q_log(cond, qf))))
+    return float(-(sub.cells**qf * _ln_q(cond, qf)).sum())
 
 
 def chain_rule_decomposition(j: JointDist, order, q) -> tuple[float, ...]:
@@ -114,7 +121,7 @@ def chain_rule_decomposition(j: JointDist, order, q) -> tuple[float, ...]:
     every q >= 0 (up to floating error).
     """
     qf = _as_q(q)
-    seq = _check_axes(j, tuple(order), what="order")
+    seq = _check_axes(j, order, what="order")
     if sorted(seq) != list(range(j.ndim)):
         raise DimensionError(f"order must be a permutation of 0..{j.ndim - 1}")
     return tuple(

@@ -80,6 +80,43 @@ class EntropicIndex:
         return self.q
 
 
+_LNQ_DOMAIN = "q_log is defined only for finite x > 0"
+
+
+def _ln_q(x, qf: float):
+    """ln_q(x) with no checks: the kernel behind q_log.
+
+    The caller must already know that q is a validated float and that every
+    x is finite and > 0, for example because x is 1/w over the weights of
+    a validated distribution whose carried minimum has a finite inverse
+    (see ``_require_finite_ratio``).  Returns what numpy returns: an array
+    for an array, a numpy float for a scalar.
+    """
+    if is_deformed(qf):
+        return np.expm1((1.0 - qf) * np.log(x)) / (1.0 - qf)
+    return np.log(x)
+
+
+def _require_finite_ratio(num, num_max: float, den: np.ndarray, den_min: float) -> None:
+    """Check that every num/den lies in q_log's domain, before dividing.
+
+    ``num_max`` and ``den_min`` are max num and min den > 0, as carried by a
+    validated distribution (num may be the scalar 1.0).  Division rounds
+    monotonically, so no ratio exceeds num_max/den_min: when that is finite,
+    the check is O(1).  Otherwise the ratios are formed with overflow
+    ignored and one max reduction decides.  A ratio of a mass to a mass of
+    at most about 1 cannot underflow to 0, so only overflow is checked.  An
+    infinite ratio raises the DomainError q_log would raise, where numpy
+    would first have warned about the overflowing division.
+    """
+    if num_max / den_min < math.inf:
+        return
+    with np.errstate(over="ignore"):
+        if np.maximum.reduce(num / den, axis=None) < math.inf:
+            return
+    raise DomainError(_LNQ_DOMAIN)
+
+
 def q_log(x, q):
     """Deformed natural logarithm ln_q(x).
 
@@ -87,21 +124,30 @@ def q_log(x, q):
     expm1((1-q) log x)/(1-q) so values near x = 1 and q near 1 do not lose
     precision to cancellation.
 
-    Every call checks its input: q must be a finite real >= 0 and x a
+    This is the checked public entry: q must be a finite real >= 0 and x a
     non-empty array of finite values > 0 (NaN, inf, 0 and -0.0 raise
-    DomainError).  The check is one min and one max reduction.
+    DomainError).  A Python or numpy float is checked with two float
+    comparisons, an array with one min and one max reduction.  The
+    library's own callers whose x is built from a validated distribution
+    check its domain in O(1) from the extremes the distribution carries and
+    call the unchecked kernel ``_ln_q``, which gives the same bits.
     """
     qf = _as_q(q)
+    if isinstance(x, float):
+        # a NaN fails the comparison too
+        if not 0.0 < x < math.inf:
+            raise DomainError(_LNQ_DOMAIN)
+        return float(_ln_q(x, qf))
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DomainError("q_log requires at least one value")
-    # a NaN makes min() return NaN, which fails the comparison too
-    if not (arr.min() > 0.0 and arr.max() < math.inf):
-        raise DomainError("q_log is defined only for finite x > 0")
-    if is_deformed(qf):
-        out = np.expm1((1.0 - qf) * np.log(arr)) / (1.0 - qf)
-    else:
-        out = np.log(arr)
+    # a NaN makes the minimum NaN, which fails the comparison too
+    if not (
+        np.minimum.reduce(arr, axis=None) > 0.0
+        and np.maximum.reduce(arr, axis=None) < math.inf
+    ):
+        raise DomainError(_LNQ_DOMAIN)
+    out = _ln_q(arr, qf)
     if arr.ndim == 0:
         return float(out)
     return out
@@ -117,13 +163,18 @@ def q_exp(x, q):
     Every call checks its input: q must be a finite real >= 0 and x a
     non-empty array of finite values (DomainError otherwise), and in the
     deformed branch min((1-q) x) must exceed -1.  A (1-q) x or a result too
-    large for a double raises DomainError.
+    large for a double raises DomainError.  A Python or numpy float is its
+    own min and max; an array costs one min and one max reduction.
     """
     qf = _as_q(q)
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
-        raise DomainError("q_exp requires at least one value")
-    lo, hi = float(arr.min()), float(arr.max())
+    if isinstance(x, float):
+        arr = lo = hi = float(x)
+    else:
+        arr = np.asarray(x, dtype=float)
+        if arr.size == 0:
+            raise DomainError("q_exp requires at least one value")
+        lo = float(np.minimum.reduce(arr, axis=None))
+        hi = float(np.maximum.reduce(arr, axis=None))
     # a NaN makes min() and max() return NaN, which fails the comparison too
     if not (-math.inf < lo and hi < math.inf):
         raise DomainError("q_exp requires finite arguments")
@@ -148,6 +199,6 @@ def q_exp(x, q):
     except OverflowError:
         raise DomainError(f"exp_q overflows a double for q={qf!r}") from None
     out = np.exp(power)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    if isinstance(out, np.ndarray):
+        return out
+    return float(out)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dist import ProbDist, check_lengths
 from .errors import DomainError, GeneratorError, LengthMismatchError
-from .qmath import _cached_by_q, q_exp, q_log
+from .qmath import _cached_by_q, _require_finite_ratio, q_exp, q_log
 
 __all__ = [
     "GeneratorPsi",
@@ -292,19 +292,21 @@ def quasilinear_mean(psi: GeneratorPsi, xs, p: ProbDist) -> float:
     arr = np.asarray(xs, dtype=float)
     if arr.shape != (p.n,):
         raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("xs must be finite")
     psi.check_domain(arr)
     return float(psi.inverse(np.asarray(p.weights @ psi.forward(arr))))
 
 
 def _mean_of_inverse_probs(psi: GeneratorPsi, p: ProbDist) -> float:
+    _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
     inv = 1.0 / p.weights
     return float(psi.inverse(np.asarray(p.weights @ psi.forward(inv))))
 
 
 def _mean_of_ratios(psi: GeneratorPsi, p: ProbDist, r: ProbDist) -> float:
     check_lengths(p, r)
+    _require_finite_ratio(r.weights, r._hi, p.weights, p._lo)
     ratio = r.weights / p.weights
     return float(psi.inverse(np.asarray(p.weights @ psi.forward(ratio))))
 

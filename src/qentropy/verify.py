@@ -153,7 +153,7 @@ def _sample_joint(rng: np.random.Generator, profile: Profile, k: int | None = No
     if k is None:
         k = int(rng.integers(2, 5))
     dims = tuple(int(d) for d in rng.integers(2, 5, size=k))
-    g = rng.exponential(size=int(np.prod(dims)))
+    g = rng.exponential(size=math.prod(dims))
     c = g / g.sum()
     c = np.maximum(c, profile.min_mass)
     c = c / c.sum()
@@ -343,7 +343,7 @@ def _trial_lagrange(rng, n, q, profile):
     lhs, _ = lagrange_identity(a, b)
     # the identity as the paper states it: the literal double sum over i < j
     cross = a[:, None] * b[None, :] - a[None, :] * b[:, None]
-    rhs = 0.5 * float(np.sum(cross**2))
+    rhs = 0.5 * float((cross**2).sum())
     return _eq(lhs, rhs), {"a": _lst(a), "b": _lst(b)}
 
 

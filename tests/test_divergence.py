@@ -295,3 +295,34 @@ def test_cached_factories_still_reject_bad_q(bad):
             factory(bad)
     with pytest.raises(exc):
         f_by_label("tsallis", bad)
+
+
+def _renyi_relative_oracle(p, r, q):
+    """R_q(p||r) from the exact decimal values of the weights, to 50 digits."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        qd = Decimal(q)
+        s = sum(
+            Decimal(a) ** qd * Decimal(b) ** (1 - qd)
+            for a, b in zip(p.weights.tolist(), r.weights.tolist())
+        )
+        return float(s.ln() / (qd - 1))
+
+
+@pytest.mark.parametrize(
+    "p, r, q",
+    [
+        ([0.5, 0.5], [0.25, 0.75], 2000.0),
+        ([0.5, 0.3, 0.2], [0.25, 0.35, 0.4], 2000.0),
+        ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 1e5),
+        ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 0.5),
+        ([0.6, 0.4], [0.5, 0.5], 1200.0),
+    ],
+)
+def test_renyi_relative_large_q_matches_decimal_oracle(p, r, q):
+    pd, rd = make_dist(p), make_dist(r)
+    got = renyi_relative(pd, rd, q)
+    assert math.isfinite(got)
+    assert got == pytest.approx(_renyi_relative_oracle(pd, rd, q), rel=1e-12)

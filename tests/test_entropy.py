@@ -140,3 +140,12 @@ def test_renyi_q_limit_continuity():
         for q in (1.0 - 1e-6, 1.0 + 1e-6):
             assert renyi_entropy(p, q) == pytest.approx(base, abs=1e-5 * (1 + abs(base)))
             assert tsallis_entropy(p, q) == pytest.approx(base, abs=1e-5 * (1 + abs(base)))
+
+
+@pytest.mark.parametrize("q", [1500.0, 1e6])
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 1000])
+def test_renyi_uniform_at_large_q_is_log_n(n, q):
+    # every p_j^q underflows to 0 here; the largest mass is factored out
+    assert renyi_entropy(ProbDist(np.full(n, 1.0 / n)), q) == pytest.approx(
+        math.log(n), rel=0.0, abs=1e-12
+    )

@@ -214,3 +214,38 @@ def test_han_holds_at_and_above_one(j, q):
 def test_conditioning_reduces_entropy_q_geq_1(j, q):
     cond, marg = conditioning_reduces_entropy_check(j, q)
     assert cond <= marg + 1e-9 * (1 + abs(marg))
+
+
+# an axis argument that is not a sequence of integers is a DimensionError
+# naming the argument, not a raw TypeError / ValueError
+BAD_AXES = [
+    ("marginal-int", lambda j: marginal(j, 0), "axes must be a sequence of integer axes, got 0"),
+    ("marginal-str", lambda j: marginal(j, ("x",)), "axes must be a sequence of integer axes, got ('x',)"),
+    (
+        "conditional-target-int",
+        lambda j: tsallis_conditional_entropy(j, 1, (0,), 2.0),
+        "target_axes must be a sequence of integer axes, got 1",
+    ),
+    (
+        "conditional-given-int",
+        lambda j: tsallis_conditional_entropy(j, (1,), 0, 2.0),
+        "given_axes must be a sequence of integer axes, got 0",
+    ),
+    (
+        "conditional-given-none",
+        lambda j: tsallis_conditional_entropy(j, (1,), None, 2.0),
+        "given_axes must be a sequence of integer axes, got None",
+    ),
+    (
+        "chain-order-int",
+        lambda j: chain_rule_decomposition(j, 0, 2.0),
+        "order must be a sequence of integer axes, got 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in BAD_AXES], ids=[c[0] for c in BAD_AXES])
+def test_non_sequence_axes_raise_dimension_error(skew_2x2, call, message):
+    with pytest.raises(DimensionError) as info:
+        call(skew_2x2)
+    assert str(info.value) == message

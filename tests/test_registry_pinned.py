@@ -1,10 +1,13 @@
-"""Pinned registry outcomes for run_registry(trials=200, seed=42).
+"""Pinned registry outcomes for run_registry(trials=200, seed=42), and one
+digest over the report bytes of three seeds.
 
 Comparing two runs inside one process cannot show that a refactor kept the
 same random draws and the same arithmetic; these values can.  Counts and
 witness trials are exact; worst violations hold to 1e-9 relative, which
 leaves room for last-ulp differences in the noise-level cases.
 """
+
+import hashlib
 
 import pytest
 
@@ -54,3 +57,17 @@ def test_registry_pinned(reports, case, violations, trial, worst):
     assert rep.violations == violations
     assert rep.worst_witness["trial"] == trial
     assert rep.worst_violation == pytest.approx(worst, rel=1e-9, abs=0.0)
+
+
+# sha256 over the JSON lines of run_registry(trials=300, seed=s) for s = 1,
+# 42, 7, in registry order: any change to a draw, a rounding or a report
+# field changes it (numpy 2.4).
+REGISTRY_DIGEST = "d4de997fabf47f8e1eae8a90c0db6f77d325700840d26e149e86443e13124052"
+
+
+def test_registry_report_bytes_digest():
+    h = hashlib.sha256()
+    for seed in (1, 42, 7):
+        for r in run_registry(trials=300, seed=seed):
+            h.update(r.to_json_line().encode())
+    assert h.hexdigest() == REGISTRY_DIGEST
