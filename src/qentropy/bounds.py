@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import IncompleteDist, ProbDist, check_lengths
+from .dist import _HALF_FLOAT_MAX, IncompleteDist, ProbDist, check_lengths
 from .divergence import (
     ConvexGenerator,
     dual_generator,
@@ -21,7 +21,6 @@ from .divergence import (
     incomplete_f_divergence,
     neg_qlog_generator,
 )
-from .entropy import tsallis_entropy
 from .errors import (
     DegenerateRangeError,
     DomainError,
@@ -35,7 +34,6 @@ from .quasilinear import (
     _as_eval,
     check_psi_convexity,
     quasilinear_mean,
-    tsallis_quasilinear_entropy,
 )
 
 CHECK_TOL = 1e-9
@@ -154,6 +152,7 @@ def ratio_sandwich(
 ) -> BoundReport:
     """Sandwich T(f, x, r) between min and max of r_i/p_i times T(f, x, p)."""
     check_lengths(p, r)
+    _require_finite_ratio(r.weights, r._hi, p.weights, p._lo)
     t_p = jensen_gap(f, psi, xs, p, validate_hypothesis=validate_hypothesis)
     t_r = jensen_gap(f, psi, xs, r)
     ratios = r.weights / p.weights
@@ -164,6 +163,19 @@ def ratio_sandwich(
     )
 
 
+def _mean(v: np.ndarray, r: ProbDist) -> float:
+    """Mean of a vector over 1/r: np.mean(v), bit for bit, without its wrapper.
+
+    |v_j| must be at most max(1/r), as 1/r, ln_q(1/r) <= 1/r - 1 and each
+    library generator's forward value at 1/r are.  When n max(1/r) may pass
+    half the float maximum, a partial sum could overflow although the mean
+    is finite, so the mean of v/n is taken instead.
+    """
+    if r.n / r._lo > _HALF_FLOAT_MAX:
+        return float(np.add.reduce(v / v.size))
+    return float(np.add.reduce(v)) / v.size
+
+
 def quasilinear_vs_tsallis_bounds(
     psi: GeneratorPsi, r: ProbDist, q, *, validate_hypothesis: bool = False
 ) -> BoundReport:
@@ -172,7 +184,9 @@ def quasilinear_vs_tsallis_bounds(
     value = I_q^psi(r) - H_q(r); the braced uniform-weights gap
     ln_q(M_psi(1/r, uniform)) - mean_j ln_q(1/r_j), scaled by n min r_j and
     n max r_j, gives the bounds.  The whole chain is >= 0 under the
-    compatibility hypothesis.
+    compatibility hypothesis.  psi(1/r) and ln_q(1/r) are evaluated once;
+    value uses the expressions of tsallis_quasilinear_entropy and
+    tsallis_entropy, so it has their bits.
     """
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
@@ -180,10 +194,12 @@ def quasilinear_vs_tsallis_bounds(
     if validate_hypothesis:
         _require_compatible(neg_qlog_generator(qf), psi, inv)
     n = r.n
-    braced = q_log(float(psi.inverse(np.asarray(np.mean(psi.forward(inv))))), qf) - float(
-        np.mean(_ln_q(inv, qf))
-    )
-    value = tsallis_quasilinear_entropy(psi, r, qf) - tsallis_entropy(r, qf)
+    w = r.weights
+    # a validated forward may return any array-like, as np.mean accepted
+    fwd = np.asarray(psi.forward(inv), dtype=float)
+    lnq_inv = _ln_q(inv, qf)
+    braced = q_log(float(psi.inverse(np.asarray(_mean(fwd, r)))), qf) - _mean(lnq_inv, r)
+    value = q_log(float(psi.inverse(np.asarray(w @ fwd))), qf) - float(w @ lnq_inv)
     return BoundReport(lower=n * r._lo * braced, value=value, upper=n * r._hi * braced)
 
 
@@ -192,13 +208,16 @@ def refined_maxent_bounds(r: ProbDist, q) -> BoundReport:
 
     Identical to quasilinear_vs_tsallis_bounds with the identity generator,
     since the identity mean of the inverse probabilities is exactly n.
+    1/r and ln_q(1/r) are evaluated once; H_q(r) is tsallis_entropy's
+    expression on them.
     """
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
     inv = 1.0 / r.weights
+    lnq_inv = _ln_q(inv, qf)
     n = r.n
-    braced = q_log(float(np.mean(inv)), qf) - float(np.mean(_ln_q(inv, qf)))
-    value = q_log(float(n), qf) - tsallis_entropy(r, qf)
+    braced = q_log(_mean(inv, r), qf) - _mean(lnq_inv, r)
+    value = q_log(float(n), qf) - float(r.weights @ lnq_inv)
     return BoundReport(lower=n * r._lo * braced, value=value, upper=n * r._hi * braced)
 
 
@@ -214,7 +233,7 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
     _require_finite_ratio(r.weights, r._hi, p.weights, p._lo)
     value = f_divergence(f, p, r)
     t = IncompleteDist(p.weights**2 / r.weights)
-    factor = incomplete_f_divergence(dual_generator(f), t, IncompleteDist(p.weights)) - float(
+    factor = incomplete_f_divergence(dual_generator(f), t, p) - float(
         np.asarray(f.eval(np.asarray(float(t.weights.sum()))))
     )
     ratios = r.weights / p.weights
@@ -244,13 +263,24 @@ def pairwise_spread(xs, p: ProbDist) -> float:
     roundoff), and |c| <= sqrt(s_var) as well.  Its error on c^2 is then below 2 n u |c| sqrt(s_var) +
     (n u)^2 s_var, orders of magnitude under the 1e-10 (1 + s_var)
     threshold for any realistic n.
+
+    This is the checked public entry: xs must have shape (p.n,) and finite
+    entries (LengthMismatchError, DomainError).  The bound chains call the
+    kernel ``_spread`` directly on 1/p or 1/r, whose entries
+    ``_require_finite_ratio`` has already proven finite; a caller of
+    ``_spread`` must know that its points are finite and match the weights
+    in shape.
     """
     arr = np.asarray(xs, dtype=float)
     if arr.shape != (p.n,):
         raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
     if not np.isfinite(arr).all():
         raise DomainError("xs must be finite")
-    w = p.weights
+    return _spread(arr, p.weights)
+
+
+def _spread(arr: np.ndarray, w: np.ndarray) -> float:
+    """pairwise_spread's cross-checked kernel, with no input checks."""
     xbar = float(w @ arr)
     d = arr - xbar
     s_var = float(w @ d**2)
@@ -365,8 +395,10 @@ def maxent_variance_bounds(p: ProbDist, q, mq: float, Mq: float) -> BoundReport:
     """
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
-    spread = pairwise_spread(1.0 / p.weights, p)
-    value = q_log(float(p.n), qf) - tsallis_entropy(p, qf)
+    w = p.weights
+    inv = 1.0 / w
+    spread = _spread(inv, w)
+    value = q_log(float(p.n), qf) - float(w @ _ln_q(inv, qf))
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
 
 
@@ -380,7 +412,7 @@ def cross_term_gap_sandwich(p: ProbDist, r: ProbDist, q, mq: float, Mq: float) -
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
     inv_r = 1.0 / r.weights
-    spread = pairwise_spread(inv_r, p)
+    spread = _spread(inv_r, p.weights)
     value = q_log(float((p.weights / r.weights).sum()), qf) - float(
         p.weights @ _ln_q(inv_r, qf)
     )
@@ -405,10 +437,12 @@ def tsallis_cross_entropy_sandwich(
     _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
     w = p.weights
+    inv_p = 1.0 / w
+    inv_r = 1.0 / r.weights
     base = q_log(float((w / r.weights).sum()), qf) - q_log(float(p.n), qf)
-    spread_p = pairwise_spread(1.0 / w, p)
-    spread_r = pairwise_spread(1.0 / r.weights, p)
-    value = float(w @ _ln_q(1.0 / r.weights, qf)) - float(w @ _ln_q(1.0 / w, qf))
+    spread_p = _spread(inv_p, w)
+    spread_r = _spread(inv_r, w)
+    value = float(w @ _ln_q(inv_r, qf)) - float(w @ _ln_q(inv_p, qf))
     return BoundReport(
         lower=base + 0.5 * mq * spread_p - 0.5 * Mq * spread_r,
         value=value,

@@ -21,6 +21,7 @@ from .qmath import (
     _cached_by_q,
     _ln_q,
     _require_finite_ratio,
+    _require_ln_q_fits,
     is_deformed,
     q_exp,
     q_log,
@@ -65,7 +66,7 @@ def _validate_convex(eval_fn: Callable, label: str) -> None:
             fa = np.asarray(eval_fn(a), dtype=float)
             fb = np.asarray(eval_fn(b), dtype=float)
             fm = np.asarray(eval_fn((a + b) / 2.0), dtype=float)
-        except FloatingPointError as exc:
+        except (FloatingPointError, DomainError) as exc:
             raise GeneratorError(f"generator {label!r} overflows on the grid: {exc}") from exc
     scale = np.maximum(1.0, np.maximum(np.abs(fa), np.abs(fb)))
     excess = fm - (fa + fb) / 2.0 - 1e-12 * scale
@@ -165,7 +166,9 @@ def tsallis_relative(p: ProbDist, r: ProbDist, q) -> float:
     check_lengths(p, r)
     qf = _as_q(q)
     _require_finite_ratio(r.weights, r._hi, p.weights, p._lo)
-    return float(-(p.weights @ _ln_q(r.weights / p.weights, qf)))
+    ratio = r.weights / p.weights
+    _require_ln_q_fits(ratio, r._lo / p._hi, qf)
+    return float(-(p.weights @ _ln_q(ratio, qf)))
 
 
 def kl_divergence(p: ProbDist, r: ProbDist) -> float:
@@ -203,6 +206,7 @@ def renyi_relative(p: ProbDist, r: ProbDist, q) -> float:
 def f_divergence(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> float:
     """D_f(p||r) = sum_j r_j f(p_j/r_j); nonnegative, zero at p = r."""
     check_lengths(p, r)
+    _require_finite_ratio(p.weights, p._hi, r.weights, r._lo)
     return float(r.weights @ np.asarray(f.eval(p.weights / r.weights), dtype=float))
 
 

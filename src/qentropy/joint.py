@@ -13,7 +13,7 @@ import numpy as np
 from .bounds import BoundReport
 from .dist import _validated
 from .errors import DimensionError, HypothesisError
-from .qmath import _as_q, _ln_q, _require_finite_ratio
+from .qmath import _as_q, _ln_q, _require_finite_ratio, _require_ln_q_fits
 
 __all__ = [
     "JointDist",
@@ -109,8 +109,10 @@ def tsallis_conditional_entropy(j: JointDist, target_axes, given_axes, q) -> flo
     kept = sorted(target + given)
     target_pos = tuple(kept.index(a) for a in target)
     p_given = sub.cells.sum(axis=target_pos, keepdims=True)
-    # each cell is a term of its p_given, so cond lies in (0, 1]
+    # each cell is a term of its p_given, so cond lies in (0, 1]; every
+    # p_given is below 2, so min cell / 2 is a lower bound on every cond
     cond = sub.cells / p_given
+    _require_ln_q_fits(cond, sub._lo / 2.0, qf)
     return float(-(sub.cells**qf * _ln_q(cond, qf)).sum())
 
 

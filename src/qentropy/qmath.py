@@ -81,6 +81,13 @@ class EntropicIndex:
 
 
 _LNQ_DOMAIN = "q_log is defined only for finite x > 0"
+_LNQ_OVERFLOW = "ln_q overflows a double for q={!r}"
+
+# (1-q) log x at or below which ln_q(x) surely fits a double.  Only q > 1
+# and x < 1 can overflow.  Every double x > 0 has -log x < 745, so
+# q - 1 >= y/745 for y = (1-q) log x, and |ln_q(x)| = expm1(y)/(q-1)
+# <= 745 e^y, which is below 1e307 for y <= 700.
+_LNQ_SAFE_EXPONENT = 700.0
 
 
 def _ln_q(x, qf: float):
@@ -95,6 +102,39 @@ def _ln_q(x, qf: float):
     if is_deformed(qf):
         return np.expm1((1.0 - qf) * np.log(x)) / (1.0 - qf)
     return np.log(x)
+
+
+def _ln_q_fits(x_min: float, qf: float) -> bool:
+    """True when ln_q(x) fits a double for every x >= x_min.
+
+    ln_q is increasing, so its most negative value is at the smallest x.
+    The test is O(1) float math; only within a few units of the overflow
+    edge, (1-q) log x_min > _LNQ_SAFE_EXPONENT, is the kernel itself
+    evaluated at x_min (with overflow ignored) to see whether it stays
+    finite, so the check and the kernel cannot disagree there.  An x_min
+    of 0 (a quotient bound that underflowed) does not fit.
+    """
+    if qf <= 1.0 or x_min >= 1.0:
+        return True
+    if not x_min > 0.0:
+        return False
+    if (1.0 - qf) * math.log(x_min) <= _LNQ_SAFE_EXPONENT:
+        return True
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(_ln_q(np.float64(x_min), qf)))
+
+
+def _require_ln_q_fits(x: np.ndarray, x_min: float, qf: float) -> None:
+    """Check that ln_q fits a double on every entry of x, before evaluating it.
+
+    ``x_min`` is a lower bound on min x, for example a quotient of carried
+    extremes: division rounds monotonically, so r_min/p_max is at most
+    every r_j/p_j.  When ln_q fits there the check is O(1); otherwise one
+    min reduction over x decides, and an overflow raises DomainError.
+    """
+    if _ln_q_fits(x_min, qf) or _ln_q_fits(float(np.minimum.reduce(x, axis=None)), qf):
+        return
+    raise DomainError(_LNQ_OVERFLOW.format(qf))
 
 
 def _require_finite_ratio(num, num_max: float, den: np.ndarray, den_min: float) -> None:
@@ -126,7 +166,10 @@ def q_log(x, q):
 
     This is the checked public entry: q must be a finite real >= 0 and x a
     non-empty array of finite values > 0 (NaN, inf, 0 and -0.0 raise
-    DomainError).  A Python or numpy float is checked with two float
+    DomainError).  For q > 1, ln_q(x) falls to -inf as x -> 0, and an x so
+    small that ln_q(x) would overflow a double (q_log(1e-310, 2.0)) raises
+    DomainError too, decided on the smallest x before anything is
+    evaluated.  A Python or numpy float is checked with a few float
     comparisons, an array with one min and one max reduction.  The
     library's own callers whose x is built from a validated distribution
     check its domain in O(1) from the extremes the distribution carries and
@@ -137,16 +180,18 @@ def q_log(x, q):
         # a NaN fails the comparison too
         if not 0.0 < x < math.inf:
             raise DomainError(_LNQ_DOMAIN)
+        if not _ln_q_fits(x, qf):
+            raise DomainError(_LNQ_OVERFLOW.format(qf))
         return float(_ln_q(x, qf))
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DomainError("q_log requires at least one value")
+    lo = float(np.minimum.reduce(arr, axis=None))
     # a NaN makes the minimum NaN, which fails the comparison too
-    if not (
-        np.minimum.reduce(arr, axis=None) > 0.0
-        and np.maximum.reduce(arr, axis=None) < math.inf
-    ):
+    if not (lo > 0.0 and np.maximum.reduce(arr, axis=None) < math.inf):
         raise DomainError(_LNQ_DOMAIN)
+    if not _ln_q_fits(lo, qf):
+        raise DomainError(_LNQ_OVERFLOW.format(qf))
     out = _ln_q(arr, qf)
     if arr.ndim == 0:
         return float(out)

@@ -52,7 +52,7 @@ def _validate_generator(forward, inverse, direction: str, label: str) -> None:
     with np.errstate(over="raise", invalid="raise"):
         try:
             y = np.asarray(forward(x), dtype=float)
-        except FloatingPointError as exc:
+        except (FloatingPointError, DomainError) as exc:
             raise GeneratorError(f"generator {label!r} overflows on the grid: {exc}") from exc
     if y.shape != x.shape:
         raise GeneratorError(f"generator {label!r} must be elementwise on arrays")

@@ -677,6 +677,16 @@ class VerifyReport:
         )
 
 
+def _uint32_words(k: int) -> list[int]:
+    """k >= 0 as little-endian 32-bit words, as SeedSequence coerces an int."""
+    words = [k & 0xFFFFFFFF]
+    k >>= 32
+    while k:
+        words.append(k & 0xFFFFFFFF)
+        k >>= 32
+    return words
+
+
 def get_case(case_id: str) -> TheoremCase:
     try:
         return REGISTRY[case_id]
@@ -741,11 +751,16 @@ def run_case(
     eff_tol = tol if tol is not None else (case.tol if case.tol is not None else profile.tol)
     case_index = _CASE_INDEX[case.id]
 
+    # SeedSequence((seed, case_index, t)) concatenates the 32-bit words of
+    # each int; the seed's words are found once here, and case_index and
+    # every t < 2**32 are one word each, so the streams are the same
+    words = _uint32_words(seed) + [case_index]
     violations = 0
     worst = -math.inf
     worst_witness: dict = {}
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, case_index, t)))
+        entropy = np.array(words + [t], dtype=np.uint32)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
         n = int(rng.integers(lo, hi + 1))
         qv = qs[t % len(qs)] if qs is not None else None
         v, witness = case.trial(rng, n, qv, profile)

@@ -1,0 +1,145 @@
+"""Overflows a legitimate input can reach surface as typed errors, never as warnings.
+
+Every row runs with RuntimeWarning raised as an error, so a raw numpy
+"overflow encountered in ..." fails the row.  Covered: ln_q results too
+large for a double (q > 1 at tiny x), the public ratio kernels on a mass
+whose ratio overflows, and a mean of inverse probabilities whose sum would
+overflow although the mean is finite.  The RNG test pins that the registry's
+per-trial generator, built from the seed's 32-bit words, draws the same
+stream as SeedSequence((seed, case_index, t)).
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from qentropy import (
+    DomainError,
+    GeneratorError,
+    JointDist,
+    ProbDist,
+    f_divergence,
+    identity_generator,
+    lnq_generator,
+    neg_qlog_generator,
+    q_log,
+    quasilinear_vs_tsallis_bounds,
+    ratio_sandwich,
+    refined_maxent_bounds,
+    tsallis_conditional_entropy,
+    tsallis_generator,
+    tsallis_relative,
+    xlogx_generator,
+)
+from qentropy.verify import _uint32_words
+
+SUBNORMAL = 5e-324
+TINY = ProbDist([1e-310, 1.0])
+HALF = ProbDist([0.5, 0.5])
+QLOG_MSG = "q_log is defined only for finite x > 0"
+
+
+def _over(q):
+    return (DomainError, f"ln_q overflows a double for q={q!r}")
+
+
+def _sq(x):
+    return np.asarray(x) ** 2
+
+
+# (id, call, expected): expected is None for an accepted input, else the
+# exception class and its exact message.
+CASES = [
+    *[
+        (f"q_log-{form}-{x:g}-q{q:g}", lambda x=x, q=q, wrap=wrap: q_log(wrap(x), q), exp)
+        for form, wrap in (("scalar", float), ("array", lambda v: np.array([v, 0.5])))
+        for x, q, exp in (
+            (1e-310, 2.0, _over(2.0)),
+            (1e-300, 4.0, _over(4.0)),
+            (SUBNORMAL, 2.0, _over(2.0)),
+            # expm1 is finite here, the division by q - 1 < 1 overflows
+            (SUBNORMAL, 1.9534, _over(1.9534)),
+            # near the edge, on either side of the O(1) bound
+            (SUBNORMAL, 1.953, None),
+            (SUBNORMAL, 1.95, None),
+            (1e-300, 2.0, None),
+            (SUBNORMAL, 0.0, None),
+            (1.7e308, 0.0, None),
+        )
+    ],
+    (
+        "tsallis_conditional_entropy",
+        lambda: tsallis_conditional_entropy(JointDist([[1e-310, 0.5], [0.25, 0.25]]), (1,), (0,), 2.0),
+        _over(2.0),
+    ),
+    (
+        "tsallis_relative",
+        lambda: tsallis_relative(HALF, ProbDist([1e-300, 1.0]), 4.0),
+        _over(4.0),
+    ),
+    ("tsallis_relative-fits", lambda: tsallis_relative(HALF, ProbDist([1e-300, 1.0]), 2.0), None),
+    (
+        "f_divergence",
+        lambda: f_divergence(xlogx_generator(), HALF, TINY),
+        (DomainError, QLOG_MSG),
+    ),
+    (
+        "ratio_sandwich",
+        lambda: ratio_sandwich(_sq, identity_generator(), [1.0, 2.0], TINY, HALF),
+        (DomainError, QLOG_MSG),
+    ),
+    ("ratio_sandwich-fits", lambda: ratio_sandwich(_sq, identity_generator(), [1.0, 2.0], HALF, TINY), None),
+]
+
+
+@pytest.mark.parametrize("call, expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_overflow_table(call, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if expected is None:
+            call()
+        else:
+            exc_type, message = expected
+            with pytest.raises(exc_type) as info:
+                call()
+            assert type(info.value) is exc_type
+            assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build", [tsallis_generator, neg_qlog_generator, lnq_generator])
+def test_generators_whose_ln_q_overflows_the_grid_fail_validation(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GeneratorError, match="overflows on the grid"):
+            build(60.0)
+
+
+HUGE_INVERSES = ProbDist([1e-308] * 4 + [1.0 - 4e-308])
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda: refined_maxent_bounds(HUGE_INVERSES, 2.0),
+        lambda: quasilinear_vs_tsallis_bounds(identity_generator(), HUGE_INVERSES, 2.0),
+    ],
+    ids=["refined_maxent_bounds", "quasilinear_vs_tsallis_bounds-identity"],
+)
+def test_mean_of_huge_inverses_is_finite(bound):
+    # the mean of 1/r is about 8e307, finite, but its plain sum overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = bound()
+    assert all(np.isfinite([rep.lower, rep.value, rep.upper]))
+    assert rep.holds()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("case_index", [0, 23])
+@pytest.mark.parametrize("t", [0, 1, 9999])
+def test_seed_words_give_the_seed_sequence_stream(seed, case_index, t):
+    words = np.array(_uint32_words(seed) + [case_index, t], dtype=np.uint32)
+    direct = np.random.default_rng(np.random.SeedSequence((seed, case_index, t)))
+    built = np.random.default_rng(np.random.SeedSequence(words))
+    assert built.bit_generator.state == direct.bit_generator.state
