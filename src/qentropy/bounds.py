@@ -38,6 +38,10 @@ from .quasilinear import (
 
 CHECK_TOL = 1e-9
 
+# Largest distance from the mean whose square, weighted and summed over
+# weights that sum to about 1, still fits a double.
+_SPREAD_WIDTH_MAX = math.sqrt(_HALF_FLOAT_MAX)
+
 __all__ = [
     "CHECK_TOL",
     "BoundReport",
@@ -265,8 +269,10 @@ def pairwise_spread(xs, p: ProbDist) -> float:
     threshold for any realistic n.
 
     This is the checked public entry: xs must have shape (p.n,) and finite
-    entries (LengthMismatchError, DomainError).  The bound chains call the
-    kernel ``_spread`` directly on 1/p or 1/r, whose entries
+    entries (LengthMismatchError, DomainError), and points so far apart
+    (max x - min x above about 1e154) that their squared deviations could
+    overflow a double raise DomainError.  The bound chains call the kernel
+    ``_spread`` directly on 1/p or 1/r, whose entries
     ``_require_finite_ratio`` has already proven finite; a caller of
     ``_spread`` must know that its points are finite and match the weights
     in shape.
@@ -274,13 +280,28 @@ def pairwise_spread(xs, p: ProbDist) -> float:
     arr = np.asarray(xs, dtype=float)
     if arr.shape != (p.n,):
         raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
-    if not np.isfinite(arr).all():
+    lo = float(np.minimum.reduce(arr))
+    hi = float(np.maximum.reduce(arr))
+    # a NaN makes the minimum NaN, which fails the comparison too
+    if not (-math.inf < lo and hi < math.inf):
         raise DomainError("xs must be finite")
-    return _spread(arr, p.weights)
+    return _spread(arr, p.weights, hi - lo)
 
 
-def _spread(arr: np.ndarray, w: np.ndarray) -> float:
-    """pairwise_spread's cross-checked kernel, with no input checks."""
+def _require_spread_fits(width: float) -> None:
+    """Check in O(1) that squared deviations of points ``width`` apart fit a double.
+
+    ``width`` bounds every |x_j - xbar|: max x - min x, or 1/min mass for
+    the inverse masses of the chains, which lie in [1, 1/min mass] with
+    their mean.
+    """
+    if width > _SPREAD_WIDTH_MAX:
+        raise DomainError(f"the spread of points up to {width:.6g} apart overflows a double")
+
+
+def _spread(arr: np.ndarray, w: np.ndarray, width: float) -> float:
+    """pairwise_spread's cross-checked kernel; ``width`` bounds |x_j - xbar|."""
+    _require_spread_fits(width)
     xbar = float(w @ arr)
     d = arr - xbar
     s_var = float(w @ d**2)
@@ -358,6 +379,7 @@ def cartwright_field(xs, p: ProbDist) -> BoundReport:
     # a NaN makes the minimum NaN, which fails the comparison too
     if not (lo > 0.0 and hi < math.inf):
         raise DomainError("the arithmetic-geometric gap needs strictly positive xs")
+    _require_spread_fits(hi - lo)
     w = p.weights
     am = float(w @ arr)
     gm = float(np.exp(w @ np.log(arr)))
@@ -397,7 +419,7 @@ def maxent_variance_bounds(p: ProbDist, q, mq: float, Mq: float) -> BoundReport:
     _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
     w = p.weights
     inv = 1.0 / w
-    spread = _spread(inv, w)
+    spread = _spread(inv, w, 1.0 / p._lo)
     value = q_log(float(p.n), qf) - float(w @ _ln_q(inv, qf))
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
 
@@ -412,7 +434,7 @@ def cross_term_gap_sandwich(p: ProbDist, r: ProbDist, q, mq: float, Mq: float) -
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
     inv_r = 1.0 / r.weights
-    spread = _spread(inv_r, p.weights)
+    spread = _spread(inv_r, p.weights, 1.0 / r._lo)
     value = q_log(float((p.weights / r.weights).sum()), qf) - float(
         p.weights @ _ln_q(inv_r, qf)
     )
@@ -440,8 +462,8 @@ def tsallis_cross_entropy_sandwich(
     inv_p = 1.0 / w
     inv_r = 1.0 / r.weights
     base = q_log(float((w / r.weights).sum()), qf) - q_log(float(p.n), qf)
-    spread_p = _spread(inv_p, w)
-    spread_r = _spread(inv_r, w)
+    spread_p = _spread(inv_p, w, 1.0 / p._lo)
+    spread_r = _spread(inv_r, w, 1.0 / r._lo)
     value = float(w @ _ln_q(inv_r, qf)) - float(w @ _ln_q(inv_p, qf))
     return BoundReport(
         lower=base + 0.5 * mq * spread_p - 0.5 * Mq * spread_r,

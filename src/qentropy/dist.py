@@ -27,9 +27,6 @@ SUM_TOL = 1e-9
 
 _FLOAT_MAX = sys.float_info.max
 _HALF_FLOAT_MAX = _FLOAT_MAX / 2.0
-# Sums of powers below the smallest normal double have lost digits to
-# gradual underflow, or are 0.
-_FLOAT_TINY = sys.float_info.min
 
 __all__ = [
     "SUM_TOL",

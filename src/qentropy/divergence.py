@@ -14,15 +14,15 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .dist import _FLOAT_MAX, _FLOAT_TINY, IncompleteDist, ProbDist, check_lengths
+from .dist import IncompleteDist, ProbDist, check_lengths
 from .errors import DomainError, GeneratorError
 from .qmath import (
     _as_q,
     _cached_by_q,
     _ln_q,
+    _near_one,
     _require_finite_ratio,
     _require_ln_q_fits,
-    is_deformed,
     q_exp,
     q_log,
 )
@@ -48,8 +48,6 @@ __all__ = [
 ]
 
 _CONVEXITY_GRID = 2.0 ** np.arange(-20, 21)
-
-_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 
 
 def _validate_convex(eval_fn: Callable, label: str) -> None:
@@ -180,24 +178,24 @@ def kl_divergence(p: ProbDist, r: ProbDist) -> float:
 def renyi_relative(p: ProbDist, r: ProbDist, q) -> float:
     """R_q(p||r) = log(sum_j p_j^q r_j^(1-q)) / (q-1); KL divergence at q = 1.
 
-    At large q a factor r_j^(1-q) can overflow, or the sum underflow to 0
-    or to a subnormal.  Only then, the sum is taken in log space with its
-    largest term factored out.  Whether a factor can overflow is decided in
-    O(1) from the extremes p and r carry.
+    Near q = 1 (|1-q| < 1/2), when max r / min p is finite (decided in
+    O(1) from the extremes p and r carry), the sum is taken as s =
+    sum_j p_j^q r_j^(1-q) - 1 = sum_j p_j expm1((1-q) log(r_j/p_j)) and
+    R_q = log1p(s)/(q-1) keeps the digits that log(1 + s) would round
+    away.  Elsewhere, and where s <= -1/2 (log1p would lose it, as for
+    near-disjoint supports), the sum is taken in log space with its
+    largest term factored out, so no factor can overflow and the sum
+    cannot underflow.
     """
     check_lengths(p, r)
     qf = _as_q(q)
-    if not is_deformed(qf):
+    if qf == 1.0:
         return kl_divergence(p, r)
     a = 1.0 - qf
-    # logs of upper bounds on each factor and on the sum (n times the
-    # largest possible term)
-    p_top = qf * math.log(p._hi)
-    r_top = a * math.log(r._lo if a < 0.0 else r._hi)
-    if max(p_top, r_top, p_top + r_top + math.log(p.n)) < _LOG_FLOAT_MAX - 1.0:
-        s = float((p.weights**qf * r.weights**a).sum())
-        if s >= _FLOAT_TINY:
-            return float(np.log(s) / (qf - 1.0))
+    if _near_one(qf) and r._hi / p._lo < math.inf:
+        s = float(p.weights @ np.expm1(a * np.log(r.weights / p.weights)))
+        if s > -0.5:
+            return math.log1p(s) / (qf - 1.0)
     t = qf * np.log(p.weights) + a * np.log(r.weights)
     m = float(np.maximum.reduce(t))
     return (m + math.log(float(np.exp(t - m).sum()))) / (qf - 1.0)
@@ -233,8 +231,10 @@ def renyi_tsallis_relative_bridge(p: ProbDist, r: ProbDist, q) -> tuple[float, f
     """Return (exp R_q(p||r), exp_{2-q} D_q(p||r)); the sides agree for q in [0, 2].
 
     Well defined there because 1 + (q-1) D_q(p||r) = sum_j p_j^q r_j^(1-q) > 0.
+    exp is exp_q at q = 1, so either side too large for a double raises
+    q_exp's DomainError.
     """
-    lhs = float(np.exp(renyi_relative(p, r, q)))
+    lhs = q_exp(renyi_relative(p, r, q), 1.0)
     rhs = q_exp(tsallis_relative(p, r, q), 2.0 - _as_q(q))
     return lhs, rhs
 

@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .dist import _FLOAT_TINY, ProbDist
-from .qmath import _as_q, _ln_q, _require_finite_ratio, is_deformed, q_exp
+from .dist import ProbDist
+from .qmath import _as_q, _ln_q, _near_one, _require_finite_ratio, q_exp
 
 __all__ = [
     "tsallis_entropy",
@@ -36,17 +36,21 @@ def shannon_entropy(p: ProbDist) -> float:
 def renyi_entropy(p: ProbDist, q) -> float:
     """R_q(p) = log(sum_j p_j^q) / (1-q); Shannon at q = 1, log(n) at q = 0.
 
-    At large q the power sum underflows to 0, or to a subnormal that has
-    lost digits.  Only then, the largest mass m is factored out:
-    log(sum_j p_j^q) = q log m + log(sum_j (p_j/m)^q), where the last sum
-    is at least 1.
+    Near q = 1 (|1-q| < 1/2) the sum is taken as s = sum_j p_j^q - 1 =
+    sum_j p_j expm1((q-1) log p_j), whose terms all have one sign, and
+    R_q = log1p(s)/(1-q) keeps the digits that log(1 + s) would round
+    away.  Elsewhere, and where s <= -1/2 (log1p would lose it), the
+    largest mass m is factored out: log(sum_j p_j^q) = q log m +
+    log(sum_j (p_j/m)^q), where the last sum is at least 1, so it can
+    neither underflow nor overflow.
     """
     qf = _as_q(q)
-    if not is_deformed(qf):
+    if qf == 1.0:
         return shannon_entropy(p)
-    s = float((p.weights**qf).sum())
-    if s >= _FLOAT_TINY:
-        return float(np.log(s) / (1.0 - qf))
+    if _near_one(qf):
+        s = float(p.weights @ np.expm1((qf - 1.0) * np.log(p.weights)))
+        if s > -0.5:
+            return math.log1p(s) / (1.0 - qf)
     m = p._hi
     rest = float(((p.weights / m) ** qf).sum())
     return (qf * math.log(m) + math.log(rest)) / (1.0 - qf)
@@ -54,6 +58,9 @@ def renyi_entropy(p: ProbDist, q) -> float:
 
 def renyi_tsallis_bridge(p: ProbDist, q) -> tuple[float, float]:
     """Return (exp R_q(p), exp_q H_q(p)); the two sides agree for every q >= 0.
+
+    They agree as real numbers; each side is computed on its own, so in
+    doubles they can differ by a few ulps.
 
     Always well defined: 1 + (1-q) H_q(p) = sum_j p_j^q > 0.
     """

@@ -5,8 +5,9 @@ The one-parameter deformation of the natural logarithm and exponential:
     ln_q(x)  = (x^(1-q) - 1) / (1-q)          for x > 0, q >= 0, q != 1
     exp_q(x) = (1 + (1-q) x)^(1/(1-q))        where 1 + (1-q) x > 0
 
-Both reduce to ln/exp as q -> 1, and that limit is taken explicitly for
-|q - 1| <= Q1_EPS.  Natural-log base throughout.
+Both reduce to ln/exp as q -> 1; q == 1.0 takes log/exp exactly, and
+every other q the deformed form, which stays accurate for any nonzero
+1 - q.  Natural-log base throughout.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ import numpy as np
 
 from .errors import DomainError, UndefinedValueError
 
-# Deformation parameters closer to 1 than this use the q -> 1 limit branch.
-Q1_EPS = 1e-8
-
 # Distinct q values each generator factory keeps built and validated.
 _GENERATOR_CACHE_SIZE = 256
 
-__all__ = ["Q1_EPS", "EntropicIndex", "is_deformed", "q_log", "q_exp"]
+__all__ = ["EntropicIndex", "q_log", "q_exp"]
 
 
 def _as_q(q) -> float:
@@ -53,16 +51,21 @@ def _cached_by_q(factory):
     return wrapper
 
 
-def is_deformed(q: float) -> bool:
-    """True when q is far enough from 1 that the deformed branch is used."""
-    return abs(float(q) - 1.0) > Q1_EPS
+def _near_one(qf: float) -> bool:
+    """True when |1 - q| < 1/2: the library's one choice of form by q.
+
+    Near one, the Renyi entropy and divergence sum expm1 terms into log1p
+    and the ln_q generator family is ln_q / exp_q.  Beyond it, the Renyi
+    forms factor their largest term out of the sum and the family is
+    x^(1-q) / y^(1/(1-q)).
+    """
+    return abs(1.0 - qf) < 0.5
 
 
 @dataclass(frozen=True)
 class EntropicIndex:
     """A validated entropic index q >= 0.
 
-    ``deformed`` reports whether q lies outside the limit window around 1.
     Instances coerce to float, so they can be passed anywhere a plain q is
     accepted.
     """
@@ -71,10 +74,6 @@ class EntropicIndex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _as_q(self.q))
-
-    @property
-    def deformed(self) -> bool:
-        return is_deformed(self.q)
 
     def __float__(self) -> float:
         return self.q
@@ -99,20 +98,22 @@ def _ln_q(x, qf: float):
     (see ``_require_finite_ratio``).  Returns what numpy returns: an array
     for an array, a numpy float for a scalar.
     """
-    if is_deformed(qf):
+    if qf != 1.0:
         return np.expm1((1.0 - qf) * np.log(x)) / (1.0 - qf)
     return np.log(x)
 
 
-def _ln_q_fits(x_min: float, qf: float) -> bool:
-    """True when ln_q(x) fits a double for every x >= x_min.
+def _ln_q_fits(x_min: float, qf: float, kernel=_ln_q) -> bool:
+    """True when kernel(x, q) fits a double for every x >= x_min.
 
-    ln_q is increasing, so its most negative value is at the smallest x.
-    The test is O(1) float math; only within a few units of the overflow
-    edge, (1-q) log x_min > _LNQ_SAFE_EXPONENT, is the kernel itself
+    The kernel is ln_q, or x^(1-q) = e^y for y = (1-q) log x, which is
+    below 1e307 too for y <= _LNQ_SAFE_EXPONENT.  Both can overflow only
+    for q > 1 and x < 1, and both are largest in magnitude at the smallest
+    x.  The test is O(1) float math; only within a few units of the
+    overflow edge, y > _LNQ_SAFE_EXPONENT at x_min, is the kernel itself
     evaluated at x_min (with overflow ignored) to see whether it stays
     finite, so the check and the kernel cannot disagree there.  An x_min
-    of 0 (a quotient bound that underflowed) does not fit.
+    of 0 (a quotient bound that underflowed), or NaN, does not fit.
     """
     if qf <= 1.0 or x_min >= 1.0:
         return True
@@ -121,7 +122,7 @@ def _ln_q_fits(x_min: float, qf: float) -> bool:
     if (1.0 - qf) * math.log(x_min) <= _LNQ_SAFE_EXPONENT:
         return True
     with np.errstate(over="ignore"):
-        return bool(np.isfinite(_ln_q(np.float64(x_min), qf)))
+        return bool(np.isfinite(kernel(np.float64(x_min), qf)))
 
 
 def _require_ln_q_fits(x: np.ndarray, x_min: float, qf: float) -> None:
@@ -203,11 +204,11 @@ def q_exp(x, q):
 
     Defined only where 1 + (1-q) x > 0; raises UndefinedValueError outside
     that region (a distinct condition from a bad argument type or a bad q).
-    Evaluated as exp(log1p((1-q) x)/(1-q)) for the deformed branch.
+    Evaluated as exp(log1p((1-q) x)/(1-q)) for every q != 1.
 
     Every call checks its input: q must be a finite real >= 0 and x a
-    non-empty array of finite values (DomainError otherwise), and in the
-    deformed branch min((1-q) x) must exceed -1.  A (1-q) x or a result too
+    non-empty array of finite values (DomainError otherwise), and for
+    q != 1 min((1-q) x) must exceed -1.  A (1-q) x or a result too
     large for a double raises DomainError.  A Python or numpy float is its
     own min and max; an array costs one min and one max reduction.
     """
@@ -226,7 +227,7 @@ def q_exp(x, q):
     # exp_q and (1-q) x are monotone in x, so every check is made on lo and
     # hi in Python float math, where an overflow gives inf or OverflowError
     # instead of a RuntimeWarning
-    if is_deformed(qf):
+    if qf != 1.0:
         a = 1.0 - qf
         if min(a * lo, a * hi) <= -1.0:
             raise UndefinedValueError(

@@ -41,7 +41,7 @@ def test_compute_tsallis_gold(capsys, dist_json):
     status, out, err = _run(capsys, ["compute", "--entropy", "tsallis", "--q", "2", dist_json])
     assert status == 0 and not err
     doc = json.loads(out)
-    assert doc["schema"] == "qentropy/2"
+    assert doc["schema"] == "qentropy/3"
     assert doc["functional"] == "tsallis_entropy"
     assert doc["value"] == pytest.approx(0.375, abs=1e-12)
 
@@ -343,6 +343,8 @@ def workdir(tmp_path, monkeypatch):
         "three.json": {"weights": [0.2, 0.3, 0.5]},
         "xs.json": {"values": XS},
         "bad.json": {"weights": [0.3, 0.3]},
+        "tiny.json": {"weights": [1e-160, 1.0]},
+        "half.json": {"weights": [0.5, 0.5]},
     }
     for name, doc in files.items():
         (tmp_path / name).write_text(json.dumps(doc))
@@ -641,6 +643,10 @@ ERROR_ROWS = [
     ("bounds --case thm4.2 --q 0 p.json r.json", None,
      "error: q = 0 has identically zero curvature; no usable range"),
     ("bounds --case thm4.2 --q 2 p.json three.json", None, "error: length mismatch: 4 vs 3"),
+    ("bounds --case thm4.2 --q 2 tiny.json half.json", None,
+     "error: the spread of points up to 1e+160 apart overflows a double"),
+    ("bounds --case thm4.2 --q 2 half.json tiny.json", None,
+     "error: the spread of points up to 1e+160 apart overflows a double"),
     ("bounds --case cf xs.json three.json", None, "error: xs has shape (4,), expected (3,)"),
     ("bounds --case cf missing.json p.json", None, _NO_FILE),
     ("bounds --case cf xs.json bad.json", None, _BAD_SUM),

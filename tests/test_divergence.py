@@ -319,6 +319,9 @@ def _renyi_relative_oracle(p, r, q):
         ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 1e5),
         ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 0.5),
         ([0.6, 0.4], [0.5, 0.5], 1200.0),
+        # near-disjoint supports near q = 1: sum p expm1((1-q) log(r/p))
+        # rounds to -1, where log1p would give -inf
+        ([1e-300, 1.0], [1.0, 1e-300], 0.6),
     ],
 )
 def test_renyi_relative_large_q_matches_decimal_oracle(p, r, q):

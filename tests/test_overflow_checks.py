@@ -1,14 +1,17 @@
 """Overflows a legitimate input can reach surface as typed errors, never as warnings.
 
 Every row runs with RuntimeWarning raised as an error, so a raw numpy
-"overflow encountered in ..." fails the row.  Covered: ln_q results too
-large for a double (q > 1 at tiny x), the public ratio kernels on a mass
-whose ratio overflows, and a mean of inverse probabilities whose sum would
-overflow although the mean is finite.  The RNG test pins that the registry's
-per-trial generator, built from the seed's 32-bit words, draws the same
-stream as SeedSequence((seed, case_index, t)).
+"overflow encountered in ..." fails the row.  Covered: ln_q and x^(1-q)
+results too large for a double (q > 1 at tiny x), the public ratio kernels
+on a mass whose ratio overflows, a mean of inverse probabilities whose sum
+would overflow although the mean is finite, an exp R_q(p||r) past the
+float maximum, and spreads of points so far apart that their squared
+deviations overflow.  The RNG test pins that the registry's per-trial
+generator, built from the seed's 32-bit words, draws the same stream as
+SeedSequence((seed, case_index, t)).
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -19,16 +22,24 @@ from qentropy import (
     GeneratorError,
     JointDist,
     ProbDist,
+    cartwright_field,
+    cross_term_gap_sandwich,
     f_divergence,
     identity_generator,
     lnq_generator,
+    maxent_variance_bounds,
     neg_qlog_generator,
+    pairwise_spread,
+    power_generator,
     q_log,
     quasilinear_vs_tsallis_bounds,
     ratio_sandwich,
     refined_maxent_bounds,
+    renyi_tsallis_relative_bridge,
     tsallis_conditional_entropy,
+    tsallis_cross_entropy_sandwich,
     tsallis_generator,
+    tsallis_quasilinear_relative,
     tsallis_relative,
     xlogx_generator,
 )
@@ -37,11 +48,20 @@ from qentropy.verify import _uint32_words
 SUBNORMAL = 5e-324
 TINY = ProbDist([1e-310, 1.0])
 HALF = ProbDist([0.5, 0.5])
+FAR_APART = ProbDist([1e-160, 1.0])
 QLOG_MSG = "q_log is defined only for finite x > 0"
 
 
 def _over(q):
     return (DomainError, f"ln_q overflows a double for q={q!r}")
+
+
+def _pow_over(q):
+    return (DomainError, f"x^(1-q) overflows a double for q={q!r}")
+
+
+def _spread_over(width):
+    return (DomainError, f"the spread of points up to {width:.6g} apart overflows a double")
 
 
 def _sq(x):
@@ -90,6 +110,46 @@ CASES = [
         (DomainError, QLOG_MSG),
     ),
     ("ratio_sandwich-fits", lambda: ratio_sandwich(_sq, identity_generator(), [1.0, 2.0], HALF, TINY), None),
+    # beyond |1-q| < 1/2 the ln_q family's forward is x^(1-q), under both labels
+    *[
+        (f"{name}-forward-{x:g}-q{q:g}", lambda b=build, x=x, q=q: b(q).forward(np.array([x, 0.5])), exp)
+        for name, build in (("power", power_generator), ("lnq", lnq_generator))
+        for x, q, exp in (
+            (1e-310, 2.0, _pow_over(2.0)),
+            (1e-300, 4.0, _pow_over(4.0)),
+            # x^(1-q) fits where ln_q would not
+            (SUBNORMAL, 1.9534, None),
+            (1e-300, 2.0, None),
+        )
+    ],
+    *[
+        (
+            f"tsallis_quasilinear_relative-{name}",
+            lambda b=build: tsallis_quasilinear_relative(b(2.0), HALF, TINY, 2.0),
+            _pow_over(2.0),
+        )
+        for name, build in (("power", power_generator), ("lnq", lnq_generator))
+    ],
+    (
+        "renyi_tsallis_relative_bridge",
+        lambda: renyi_tsallis_relative_bridge(HALF, TINY, 2.0),
+        (DomainError, "exp_q overflows a double for q=1.0"),
+    ),
+    ("renyi_tsallis_relative_bridge-fits", lambda: renyi_tsallis_relative_bridge(HALF, ProbDist([1e-300, 1.0]), 2.0), None),
+    # squared deviations of points about 1e154 or more apart overflow
+    ("maxent_variance_bounds", lambda: maxent_variance_bounds(FAR_APART, 2.0, 0.1, 1.0), _spread_over(1e160)),
+    ("cross_term_gap_sandwich", lambda: cross_term_gap_sandwich(HALF, FAR_APART, 2.0, 0.1, 1.0), _spread_over(1e160)),
+    (
+        "tsallis_cross_entropy_sandwich",
+        lambda: tsallis_cross_entropy_sandwich(FAR_APART, HALF, 2.0, 0.1, 1.0),
+        _spread_over(1e160),
+    ),
+    ("pairwise_spread", lambda: pairwise_spread([1e160, 1.0], HALF), _spread_over(1e160)),
+    ("pairwise_spread-inf-apart", lambda: pairwise_spread([-1e308, 1e308], HALF), _spread_over(math.inf)),
+    ("cartwright_field", lambda: cartwright_field([1e160, 1.0], HALF), _spread_over(1e160)),
+    ("maxent_variance_bounds-fits", lambda: maxent_variance_bounds(ProbDist([1e-150, 1.0]), 2.0, 0.1, 1.0), None),
+    ("pairwise_spread-fits", lambda: pairwise_spread([1e150, 1.0], HALF), None),
+    ("cartwright_field-fits", lambda: cartwright_field([1e150, 1.0], HALF), None),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy import DomainError, EntropicIndex, Q1_EPS, UndefinedValueError, is_deformed, q_exp, q_log
+from qentropy import DomainError, EntropicIndex, UndefinedValueError, q_exp, q_log
 
 
 def test_q_log_matches_natural_log_at_one():
@@ -69,11 +69,11 @@ def test_q_log_monotonic_in_x():
 
 
 def test_near_one_limit_switch_is_continuous():
-    # within Q1_EPS of 1 the natural-log branch takes over; the two branches
-    # agree to o(|1-q|) there
+    # just off q = 1 the deformed form agrees with the natural log to
+    # o(|1-q|)
     for x in (0.37, 1.0, 2.5, 40.0):
-        lo = q_log(x, 1.0 - 2 * Q1_EPS)
-        hi = q_log(x, 1.0 + 2 * Q1_EPS)
+        lo = q_log(x, 1.0 - 2e-8)
+        hi = q_log(x, 1.0 + 2e-8)
         mid = q_log(x, 1.0)
         assert lo == pytest.approx(mid, abs=1e-6 * (1 + abs(mid)))
         assert hi == pytest.approx(mid, abs=1e-6 * (1 + abs(mid)))
@@ -116,19 +116,8 @@ def test_continuity_across_q_equals_one():
 
 def test_entropic_index():
     idx = EntropicIndex(2.0)
-    assert idx.deformed
     assert float(idx) == 2.0
-    assert not EntropicIndex(1.0).deformed
-    # inside the limit window counts as undeformed
-    assert not EntropicIndex(1.0 + Q1_EPS / 2).deformed
     with pytest.raises(DomainError):
         EntropicIndex(-1.0)
     with pytest.raises(DomainError):
         EntropicIndex(math.inf)
-
-
-def test_is_deformed():
-    assert is_deformed(2.0)
-    assert is_deformed(0.0)
-    assert not is_deformed(1.0)
-    assert not is_deformed(1.0 + Q1_EPS / 10)

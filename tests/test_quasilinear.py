@@ -30,6 +30,8 @@ from qentropy import (
     quasilinear_relative,
     renyi_entropy,
     renyi_relative,
+    renyi_tsallis_bridge,
+    renyi_tsallis_relative_bridge,
     shannon_entropy,
     tsallis_entropy,
     tsallis_quasilinear_entropy,
@@ -240,6 +242,30 @@ def test_generator_validation_raises_no_raw_warning(factory):
                 pass
 
 
+def _built(factory, q):
+    try:
+        return factory(q)
+    except GeneratorError:
+        return None
+
+
+def test_lnq_and_power_differ_only_in_their_label():
+    # one ln_q family: lnq builds wherever power builds, and its forward
+    # and inverse give the same bits on the validation grid
+    x = 2.0 ** np.arange(-20, 21)
+    for q in [*np.arange(0.0, 60.25, 0.5).tolist(), 0.75, 1.25, 3.7]:
+        power, lnq = _built(power_generator, q), _built(lnq_generator, q)
+        assert (power is None) == (lnq is None), q
+        if power is None:
+            continue
+        assert lnq.label == f"lnq[q={q:g}]"
+        assert (lnq.direction, lnq.shape) == (power.direction, power.shape)
+        y = np.asarray(power.forward(x))
+        live = np.isfinite(y) & (y != 0.0)
+        assert np.array_equal(np.asarray(lnq.forward(x)), y), q
+        assert np.array_equal(np.asarray(lnq.inverse(y[live])), np.asarray(power.inverse(y[live]))), q
+
+
 def test_check_psi_convexity_square_holds():
     res = check_psi_convexity(lambda x: np.asarray(x) ** 2, identity_generator(),
                               grid=np.linspace(0.0, 3.0, 7), lambdas=(0.0, 0.25, 0.5, 0.75, 1.0))
@@ -344,11 +370,45 @@ def test_power_mean_matches_decimal_oracle(q):
         assert abs(quasilinear_relative(psi, p, r) - rd) <= 1e-13 * (1.0 + abs(rd))
 
 
+# 1 - q from 1e-10 out to 9, for the direct forms and both bridges
+EXACT_NEAR_ONE = [1 + s * e for e in (1e-4, 1e-6, 1e-8, 2e-8, 1e-10) for s in (-1, 1)]
+EXACT_FAR = [0.25, 1.5, 3.0, 10.0]
+
+
+@pytest.mark.parametrize("q", EXACT_NEAR_ONE + EXACT_FAR)
+def test_entropies_and_bridges_match_decimal_oracle(q):
+    rng = np.random.default_rng(20261019)
+    shapes = [(n, math.log(10.0)) for n in (2, 3, 5, 8, 16) for _ in range(4)]
+    if q in EXACT_FAR:
+        shapes += [(1024, 8.0)] * 2
+    # far from one R_q(p||r) is a log-space sum, whose rounding is absolute
+    # rather than relative: at q = 0.25, for a p near r, 2.2e-13 relative
+    rd_scale = 0.0 if abs(1.0 - q) < 0.5 else 1.0
+    for n, spread in shapes:
+        p, r = _dyadic_simplex(rng, n, spread), _dyadic_simplex(rng, n, spread)
+        h, rh, d, rd = _oracle(p, r, q)
+        assert abs(tsallis_entropy(p, q) - h) <= 1e-13 * abs(h)
+        assert abs(renyi_entropy(p, q) - rh) <= 1e-13 * abs(rh)
+        assert abs(tsallis_relative(p, r, q) - d) <= 1e-13 * abs(d)
+        assert abs(renyi_relative(p, r, q) - rd) <= 1e-13 * (rd_scale + abs(rd))
+        # exp_q of an H_q near its supremum 1/(q-1) multiplies the rounding
+        # of H_q by 1/sum p^q: 6.5e-13 relative at q = 3 for n = 1024, and
+        # 4e-10 at q = 10, in whatever form H_q is computed
+        if n <= 16 and q <= 3.0:
+            for side in renyi_tsallis_bridge(p, q):
+                assert abs(side - math.exp(rh)) <= 1e-13 * math.exp(rh)
+        # exp R_q(p||r) = exp_{2-q} D_q(p||r) needs 2 - q >= 0
+        if q <= 2.0:
+            for side in renyi_tsallis_relative_bridge(p, r, q):
+                assert abs(side - math.exp(rd)) <= 1e-13 * math.exp(rd)
+
+
 def test_power_mean_is_exact_where_ln_q_saturates():
     # ln_q(128) at q = 10 rounds onto its supremum 1/9, where exp_q is
     # undefined; x^(1-q) = 2^-63 keeps the whole value
     uniform = ProbDist(np.full(128, 1 / 128))
     assert quasilinear_entropy(power_generator(10.0), uniform) == math.log(128)
+    assert quasilinear_entropy(lnq_generator(10.0), uniform) == math.log(128)
     # through ln_q, exp_q would multiply the rounding by M^(q-1) ~ 5e6 here
     w = np.exp(np.random.default_rng(3).uniform(-8.0, 0.0, 10_000))
     p = ProbDist(w / w.sum())

@@ -29,6 +29,7 @@ from qentropy import (
     maxent_variance_bounds,
     pairwise_spread,
     power_generator,
+    q_exp,
     q_log,
     quasilinear_vs_tsallis_bounds,
     refined_maxent_bounds,
@@ -142,7 +143,7 @@ def test_quasilinear_vs_tsallis_evaluates_psi_once():
 
     psi = GeneratorPsi(
         forward=forward,
-        inverse=lnq_generator(0.5).inverse,
+        inverse=lambda y: q_exp(y, 0.5),
         direction="increasing",
         shape="concave",
         label="counting-lnq",

@@ -90,7 +90,7 @@ def test_report_json_shape():
         "schema", "case", "trials", "violations", "worst_violation",
         "worst_witness", "seed", "in_hypothesis",
     ]
-    assert doc["schema"] == "qentropy/2"
+    assert doc["schema"] == "qentropy/3"
     assert doc["case"] == "qadd"
     assert doc["trials"] == 10
     assert doc["in_hypothesis"] is True
@@ -200,10 +200,16 @@ def test_boundary_tol_and_min_mass_are_accepted():
     assert rep.trials == 5
 
 
-@pytest.mark.parametrize("cid", ["prop2.1", "prop2.3", "thm3.1"])
+NEAR_ONE_GRID = (1 - 1e-8, 1 - 2e-8, 1 + 2e-8, 0.99999, 1.00001)
+
+
+@pytest.mark.parametrize("cid", [c.id for c in REGISTRY.values() if c.q_lo is not None])
 def test_psi_cases_clean_near_one(cid):
-    # every case that draws a mean generator, within 2e-8 of q = 1; x^(1-q)
-    # inverted as y^(1/(1-q)) once gave thm3.1 56 violations here
-    grid = (1 - 1e-8, 1 - 2e-8, 1 + 2e-8, 0.99999, 1.00001)
+    # every case that takes q, at each q it admits from 1e-8 to 1e-5 off
+    # q = 1.  x^(1-q) inverted as y^(1/(1-q)) once gave thm3.1 56
+    # violations here, and an undeformed window of +-1e-8 around q = 1
+    # gave id14 and id16 about 300 each
+    case = get_case(cid)
+    grid = tuple(q for q in NEAR_ONE_GRID if case.admits(q))
     rep = run_case(cid, trials=500, seed=7, q_grid=grid)
     assert rep.violations == 0, f"{cid}: worst={rep.worst_violation} at {rep.worst_witness}"
