@@ -10,6 +10,7 @@ from qentropy import (
     f_divergence,
     kl_divergence,
     make_dist,
+    neg_qlog_generator,
     renyi_relative,
     renyi_tsallis_relative_bridge,
     tsallis_generator,
@@ -35,6 +36,13 @@ fd = dual_generator(f)
 print()
 print("dual label:", fd.label)
 print("D_dual(p||r):", f_divergence(fd, p, r), " == D(r||p):", f_divergence(f, r, p))
+
+# the generators are one ln_q family: tsallis[q] and neg_lnq[q] are each
+# other's dual, and D_f of a member is the Tsallis relative entropy
+f2 = tsallis_generator(2.0)
+print()
+print("dual(tsallis[q=2]) is neg_lnq[q=2]:", dual_generator(f2) is neg_qlog_generator(2.0))
+print("D_f(p||r) == tsallis_relative(p, r, 2):", f_divergence(f2, p, r) == tsallis_relative(p, r, 2.0))
 
 # generators are addressable by label, as on the command line
 g = f_by_label("neglog")

@@ -80,7 +80,7 @@ from .joint import (
     tsallis_conditional_entropy,
     tsallis_joint_entropy,
 )
-from .qmath import EntropicIndex, q_exp, q_log
+from .qmath import q_exp, q_log
 from .quasilinear import (
     CompatibleConvexity,
     GeneratorPsi,

@@ -236,6 +236,7 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
     _require_finite_ratio(p.weights, p._hi, r.weights, r._lo)
     _require_finite_ratio(r.weights, r._hi, p.weights, p._lo)
     value = f_divergence(f, p, r)
+    _require_factor_fits(f, p, r)
     t = IncompleteDist(p.weights**2 / r.weights)
     factor = incomplete_f_divergence(dual_generator(f), t, p) - float(
         np.asarray(f.eval(np.asarray(float(t.weights.sum()))))
@@ -246,6 +247,25 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
         value=value,
         upper=float(ratios.max()) * factor,
     )
+
+
+def _require_factor_fits(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> None:
+    """Check in O(1) that the sandwich's middle factor fits a double, before evaluating it.
+
+    The factor sums n terms t_j f*(p_j/t_j) over t_j = p_j^2/r_j <=
+    p_hi^2/r_lo, where p_j/t_j = r_j/p_j lies in [r_lo/p_hi, r_hi/p_lo].
+    A convex function is largest at an end of an interval, and the
+    library's generators dip below zero by at most 1 between the ends, so
+    n (p_hi^2/r_lo) max |f*| at the two ends bounds the sum.  It bounds
+    the subtracted f(sum_j t_j) too: 1 <= sum_j t_j <= b = p_hi/r_lo, and
+    |f(b)| = b |f*(1/b)| with b <= n p_hi b.  The bound is taken on two
+    scalars with overflow ignored; past half the float maximum it raises
+    DomainError where numpy would have warned inside the sums.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.abs(dual_generator(f).eval(np.array([r._lo / p._hi, r._hi / p._lo])))
+    if not r.n * p._hi * p._hi / r._lo * float(np.maximum.reduce(ends)) <= _HALF_FLOAT_MAX:
+        raise DomainError("the f-divergence sandwich's dual-generator factor overflows a double")
 
 
 def pairwise_spread(xs, p: ProbDist) -> float:

@@ -3,6 +3,14 @@
 Conventions: D_f(p||r) = sum_j r_j f(p_j/r_j) with f convex and f(1) = 0;
 the dual generator f*(t) = t f(1/t) and the incomplete variant
 D~_f*(a||b) = sum_j a_j f*(b_j/a_j) accept unnormalized positive weights.
+
+The library's generators are one ln_q family: tsallis[q], -x ln_q(1/x),
+and neg_lnq[q], -ln_q(x), are each other's dual, and xlogx and neglog are
+the same pair at q = 1.  D_f of a family member is the Tsallis relative
+entropy D_q (Furuichi, Yanagi & Kuriyama, J. Math. Phys. 45, 2004), taken
+in tsallis_relative's form; D_f(p||r) = D_f*(r||p) (Liese & Vajda, IEEE
+Trans. Inf. Theory 52, 2006) gives the neg_lnq side.  Only a custom
+ConvexGenerator is summed as r . f(p/r) and gets a t f(1/t) dual.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -26,9 +34,6 @@ from .qmath import (
     q_exp,
     q_log,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .bounds import SecondDerivativeRange
 
 __all__ = [
     "ConvexGenerator",
@@ -78,15 +83,14 @@ def _validate_convex(eval_fn: Callable, label: str) -> None:
 
 @dataclass(frozen=True)
 class ConvexGenerator:
-    """A convex generator on (0, inf) with f(1) = 0, validated at construction.
-
-    ``second_derivative_range`` optionally records bounds (m, M) for f'' on a
-    stated interval, for use with the smooth Jensen-gap sandwiches.
-    """
+    """A convex generator on (0, inf) with f(1) = 0, validated at construction."""
 
     eval: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
-    second_derivative_range: "SecondDerivativeRange | None" = None
+
+    # D_f(p, r) in closed form, or None for the sum r . f(p/r); set, with
+    # _dual, by _lnq_pair for the library's ln_q family
+    _relative = None
 
     def __post_init__(self) -> None:
         _validate_convex(self.eval, self.label)
@@ -94,56 +98,68 @@ class ConvexGenerator:
     @functools.cached_property
     def _dual(self) -> "ConvexGenerator":
         # built, and so validated, on first use only; see dual_generator
-        f = self.eval
+        return ConvexGenerator(eval=_perspective(self.eval), label=f"dual({self.label})")
 
-        def _eval(t):
-            arr = np.asarray(t, dtype=float)
-            return arr * np.asarray(f(1.0 / arr), dtype=float)
 
-        return ConvexGenerator(eval=_eval, label=f"dual({self.label})")
+def _perspective(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> t f(1/t) for a vectorized f."""
+
+    def _eval(t):
+        arr = np.asarray(t, dtype=float)
+        return arr * np.asarray(f(1.0 / arr), dtype=float)
+
+    return _eval
+
+
+def _lnq_pair(q: float, labels: tuple[str, str]) -> ConvexGenerator:
+    """The ln_q convex-generator family at q under ``labels``, validated once.
+
+    Builds g(x) = -ln_q(x) and its perspective f(x) = x g(1/x) =
+    -x ln_q(1/x), and returns f.  The perspective is an involution, so
+    each is linked to the other as its dual and no t f(1/t) wrapper is
+    built.  Each divergence is D_q: D_f(p||r) = -sum_j p_j ln_q(r_j/p_j) =
+    D_q(p||r) and D_g(p||r) = D_q(r||p), evaluated by tsallis_relative.
+    At q = 1 the pair is x log x and -log x.
+    """
+
+    def _g(x):
+        return -np.asarray(q_log(x, q))
+
+    f = ConvexGenerator(eval=_perspective(_g), label=labels[0])
+    g = ConvexGenerator(eval=_g, label=labels[1])
+    object.__setattr__(f, "_dual", g)
+    object.__setattr__(g, "_dual", f)
+    object.__setattr__(f, "_relative", lambda p, r: tsallis_relative(p, r, q))
+    object.__setattr__(g, "_relative", lambda p, r: tsallis_relative(r, p, q))
+    return f
 
 
 @_cached_by_q
 def tsallis_generator(q) -> ConvexGenerator:
-    """f(x) = -x ln_q(1/x); generates the deformed relative entropy."""
+    """f(x) = -x ln_q(1/x); generates the Tsallis relative entropy D_q(p||r).
 
-    def _eval(x):
-        arr = np.asarray(x, dtype=float)
-        return -arr * q_log(1.0 / arr, q)
+    Built together with its dual, neg_qlog_generator(q), as one pair.
+    """
+    return _lnq_pair(q, (f"tsallis[q={q:g}]", f"neg_lnq[q={q:g}]"))
 
-    return ConvexGenerator(eval=_eval, label=f"tsallis[q={q:g}]")
+
+def neg_qlog_generator(q) -> ConvexGenerator:
+    """f(x) = -ln_q(x), the dual of tsallis_generator(q); generates D_q(r||p).
+
+    Convex for every q >= 0 (f'' = q x^(-q-1)).
+    """
+    return tsallis_generator(q)._dual
 
 
 @functools.lru_cache(maxsize=1)
 def xlogx_generator() -> ConvexGenerator:
-    """f(x) = x log x; generates the Kullback-Leibler divergence."""
-
-    def _eval(x):
-        arr = np.asarray(x, dtype=float)
-        return arr * np.log(arr)
-
-    return ConvexGenerator(eval=_eval, label="xlogx")
+    """f(x) = x log x, tsallis at q = 1; generates the Kullback-Leibler divergence."""
+    return _lnq_pair(1.0, ("xlogx", "neglog"))
 
 
-def _neg_lnq_family(q: float, label: str) -> ConvexGenerator:
-    """f(x) = -ln_q(x) under ``label``, validated once; -log at q = 1."""
-
-    def _eval(x):
-        return -np.asarray(q_log(x, q))
-
-    return ConvexGenerator(eval=_eval, label=label)
-
-
-@functools.lru_cache(maxsize=1)
 def neglog_generator() -> ConvexGenerator:
-    """f(x) = -log x, the neg_lnq generator at q = 1; generates the reversed KL divergence."""
-    return _neg_lnq_family(1.0, "neglog")
-
-
-@_cached_by_q
-def neg_qlog_generator(q) -> ConvexGenerator:
-    """f(x) = -ln_q(x); convex for every q >= 0 (f'' = q x^(-q-1))."""
-    return _neg_lnq_family(q, f"neg_lnq[q={q:g}]")
+    """f(x) = -log x, neg_lnq at q = 1 and the dual of xlogx; generates the reversed KL."""
+    return xlogx_generator()._dual
 
 
 def f_by_label(label: str, q: float | None = None) -> ConvexGenerator:
@@ -202,7 +218,15 @@ def renyi_relative(p: ProbDist, r: ProbDist, q) -> float:
 
 
 def f_divergence(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> float:
-    """D_f(p||r) = sum_j r_j f(p_j/r_j); nonnegative, zero at p = r."""
+    """D_f(p||r) = sum_j r_j f(p_j/r_j); nonnegative, zero at p = r.
+
+    For the ln_q family this is D_q, taken by tsallis_relative bit for bit:
+    D_q(p||r) for tsallis_generator(q) and xlogx, D_q(r||p) for
+    neg_qlog_generator(q) and neglog.  Its terms -p_j ln_q(r_j/p_j) stay
+    finite where f(p_j/r_j) itself would overflow.
+    """
+    if f._relative is not None:
+        return f._relative(p, r)
     check_lengths(p, r)
     _require_finite_ratio(p.weights, p._hi, r.weights, r._lo)
     return float(r.weights @ np.asarray(f.eval(p.weights / r.weights), dtype=float))
@@ -211,10 +235,13 @@ def f_divergence(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> float:
 def dual_generator(f: ConvexGenerator) -> ConvexGenerator:
     """f*(t) = t f(1/t).  An involution: dual(dual(f)) equals f pointwise.
 
-    The dual is a ConvexGenerator, so it passes the same f(1) = 0 and
-    midpoint-convexity checks as any other generator, but only once per
-    generator object: the first call builds and validates it, and every
-    later call returns that same instance.
+    The ln_q family is closed under it: the dual of tsallis_generator(q) is
+    neg_qlog_generator(q) and the reverse, and xlogx and neglog are each
+    other's, so dual(dual(f)) is f itself.  For any other generator the
+    dual is built as t f(1/t), a ConvexGenerator that passes the same
+    f(1) = 0 and midpoint-convexity checks, but only once per generator
+    object: the first call builds and validates it, and every later call
+    returns that same instance.
     """
     return f._dual
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import DomainError, UndefinedValueError
 # Distinct q values each generator factory keeps built and validated.
 _GENERATOR_CACHE_SIZE = 256
 
-__all__ = ["EntropicIndex", "q_log", "q_exp"]
+__all__ = ["q_log", "q_exp"]
 
 
 def _as_q(q) -> float:
@@ -38,9 +37,9 @@ def _cached_by_q(factory):
     """Memoize a generator factory of one entropic index q.
 
     The cache key is the validated float from ``_as_q`` with -0.0 folded into
-    0.0, so 0.5, np.float64(0.5) and EntropicIndex(0.5) share one entry and
-    an invalid q raises before any lookup.  Generators are frozen, so every
-    caller can share the one instance whose self checks already ran.
+    0.0, so 0.5 and np.float64(0.5) share one entry and an invalid q
+    raises before any lookup.  Generators are frozen, so every caller can
+    share the one instance whose self checks already ran.
     """
     cached = functools.lru_cache(maxsize=_GENERATOR_CACHE_SIZE)(factory)
 
@@ -60,23 +59,6 @@ def _near_one(qf: float) -> bool:
     x^(1-q) / y^(1/(1-q)).
     """
     return abs(1.0 - qf) < 0.5
-
-
-@dataclass(frozen=True)
-class EntropicIndex:
-    """A validated entropic index q >= 0.
-
-    Instances coerce to float, so they can be passed anywhere a plain q is
-    accepted.
-    """
-
-    q: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _as_q(self.q))
-
-    def __float__(self) -> float:
-        return self.q
 
 
 _LNQ_DOMAIN = "q_log is defined only for finite x > 0"

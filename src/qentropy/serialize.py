@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-SCHEMA = "qentropy/3"
+SCHEMA = "qentropy/4"
 
 __all__ = ["SCHEMA", "dumps", "format_float"]
 

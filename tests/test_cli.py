@@ -41,7 +41,7 @@ def test_compute_tsallis_gold(capsys, dist_json):
     status, out, err = _run(capsys, ["compute", "--entropy", "tsallis", "--q", "2", dist_json])
     assert status == 0 and not err
     doc = json.loads(out)
-    assert doc["schema"] == "qentropy/3"
+    assert doc["schema"] == "qentropy/4"
     assert doc["functional"] == "tsallis_entropy"
     assert doc["value"] == pytest.approx(0.375, abs=1e-12)
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qentropy import (
+    DEFAULT_Q_GRID,
     ConvexGenerator,
     DomainError,
-    EntropicIndex,
     GeneratorError,
     IncompleteDist,
     LengthMismatchError,
@@ -28,6 +28,7 @@ from qentropy import (
     q_exp,
     renyi_relative,
     renyi_tsallis_relative_bridge,
+    sample_simplex,
     tsallis_generator,
     tsallis_relative,
     xlogx_generator,
@@ -134,7 +135,7 @@ def test_dual_generator_pointwise():
     xs = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     # (x log x)* = x * (1/x) log(1/x) = -log x
     np.testing.assert_allclose(np.asarray(fd.eval(xs)), -np.log(xs), atol=1e-14)
-    assert fd.label == "dual(xlogx)"
+    assert fd.label == "neglog"
 
 
 def test_dual_is_involution():
@@ -142,6 +143,33 @@ def test_dual_is_involution():
     for f in (xlogx_generator(), neglog_generator(), tsallis_generator(2.0)):
         fdd = dual_generator(dual_generator(f))
         np.testing.assert_allclose(np.asarray(fdd.eval(xs)), np.asarray(f.eval(xs)), atol=1e-12)
+
+
+LIBRARY_FAMILY = [
+    ("tsallis", lambda: tsallis_generator(2.0)),
+    ("neg_lnq", lambda: neg_qlog_generator(2.0)),
+    ("xlogx", xlogx_generator),
+    ("neglog", neglog_generator),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in LIBRARY_FAMILY], ids=[i for i, _ in LIBRARY_FAMILY])
+def test_library_duals_are_the_linked_family_member(build):
+    f = build()
+    assert dual_generator(dual_generator(f)) is f
+    assert not dual_generator(f).label.startswith("dual(")
+
+
+@pytest.mark.parametrize("n", [2, 16, 1024])
+def test_f_divergence_of_the_family_is_tsallis_relative_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for q in DEFAULT_Q_GRID:
+        p, r = sample_simplex(n, rng), sample_simplex(n, rng)
+        assert f_divergence(tsallis_generator(q), p, r) == tsallis_relative(p, r, q), q
+        assert f_divergence(neg_qlog_generator(q), p, r) == tsallis_relative(r, p, q), q
+    p, r = sample_simplex(n, rng), sample_simplex(n, rng)
+    assert f_divergence(xlogx_generator(), p, r) == tsallis_relative(p, r, 1.0)
+    assert f_divergence(neglog_generator(), p, r) == tsallis_relative(r, p, 1.0)
 
 
 def test_dual_swaps_arguments(p_half, r_quarter):
@@ -274,11 +302,13 @@ def test_factories_share_one_validated_generator(monkeypatch):
     calls = _count_validations(monkeypatch)
     q = 2.718281828  # a q no other test builds
     f = tsallis_generator(q)
-    assert calls == [f"tsallis[q={q:g}]"]
+    # the pair is built together: each member validated once
+    assert calls == [f"tsallis[q={q:g}]", f"neg_lnq[q={q:g}]"]
     assert tsallis_generator(np.float64(q)) is f
-    assert tsallis_generator(EntropicIndex(q)) is f
     assert f_by_label("tsallis", q) is f
-    assert neg_qlog_generator(q) is neg_qlog_generator(EntropicIndex(q))
+    assert neg_qlog_generator(q) is neg_qlog_generator(np.float64(q))
+    assert dual_generator(f) is neg_qlog_generator(q)
+    assert dual_generator(xlogx_generator()) is neglog_generator()
     assert xlogx_generator() is f_by_label("xlogx")
     assert neglog_generator() is neglog_generator()
     assert calls == [f"tsallis[q={q:g}]", f"neg_lnq[q={q:g}]"]

@@ -5,8 +5,8 @@ Every row runs with RuntimeWarning raised as an error, so a raw numpy
 results too large for a double (q > 1 at tiny x), the public ratio kernels
 on a mass whose ratio overflows, a mean of inverse probabilities whose sum
 would overflow although the mean is finite, an exp R_q(p||r) past the
-float maximum, and spreads of points so far apart that their squared
-deviations overflow.  The RNG test pins that the registry's per-trial
+float maximum, the f-divergence sandwich's dual-generator factor, and
+spreads of points so far apart that their squared deviations overflow.  The RNG test pins that the registry's per-trial
 generator, built from the seed's 32-bit words, draws the same stream as
 SeedSequence((seed, case_index, t)).
 """
@@ -25,10 +25,13 @@ from qentropy import (
     cartwright_field,
     cross_term_gap_sandwich,
     f_divergence,
+    f_divergence_sandwich,
     identity_generator,
+    kl_divergence,
     lnq_generator,
     maxent_variance_bounds,
     neg_qlog_generator,
+    neglog_generator,
     pairwise_spread,
     power_generator,
     q_log,
@@ -50,6 +53,7 @@ TINY = ProbDist([1e-310, 1.0])
 HALF = ProbDist([0.5, 0.5])
 FAR_APART = ProbDist([1e-160, 1.0])
 QLOG_MSG = "q_log is defined only for finite x > 0"
+SANDWICH_MSG = "the f-divergence sandwich's dual-generator factor overflows a double"
 
 
 def _over(q):
@@ -99,11 +103,23 @@ CASES = [
         _over(4.0),
     ),
     ("tsallis_relative-fits", lambda: tsallis_relative(HALF, ProbDist([1e-300, 1.0]), 2.0), None),
+    # D_f of the ln_q family is D_q: its terms -p_j ln_q(r_j/p_j) stay
+    # finite where f(p_j/r_j) overflows, but neglog's D_1(TINY||HALF) needs
+    # the infinite ratio 0.5/1e-310
+    ("f_divergence", lambda: f_divergence(xlogx_generator(), HALF, TINY), None),
+    ("f_divergence-neglog", lambda: f_divergence(neglog_generator(), HALF, TINY), (DomainError, QLOG_MSG)),
+    # the sandwich's dual-generator factor is about t^2 at t = p^2/r ~ 8e298
     (
-        "f_divergence",
-        lambda: f_divergence(xlogx_generator(), HALF, TINY),
-        (DomainError, QLOG_MSG),
+        "f_divergence_sandwich-tsallis",
+        lambda: f_divergence_sandwich(tsallis_generator(2.0), HALF, ProbDist([3e-300, 1.0])),
+        (DomainError, SANDWICH_MSG),
     ),
+    (
+        "f_divergence_sandwich-neg_lnq",
+        lambda: f_divergence_sandwich(neg_qlog_generator(2.0), ProbDist([1e-160, 1.0]), HALF),
+        (DomainError, SANDWICH_MSG),
+    ),
+    ("f_divergence_sandwich-fits", lambda: f_divergence_sandwich(tsallis_generator(2.0), HALF, ProbDist([1e-150, 1.0])), None),
     (
         "ratio_sandwich",
         lambda: ratio_sandwich(_sq, identity_generator(), [1.0, 2.0], TINY, HALF),
@@ -165,6 +181,13 @@ def test_overflow_table(call, expected):
                 call()
             assert type(info.value) is exc_type
             assert str(info.value) == message
+
+
+def test_f_divergence_of_xlogx_is_kl_where_p_over_r_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = f_divergence(xlogx_generator(), HALF, TINY)
+    assert value == kl_divergence(HALF, TINY) == 356.2075422335172
 
 
 @pytest.mark.parametrize("build", [tsallis_generator, neg_qlog_generator, lnq_generator])

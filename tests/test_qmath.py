@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy import DomainError, EntropicIndex, UndefinedValueError, q_exp, q_log
+from qentropy import DomainError, UndefinedValueError, q_exp, q_log
 
 
 def test_q_log_matches_natural_log_at_one():
@@ -113,11 +113,3 @@ def test_continuity_across_q_equals_one():
         for q in (1.0 - 1e-6, 1.0 + 1e-6):
             assert abs(q_log(x, q) - base) <= 1e-5 * (1.0 + abs(base))
 
-
-def test_entropic_index():
-    idx = EntropicIndex(2.0)
-    assert float(idx) == 2.0
-    with pytest.raises(DomainError):
-        EntropicIndex(-1.0)
-    with pytest.raises(DomainError):
-        EntropicIndex(math.inf)

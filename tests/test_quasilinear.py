@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qentropy import (
     DomainError,
-    EntropicIndex,
     GeneratorError,
     GeneratorPsi,
     LengthMismatchError,
@@ -169,7 +168,7 @@ def test_generator_labels_and_lookup():
             build()
     assert power_generator(0.9).label == "power[q=0.9]"
     assert neglog_generator().label == "neglog"
-    assert dual_generator(neglog_generator()).label == "dual(neglog)"
+    assert dual_generator(neglog_generator()).label == "xlogx"
 
 
 def test_generator_factories_are_memoized_on_q():
@@ -177,7 +176,6 @@ def test_generator_factories_are_memoized_on_q():
     for factory, label in ((lnq_generator, "lnq"), (power_generator, "power")):
         psi = factory(q)
         assert factory(np.float64(q)) is psi
-        assert factory(EntropicIndex(q)) is psi
         assert psi_by_label(label, q) is psi
         assert factory(1.5) is not psi
     assert identity_generator() is psi_by_label("identity")
