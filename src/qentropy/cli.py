@@ -55,7 +55,7 @@ from .entropy import renyi_entropy, shannon_entropy, tsallis_entropy
 from .errors import QEntropyError
 from .quasilinear import psi_by_label, tsallis_quasilinear_entropy, tsallis_quasilinear_relative
 from .serialize import SCHEMA, dumps, format_float
-from .verify import DEFAULT_Q_GRID, REGISTRY, get_case, has_failures, run_case
+from .verify import DEFAULT_Q_GRID, REGISTRY, has_failures, run_case, run_registry
 
 __all__ = ["main", "entrypoint"]
 
@@ -178,7 +178,7 @@ _TWO = (_load_dist, _load_dist)
 
 
 def _r_extremes(r: ProbDist) -> dict:
-    return {"n_min_r": r.n * float(r.weights.min()), "n_max_r": r.n * float(r.weights.max())}
+    return {"n_min_r": r.n * r._lo, "n_max_r": r.n * r._hi}
 
 
 def _sandwich(gen, p: ProbDist, r: ProbDist, **extra) -> tuple:
@@ -357,13 +357,12 @@ def _verify(args) -> int:
     if args.seed < 0:
         raise _CliError(f"error: --seed must be >= 0, got {args.seed}")
     tol = _env_tol()
-    cases = list(REGISTRY.values()) if args.run_all else [get_case(args.case)]
     q_grid = DEFAULT_Q_GRID if args.q is None else (args.q,)
-    reports = [
-        run_case(c, args.trials, args.seed, q_grid=q_grid,
-                 override_hypothesis=args.override_hypothesis, tol=tol)
-        for c in cases
-    ]
+    opts = dict(q_grid=q_grid, override_hypothesis=args.override_hypothesis, tol=tol)
+    if args.run_all:
+        reports = run_registry(args.trials, args.seed, **opts)
+    else:
+        reports = [run_case(args.case, args.trials, args.seed, **opts)]
     for rep in reports:
         if args.output == "json":
             print(rep.to_json_line())

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .dist import IncompleteDist, ProbDist, check_lengths
-from .errors import DomainError, GeneratorError
+from .errors import DomainError, GeneratorError, HypothesisError
 from .qmath import (
     _as_q,
     _cached_by_q,
@@ -258,11 +258,16 @@ def renyi_tsallis_relative_bridge(p: ProbDist, r: ProbDist, q) -> tuple[float, f
     """Return (exp R_q(p||r), exp_{2-q} D_q(p||r)); the sides agree for q in [0, 2].
 
     Well defined there because 1 + (q-1) D_q(p||r) = sum_j p_j^q r_j^(1-q) > 0.
-    exp is exp_q at q = 1, so either side too large for a double raises
-    q_exp's DomainError.
+    For q > 2 the index 2 - q is negative, so HypothesisError.  exp is exp_q
+    at q = 1, so either side too large for a double raises q_exp's DomainError.
     """
+    qf = _as_q(q)
+    if qf > 2.0:
+        raise HypothesisError(
+            f"the relative bridge identity needs q <= 2, so that exp_(2-q) is defined; got q={qf!r}"
+        )
     lhs = q_exp(renyi_relative(p, r, q), 1.0)
-    rhs = q_exp(tsallis_relative(p, r, q), 2.0 - _as_q(q))
+    rhs = q_exp(tsallis_relative(p, r, q), 2.0 - qf)
     return lhs, rhs
 
 

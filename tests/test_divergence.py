@@ -10,6 +10,7 @@ from qentropy import (
     ConvexGenerator,
     DomainError,
     GeneratorError,
+    HypothesisError,
     IncompleteDist,
     LengthMismatchError,
     Partition,
@@ -209,6 +210,14 @@ def test_relative_bridge_hand_value(p_half, r_quarter):
     lhs, rhs = renyi_tsallis_relative_bridge(p_half, r_quarter, 2.0)
     assert lhs == pytest.approx(4.0 / 3.0, rel=1e-14)
     assert rhs == pytest.approx(4.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("q", [np.nextafter(2.0, 3.0), 3.0, 5.0, 40.0])
+def test_relative_bridge_needs_q_at_most_two(p_half, r_quarter, q):
+    # exp_(2-q) has no index below 0; this once raised a DomainError about
+    # the negative index 2 - q, a q the caller never passed
+    with pytest.raises(HypothesisError, match=r"needs q <= 2"):
+        renyi_tsallis_relative_bridge(p_half, r_quarter, q)
 
 
 @given(

@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from qentropy import (
+    DEFAULT_PROFILE,
     DomainError,
     HypothesisError,
     REGISTRY,
@@ -14,9 +17,13 @@ from qentropy import (
     UnknownCaseError,
     has_failures,
     run_case,
+    run_registry,
     sample_simplex,
 )
-from qentropy.verify import get_case
+from qentropy import verify
+from qentropy.bounds import BoundReport
+from qentropy.serialize import dumps
+from qentropy.verify import Eq, FromZero, Le, get_case
 
 
 REQUIRED_CASES = [
@@ -213,3 +220,113 @@ def test_psi_cases_clean_near_one(cid):
     grid = tuple(q for q in NEAR_ONE_GRID if case.admits(q))
     rep = run_case(cid, trials=500, seed=7, q_grid=grid)
     assert rep.violations == 0, f"{cid}: worst={rep.worst_violation} at {rep.worst_witness}"
+
+
+# ---------------------------------------------------------------------------
+# trials return their claims; the harness scores them
+# ---------------------------------------------------------------------------
+
+
+def _trial_rng(cid, seed, t):
+    """Trial t's generator, derived as run_case derives it."""
+    return np.random.default_rng(np.random.SeedSequence((seed, list(REGISTRY).index(cid), t)))
+
+
+def _replay(cid, seed, t, q):
+    """Trial t of run_case(cid, seed=seed, q_grid=(q,)), with the default n_range."""
+    rng = _trial_rng(cid, seed, t)
+    n = int(rng.integers(2, 17))
+    case = REGISTRY[cid]
+    return n, case.trial(rng, n, q if case.q_lo is not None else None, DEFAULT_PROFILE)
+
+
+@pytest.mark.parametrize("cid", list(REGISTRY))
+def test_trial_returns_claims_and_inputs(cid):
+    # 1.5 lies inside every case's hypothesis
+    n, (claims, inputs) = _replay(cid, 5, 0, 1.5)
+    assert isinstance(claims, list) and claims
+    for c in claims:
+        assert isinstance(c, (BoundReport, Le, Eq, FromZero, float)), type(c)
+    assert isinstance(inputs, dict) and inputs
+    witness = {k: verify._render(x) for k, x in inputs.items()}
+    json.loads(dumps(witness))
+    # the report of that one trial is its top score and its rendered inputs
+    rep = run_case(cid, trials=1, seed=5, q_grid=(1.5,))
+    assert rep.worst_violation == max(verify._score(c) for c in claims)
+    head = {"trial": 0, "n": n, **({"q": 1.5} if REGISTRY[cid].q_lo is not None else {})}
+    assert rep.worst_witness == {**head, **witness}
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _old_ineq(lhs, rhs):
+    return (lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+
+
+def _old_eq(lhs, rhs):
+    return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+
+
+def _old_chain(rep):
+    return rep.violation() / (1.0 + rep.scale())
+
+
+def _old_zero_floor(rep):
+    return max(_old_chain(rep), -rep.lower / (1.0 + rep.scale()))
+
+
+_VALUES = (0.0, -0.0, 1.0, -1.0, 0.3, 0.1 + 0.2, 5e-324, -2.5, 1e300, -1e300,
+           np.nextafter(1e300, 2e300), 1.7e308, -1.7e308)
+_CHAIN_VALUES = (0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, -2.5, 1e300, -1e300)
+
+
+def test_score_is_the_old_formula_bit_for_bit():
+    rows = []
+    for lhs, rhs in itertools.product(_VALUES, repeat=2):
+        rows.append((Le(lhs, rhs), _old_ineq(lhs, rhs)))
+        rows.append((Eq(lhs, rhs), _old_eq(lhs, rhs)))
+    for x in _VALUES:
+        # 0 <= x was scored -x / (1 + |x|); Le(0.0, x) would turn the -0 of
+        # an n = 1 prop2.1 trial into 0
+        rows.append((Le(-0.0, x), -x / (1.0 + abs(x))))
+        rows.append((x, x))
+    for lo, val, hi in itertools.product(_CHAIN_VALUES, repeat=3):
+        rep = BoundReport(lo, val, hi)
+        rows.append((rep, _old_chain(rep)))
+        rows.append((FromZero(rep), _old_zero_floor(rep)))
+    bad = [(c, verify._score(c), old) for c, old in rows if _bits(verify._score(c)) != _bits(old)]
+    assert not bad, bad[:5]
+
+
+def test_identity_is_not_the_degenerate_chain_at_signed_zeros():
+    # why Eq is a claim kind of its own
+    assert _bits(verify._score(BoundReport(-0.0, 0.0, -0.0))) == _bits(-0.0)
+    assert _bits(verify._score(Eq(0.0, -0.0))) == _bits(_old_eq(0.0, -0.0)) == _bits(0.0)
+
+
+def test_witness_is_rendered_only_for_a_new_worst(monkeypatch):
+    trials, seed, q = 60, 2, 0.5
+    scores = [max(verify._score(c) for c in _replay("prop2.3", seed, t, q)[1][0])
+              for t in range(trials)]
+    new_worst = sum(1 for t, v in enumerate(scores) if v > max(scores[:t], default=-math.inf))
+    rendered = []
+    monkeypatch.setattr(verify, "_render", lambda x: rendered.append(x) or [])
+    run_case("prop2.3", trials=trials, seed=seed, q_grid=(q,))
+    assert 1 <= new_worst < trials
+    assert len(rendered) == 3 * new_worst  # psi, p and r per new worst
+
+
+def test_run_registry_forwards_options_to_run_case():
+    opts = dict(n_range=(1, 4), q_grid=(0.5,), override_hypothesis=True,
+                profile=STRESS_PROFILE, tol=1e-3)
+    got = [r.to_json_line() for r in run_registry(4, 9, **opts)]
+    assert got == [run_case(c, 4, 9, **opts).to_json_line() for c in REGISTRY.values()]
+    with pytest.raises(TypeError):
+        run_registry(4, 9, q_gird=(0.5,))
+
+
+def test_id16_beyond_q_two_raises_hypothesis_error():
+    with pytest.raises(HypothesisError, match=r"needs q <= 2"):
+        run_case("id16", trials=5, q_grid=(5.0,), override_hypothesis=True)
