@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _HALF_FLOAT_MAX, IncompleteDist, ProbDist, check_lengths
+from .dist import _HALF_FLOAT_MAX, ProbDist, check_lengths
 from .divergence import (
     ConvexGenerator,
+    _eval_within,
     dual_generator,
     f_divergence,
-    incomplete_f_divergence,
     neg_qlog_generator,
 )
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     HypothesisError,
     LengthMismatchError,
     ConsistencyError,
+    PositivityError,
 )
 from .qmath import _as_q, _ln_q, _require_finite_ratio, q_log
 from .quasilinear import (
@@ -230,16 +231,32 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
 
     The middle factor D~_f*(t||p) - f(sum_j t_j) is itself nonnegative, so the
     lower bound chains 0 <= min_i(r_i/p_i) (...) <= D_f(p||r).
+
+    Every domain is decided in O(1) from the extremes p and r carry.  Since
+    rounding is monotone, each t_j lies in [t_lo, t_hi] = [p_lo^2/r_hi,
+    p_hi^2/r_lo] and each p_j/t_j in [p_lo/t_hi, p_hi/t_lo].  t's entries
+    are positive and finite exactly when t_lo > 0 and t_hi < inf: r_hi
+    exceeds 1 by at most SUM_TOL, so t_lo is 0 only when p_lo^2 underflows,
+    which zeroes that entry of t.  For the ln_q family the dual sum and
+    f(sum_j t_j) then run the unchecked kernel, with the bits the checked
+    evals give.
     """
     check_lengths(p, r)
     # f meets the ratios p/r, its dual the ratios r/p: both must be finite
     _require_finite_ratio(p.weights, p._hi, r.weights, r._lo)
     _require_finite_ratio(r.weights, r._hi, p.weights, p._lo)
     value = f_divergence(f, p, r)
-    _require_factor_fits(f, p, r)
-    t = IncompleteDist(p.weights**2 / r.weights)
-    factor = incomplete_f_divergence(dual_generator(f), t, p) - float(
-        np.asarray(f.eval(np.asarray(float(t.weights.sum()))))
+    f_star = dual_generator(f)
+    _require_factor_fits(f_star, p, r)
+    t_lo = p._lo * p._lo / r._hi
+    t_hi = p._hi * p._hi / r._lo
+    if not (t_lo > 0.0 and t_hi < math.inf):
+        raise PositivityError("incomplete weights entries must be finite and strictly positive")
+    t = p.weights**2 / r.weights
+    dual = _eval_within(f_star, p.weights / t, p._lo / t_hi, p._hi / t_lo)
+    s = float(t.sum())
+    factor = float(t @ np.asarray(dual, dtype=float)) - float(
+        np.asarray(_eval_within(f, np.asarray(s), s, s))
     )
     ratios = r.weights / p.weights
     return BoundReport(
@@ -249,10 +266,10 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
     )
 
 
-def _require_factor_fits(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> None:
+def _require_factor_fits(f_star: ConvexGenerator, p: ProbDist, r: ProbDist) -> None:
     """Check in O(1) that the sandwich's middle factor fits a double, before evaluating it.
 
-    The factor sums n terms t_j f*(p_j/t_j) over t_j = p_j^2/r_j <=
+    ``f_star`` is f*, the dual of the sandwich's generator f.  The factor sums n terms t_j f*(p_j/t_j) over t_j = p_j^2/r_j <=
     p_hi^2/r_lo, where p_j/t_j = r_j/p_j lies in [r_lo/p_hi, r_hi/p_lo].
     A convex function is largest at an end of an interval, and the
     library's generators dip below zero by at most 1 between the ends, so
@@ -262,8 +279,9 @@ def _require_factor_fits(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> None:
     scalars with overflow ignored; past half the float maximum it raises
     DomainError where numpy would have warned inside the sums.
     """
+    a, b = r._lo / p._hi, r._hi / p._lo
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = np.abs(dual_generator(f).eval(np.array([r._lo / p._hi, r._hi / p._lo])))
+        ends = np.abs(_eval_within(f_star, np.array([a, b]), a, b))
     if not r.n * p._hi * p._hi / r._lo * float(np.maximum.reduce(ends)) <= _HALF_FLOAT_MAX:
         raise DomainError("the f-divergence sandwich's dual-generator factor overflows a double")
 

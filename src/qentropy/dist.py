@@ -3,6 +3,13 @@
 Validation is strict: weights must be strictly positive and sum to 1 within
 SUM_TOL.  Nothing is ever silently renormalized; a bad vector is the
 caller's bug and is rejected with a specific error.
+
+The public constructors (``ProbDist(...)``, ``JointDist(...)``,
+``make_dist``, ``NestedDist``) are the boundary and validate in full.  An
+array the library has just derived from validated weights (a coarsening, a
+marginal, a flattened or coarse refinement, a sampled point) takes the
+private path ``_derived``, which keeps the positivity test and the carried
+extremes but neither copies the array nor sums it again.
 """
 
 from __future__ import annotations
@@ -63,6 +70,32 @@ def _validated(arr: np.ndarray, *, positivity: str, sum_what: str | None):
     return arr, lo, hi
 
 
+def _derived(cls, arr: np.ndarray):
+    """An instance of ``cls`` (ProbDist or JointDist) over ``arr``, without __post_init__.
+
+    For arrays the library has just derived from validated weights, and
+    owns: a sampled point normalized by its own sum, block sums of a
+    ProbDist, axis sums of a JointDist, the cells or row sums of a
+    NestedDist.  The array is frozen in place, not copied.  Its min and
+    max are taken as ``_validated`` takes them, so the carried ``_lo`` /
+    ``_hi`` have the bits the public constructor would give, and a zero or
+    non-finite entry (a draw under a min_mass = 0 profile can underflow to
+    0) still raises PositivityError with the public constructor's message,
+    ``cls._POSITIVITY``.  The sum is not checked again: an n-term
+    float sum is off by at most (n - 1) u times the sum of its terms (u =
+    2**-53; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 4.2), so a vector divided by its own float sum totals 1 within
+    about (n + 1) u, and regrouped sums of a validated vector total what it
+    does within about n u: far below SUM_TOL for any n that fits in memory.
+    """
+    arr, lo, hi = _validated(arr, positivity=cls._POSITIVITY, sum_what=None)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, cls._ARRAY, arr)
+    object.__setattr__(obj, "_lo", lo)
+    object.__setattr__(obj, "_hi", hi)
+    return obj
+
+
 def _clean_vector(values, *, what: str, normalized: bool = False):
     """A validated 1-d copy of ``values`` with its (min, max)."""
     arr = np.array(values, dtype=float)  # copy: instances own their storage
@@ -99,6 +132,10 @@ class ProbDist:
     """Strictly positive weights summing to 1 within SUM_TOL."""
 
     weights: np.ndarray
+
+    # the array's attribute and the message of a bad entry, for _derived
+    _ARRAY = "weights"
+    _POSITIVITY = "probability weights entries must be finite and strictly positive"
 
     def __post_init__(self) -> None:
         arr, lo, hi = _clean_vector(self.weights, what="probability weights", normalized=True)
@@ -195,10 +232,10 @@ class NestedDist:
         return np.array([float(r.sum()) for r in self.rows])
 
     def flatten(self) -> ProbDist:
-        return ProbDist(np.concatenate(self.rows))
+        return _derived(ProbDist, np.concatenate(self.rows))
 
     def coarse(self) -> ProbDist:
-        return ProbDist(self.row_sums)
+        return _derived(ProbDist, self.row_sums)
 
 
 def make_dist(weights) -> ProbDist:
@@ -218,7 +255,7 @@ def coarsen(p: ProbDist, partition: Partition) -> ProbDist:
             f"blocks must cover exactly the indices 0..{p.n - 1}"
         )
     sums = np.array([float(p.weights[list(block)].sum()) for block in partition.blocks])
-    return ProbDist(sums)
+    return _derived(ProbDist, sums)
 
 
 def power_sum(p: ProbDist, q) -> float:

@@ -28,6 +28,7 @@ from .qmath import (
     _as_q,
     _cached_by_q,
     _ln_q,
+    _ln_q_fits,
     _near_one,
     _require_finite_ratio,
     _require_ln_q_fits,
@@ -89,8 +90,11 @@ class ConvexGenerator:
     label: str = "custom"
 
     # D_f(p, r) in closed form, or None for the sum r . f(p/r); set, with
-    # _dual, by _lnq_pair for the library's ln_q family
+    # _dual and _lnq, by _lnq_pair for the library's ln_q family
     _relative = None
+    # (q, inverted) of a family member, whose eval is -ln_q(x), or
+    # -x ln_q(1/x) when inverted; see _eval_within
+    _lnq = None
 
     def __post_init__(self) -> None:
         _validate_convex(self.eval, self.label)
@@ -131,7 +135,31 @@ def _lnq_pair(q: float, labels: tuple[str, str]) -> ConvexGenerator:
     object.__setattr__(g, "_dual", f)
     object.__setattr__(f, "_relative", lambda p, r: tsallis_relative(p, r, q))
     object.__setattr__(g, "_relative", lambda p, r: tsallis_relative(r, p, q))
+    object.__setattr__(f, "_lnq", (q, True))
+    object.__setattr__(g, "_lnq", (q, False))
     return f
+
+
+def _eval_within(f: ConvexGenerator, x, lo: float, hi: float):
+    """f.eval(x) bit for bit, for an x whose entries lie in [lo, hi].
+
+    A member of the ln_q family skips q_log's checks when the bounds show
+    in O(1) that they would pass: every ln_q argument finite and > 0, with
+    ln_q fitting a double at the smallest.  That argument is x itself for
+    -ln_q(x) and 1/x, within [1/hi, 1/lo] since division rounds
+    monotonically, for -x ln_q(1/x).  The unchecked kernel ``_ln_q`` then
+    runs the ufuncs eval would run.  Otherwise, and for any other
+    generator, f.eval runs with its own checks and raises their errors.
+    """
+    if f._lnq is not None and lo > 0.0:
+        qf, inverted = f._lnq
+        if inverted:
+            lo, hi = 1.0 / hi, 1.0 / lo
+        if lo > 0.0 and hi < math.inf and _ln_q_fits(lo, qf):
+            if inverted:
+                return x * -_ln_q(1.0 / x, qf)
+            return -_ln_q(x, qf)
+    return f.eval(x)
 
 
 @_cached_by_q

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dist import _validated
+from .dist import _derived, _validated
 from .errors import DimensionError, HypothesisError
 from .qmath import _as_q, _ln_q, _require_finite_ratio, _require_ln_q_fits
 
@@ -32,17 +32,17 @@ class JointDist:
 
     cells: np.ndarray
 
+    # the array's attribute and the message of a bad entry, for dist._derived
+    _ARRAY = "cells"
+    _POSITIVITY = "every cell must be finite and strictly positive"
+
     def __post_init__(self) -> None:
         arr = np.array(self.cells, dtype=float)
         if arr.ndim < 1:
             raise DimensionError("cells must have at least one axis")
         if arr.size == 0:
             raise DimensionError("cells must be non-empty")
-        arr, lo, hi = _validated(
-            arr,
-            positivity="every cell must be finite and strictly positive",
-            sum_what="cells sum to",
-        )
+        arr, lo, hi = _validated(arr, positivity=self._POSITIVITY, sum_what="cells sum to")
         object.__setattr__(self, "cells", arr)
         # extremes found by validation, not fields: repr and == ignore them
         object.__setattr__(self, "_lo", lo)
@@ -73,13 +73,17 @@ def _check_axes(j: JointDist, axes, *, what: str) -> tuple[int, ...]:
 
 
 def marginal(j: JointDist, axes) -> JointDist:
-    """Sum out every axis not listed; kept axes stay in original order."""
+    """Sum out every axis not listed; kept axes stay in original order.
+
+    With every axis kept the result is j itself.
+    """
     keep = _check_axes(j, axes, what="axes")
     if not keep:
         raise DimensionError("must keep at least one axis")
     drop = tuple(a for a in range(j.ndim) if a not in keep)
-    cells = j.cells.sum(axis=drop) if drop else j.cells
-    return JointDist(cells)
+    if not drop:
+        return j
+    return _derived(JointDist, j.cells.sum(axis=drop))
 
 
 def tsallis_joint_entropy(j: JointDist, q) -> float:

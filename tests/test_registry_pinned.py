@@ -104,3 +104,31 @@ def test_off_default_report_bytes_digest():
                     line = f"{type(exc).__name__}: {exc}"
                 h.update(line.encode())
     assert h.hexdigest() == OFF_DEFAULT_DIGEST
+
+
+# sha256 over the JSON lines of run_registry(trials=100, seed=s) for
+# s = 2**32 + 3 and 2**64 + 5, whose SeedSequence entropy is 4 and 5 words:
+# at the hash pool's size and past it, where the extra mixing loop runs.
+# Taken with a generator built per trial from SeedSequence((s, case, t)).
+MULTI_WORD_SEED_DIGEST = "535fef8cca80366c1e86ed2953421a19692bec002e8a8aee09e0a872e1a9d4e2"
+
+
+def test_multi_word_seed_report_bytes_digest():
+    h = hashlib.sha256()
+    for seed in (2**32 + 3, 2**64 + 5):
+        for r in run_registry(trials=100, seed=seed):
+            h.update(r.to_json_line().encode())
+    assert h.hexdigest() == MULTI_WORD_SEED_DIGEST
+
+
+# Negative controls: just outside a real hypothesis (q >= 1) the sampler
+# finds violations.  The counts and worst trials also pin the streams.
+@pytest.mark.parametrize(
+    "case, violations, trial",
+    [("prop5.3", 293, 23), ("thm5.1", 295, 9)],
+)
+def test_negative_control_finds_violations_below_q_one(case, violations, trial):
+    rep = run_case(case, trials=300, seed=7, q_grid=(0.5,), override_hypothesis=True)
+    assert rep.in_hypothesis is False
+    assert rep.violations == violations
+    assert rep.worst_witness["trial"] == trial

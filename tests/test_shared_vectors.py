@@ -27,6 +27,8 @@ from qentropy import (
     lnq_generator,
     log_generator,
     maxent_variance_bounds,
+    neg_qlog_generator,
+    neglog_generator,
     pairwise_spread,
     power_generator,
     q_exp,
@@ -40,6 +42,7 @@ from qentropy import (
     tsallis_quasilinear_entropy,
     xlogx_generator,
 )
+from qentropy import divergence
 from qentropy.qmath import _ln_q
 from qentropy.verify import DEFAULT_Q_GRID
 
@@ -119,10 +122,15 @@ def test_spread_bounds_bits(n, q):
     assert rep.upper == base + 0.5 * BIG_MQ * spread_p - 0.5 * MQ * spread_r
 
 
+def _family(q):
+    return (xlogx_generator(), neglog_generator(), tsallis_generator(q), neg_qlog_generator(q))
+
+
 @pytest.mark.parametrize("n, q", GRID, ids=IDS)
 def test_f_divergence_sandwich_bits(n, q):
+    # the reference is the checked route: IncompleteDist and q_log evals
     p, r = _pair(n, q)
-    for f in (xlogx_generator(), tsallis_generator(q)):
+    for f in _family(q):
         rep = f_divergence_sandwich(f, p, r)
         t = IncompleteDist(p.weights**2 / r.weights)
         factor = incomplete_f_divergence(dual_generator(f), t, IncompleteDist(p.weights)) - float(
@@ -132,6 +140,33 @@ def test_f_divergence_sandwich_bits(n, q):
         assert rep.value == f_divergence(f, p, r), f.label
         assert rep.lower == float(ratios.min()) * factor, f.label
         assert rep.upper == float(ratios.max()) * factor, f.label
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0, 4.0])
+def test_f_divergence_sandwich_of_the_family_calls_no_checked_q_log(q, monkeypatch):
+    p, r = _pair(16, q)
+    reports = [f_divergence_sandwich(f, p, r) for f in _family(q)]
+
+    def checked(*args):
+        raise AssertionError("q_log called")
+
+    monkeypatch.setattr(divergence, "q_log", checked)
+    monkeypatch.setattr(divergence, "IncompleteDist", checked)
+    assert [f_divergence_sandwich(f, p, r) for f in _family(q)] == reports
+
+
+def test_eval_within_falls_back_to_the_checked_eval():
+    # bounds that prove nothing leave the checks, and their errors, to eval
+    g = neg_qlog_generator(4.0)
+    x = np.array([0.5, 2.0])
+    assert divergence._eval_within(g, x, 0.0, 2.0).tolist() == g.eval(x).tolist()
+    assert divergence._eval_within(g, x, 0.5, np.inf).tolist() == g.eval(x).tolist()
+    f = tsallis_generator(4.0)
+    assert divergence._eval_within(f, x, 0.5, 2.0).tolist() == f.eval(x).tolist()
+    with pytest.raises(DomainError, match="overflows"):
+        divergence._eval_within(g, np.array([1e-300]), 1e-300, 1e-300)
+    with pytest.raises(DomainError, match="finite x > 0"):
+        divergence._eval_within(f, np.array([np.inf]), 1.0, np.inf)
 
 
 def test_quasilinear_vs_tsallis_evaluates_psi_once():
