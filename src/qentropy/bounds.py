@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _HALF_FLOAT_MAX, ProbDist, check_lengths
+from .dist import _HALF_FLOAT_MAX, ProbDist, _points, check_lengths
 from .divergence import (
     ConvexGenerator,
     _eval_within,
@@ -140,9 +140,7 @@ def jensen_gap(f, psi: GeneratorPsi, xs, p: ProbDist, *, validate_hypothesis: bo
     supplied points first.  f may be a ConvexGenerator or a bare vectorized
     callable.
     """
-    arr = np.asarray(xs, dtype=float)
-    if arr.shape != (p.n,):
-        raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
+    arr = _points(xs, p)
     if validate_hypothesis:
         _require_compatible(f, psi, arr)
     fe = _as_eval(f)
@@ -315,9 +313,7 @@ def pairwise_spread(xs, p: ProbDist) -> float:
     ``_spread`` must know that its points are finite and match the weights
     in shape.
     """
-    arr = np.asarray(xs, dtype=float)
-    if arr.shape != (p.n,):
-        raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
+    arr = _points(xs, p)
     lo = float(np.minimum.reduce(arr))
     hi = float(np.maximum.reduce(arr))
     # a NaN makes the minimum NaN, which fails the comparison too
@@ -382,9 +378,7 @@ def smooth_jensen_sandwich(f, drange: SecondDerivativeRange, xs, p: ProbDist) ->
     are checked against drange.interval).  spread is the pairwise spread of
     the x_j, m >= 0 is required.
     """
-    arr = np.asarray(xs, dtype=float)
-    if arr.shape != (p.n,):
-        raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
+    arr = _points(xs, p)
     lo, hi = drange.interval
     # tiny slack so hull endpoints produced by floating arithmetic stay legal
     pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
@@ -409,9 +403,7 @@ def cartwright_field(xs, p: ProbDist) -> BoundReport:
     With m' = min x, M' = max x and V = sum_j p_j (x_j - xbar)^2:
         V/(2 M') <= xbar - prod_j x_j^{p_j} <= V/(2 m').
     """
-    arr = np.asarray(xs, dtype=float)
-    if arr.shape != (p.n,):
-        raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
+    arr = _points(xs, p)
     lo = float(np.minimum.reduce(arr))
     hi = float(np.maximum.reduce(arr))
     # a NaN makes the minimum NaN, which fails the comparison too

@@ -267,3 +267,11 @@ def power_sum(p: ProbDist, q) -> float:
 def check_lengths(p: ProbDist | IncompleteDist, r: ProbDist | IncompleteDist) -> None:
     if p.n != r.n:
         raise LengthMismatchError(f"length mismatch: {p.n} vs {r.n}")
+
+
+def _points(xs, p: ProbDist) -> np.ndarray:
+    """Sample points xs as a float array, one per mass of p."""
+    arr = np.asarray(xs, dtype=float)
+    if arr.shape != (p.n,):
+        raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
+    return arr

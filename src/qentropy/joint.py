@@ -48,6 +48,13 @@ class JointDist:
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, JointDist):
+            return NotImplemented
+        return self.cells.shape == other.cells.shape and bool(
+            np.all(self.cells == other.cells)
+        )
+
     @property
     def dims(self) -> tuple[int, ...]:
         return self.cells.shape

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import ProbDist, check_lengths
-from .errors import DomainError, GeneratorError, LengthMismatchError
+from .dist import ProbDist, _points, check_lengths
+from .errors import DomainError, GeneratorError
 from .qmath import _cached_by_q, _ln_q_fits, _near_one, _require_finite_ratio, q_exp, q_log
 
 __all__ = [
@@ -301,9 +301,7 @@ def check_psi_convexity(f, psi: GeneratorPsi, grid, lambdas, tol: float = 1e-12)
 
 def quasilinear_mean(psi: GeneratorPsi, xs, p: ProbDist) -> float:
     """M_psi(x, p) = psi^{-1}( sum_j p_j psi(x_j) ); lies in [min x, max x]."""
-    arr = np.asarray(xs, dtype=float)
-    if arr.shape != (p.n,):
-        raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
+    arr = _points(xs, p)
     if not np.isfinite(arr).all():
         raise DomainError("xs must be finite")
     psi.check_domain(arr)

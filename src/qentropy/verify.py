@@ -19,11 +19,13 @@ Exact identities use a tighter default threshold. A report's witness holds
 the inputs of its worst trial; it is rendered only when a trial sets a new
 worst.
 
-Trial t of case c under seed s draws from ``SeedSequence((s, index(c), t))``,
-so every trial has its own stream and results do not depend on execution
-order or batching.  ``run_case`` builds one generator per call and sets
-its state before each trial to the one that stream starts from; the states
-come from NumPy's seed hash, vectorised over the trials of a run.
+Trial t of case c under seed s draws from
+``PCG64(SeedSequence(s, spawn_key=(index(c),))).jumped(t)``: each case is a
+spawned child of the seed, and each trial a disjoint jump along its stream
+(NumPy's guide to parallel random number generation), so results do not
+depend on execution order or batching, and a witness replays from (seed,
+case, trial) alone.  ``run_case`` builds one generator per call and steps
+its state from one trial's start to the next with the jump's affine map.
 """
 
 from __future__ import annotations
@@ -526,8 +528,8 @@ def _case(*args, **kwargs) -> tuple[str, TheoremCase]:
     return c.id, c
 
 
-# Definition order is load-bearing: the position of a case in this dict feeds
-# the per-trial seed derivation. Append new cases at the end only.
+# Definition order is load-bearing: the position of a case in this dict is its
+# spawn key, which picks its trial streams. Append new cases at the end only.
 REGISTRY: dict[str, TheoremCase] = dict(
     [
         _case("prop2.1", "generator entropy is nonnegative", _trial_entropy_nonneg),
@@ -670,117 +672,24 @@ class VerifyReport:
         )
 
 
-def _uint32_words(k: int) -> list[int]:
-    """k >= 0 as little-endian 32-bit words, as SeedSequence coerces an int."""
-    words = [k & 0xFFFFFFFF]
-    k >>= 32
-    while k:
-        words.append(k & 0xFFFFFFFF)
-        k >>= 32
-    return words
-
-
-# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, after M. O'Neill,
-# "Developing a seed_seq Alternative", 2015) and PCG64's seeding step.
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64.jumped(k) advances the 128-bit LCG state by k * _JUMP steps.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 _MASK128 = (1 << 128) - 1
 
-# Trials whose states are hashed in one pass: bounds the memory of a long run.
-_STATE_CHUNK = 4096
 
+def _jump_map(bit_generator: np.random.PCG64, state: dict) -> tuple[int, int]:
+    """(a, c) such that one jump takes the LCG state s to a*s + c modulo 2**128.
 
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**k modulo 2**32 for k < count, as a uint32 column.
-
-    The values NumPy's hash_const takes in turn, found with Python ints:
-    a numpy uint32 scalar product that wraps emits a RuntimeWarning.
+    Advancing an LCG is affine in its state, for a fixed increment: the
+    jumps of the states 0 and 1 under ``state``'s increment are c and a + c.
+    Leaves ``bit_generator`` in a different state.
     """
-    consts = [init]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """NumPy's hashmix once per row: (value ^ c_k) * c_(k+1), xorshifted.
-
-    ``consts`` holds one more row than the result; uint32 arrays wrap
-    modulo 2**32 with no warning.
-    """
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ value >> _XSHIFT
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """NumPy's mix: MIX_MULT_L x - MIX_MULT_R y modulo 2**32, xorshifted."""
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ result >> _XSHIFT
-
-
-def _pcg64_states(words: list[int], ts: np.ndarray) -> list[dict]:
-    """``default_rng(SeedSequence(words + [t])).bit_generator.state`` for each t in ts.
-
-    ``ts`` is a uint32 array.  SeedSequence's mix_entropy and
-    generate_state(4, np.uint64) run once over all of ts, with one column
-    per t.  Their hash calls come in a fixed order, so each one's
-    constants are known in advance, and the calls that read the same pool
-    word run as one row-wise operation: the mixing rounds update the three
-    other pool words from one source word, and each entropy word past the
-    pool updates all four.  Each uint64 is joined from its two uint32
-    halves by arithmetic, so the result does not depend on byte order.
-    PCG64 seeds its 128-bit LCG from s0..s3 as pcg64_set_seed does:
-    inc = (initseq << 1) | 1 and state = (inc + initstate) * MULT + inc,
-    modulo 2**128.
-    """
-    # entropy shorter than the pool is padded with zeros, then hashed
-    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), ts.size), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = ts
-    extra = entropy[_POOL_SIZE:]
-    hash_a = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * len(extra) + 1)
-    pool = _hashmix(entropy[:_POOL_SIZE], hash_a[: _POOL_SIZE + 1])
-    k = _POOL_SIZE
-    for i_src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != i_src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[i_src], hash_a[k : k + _POOL_SIZE]))
-        k += _POOL_SIZE - 1
-    for word in extra:
-        pool = _mix(pool, _hashmix(word, hash_a[k : k + _POOL_SIZE + 1]))
-        k += _POOL_SIZE
-    # generate_state(4, np.uint64): 8 uint32 words, cycling over the pool
-    halves = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 9))
-    halves = halves.astype(np.uint64)
-    s0, s1, s2, s3 = (halves[0::2] | halves[1::2] << 32).tolist()
-
-    states = []
-    for a, b, c, d in zip(s0, s1, s2, s3):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
-
-
-def _trial_states(words: list[int], trials: int):
-    """The PCG64 state of every trial t < trials, hashed _STATE_CHUNK at a time."""
-    for start in range(0, trials, _STATE_CHUNK):
-        ts = np.arange(start, min(start + _STATE_CHUNK, trials), dtype=np.uint32)
-        yield from _pcg64_states(words, ts)
+    ends = []
+    for s in (0, 1):
+        bit_generator.state = {**state, "state": {**state["state"], "state": s}}
+        ends.append(bit_generator.advance(_JUMP).state["state"]["state"])
+    c, a_plus_c = ends
+    return (a_plus_c - c) & _MASK128, c
 
 
 def get_case(case_id: str) -> TheoremCase:
@@ -812,9 +721,6 @@ def run_case(
         case = get_case(case)
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
-    if trials >= 2**32:
-        # trial t seeds its stream with t as one 32-bit word
-        raise DomainError(f"need trials < 2**32, got {trials}")
     seed = int(seed)
     if seed < 0:
         raise DomainError(f"need seed >= 0, got {seed}")
@@ -846,20 +752,21 @@ def run_case(
             qs = admitted
 
     eff_tol = tol if tol is not None else (case.tol if case.tol is not None else profile.tol)
-    case_index = _CASE_INDEX[case.id]
-
-    # SeedSequence((seed, case_index, t)) concatenates the 32-bit words of
-    # each int; the seed's words are found once here, and case_index and
-    # every t < 2**32 are one word each, so the streams are the same
-    words = _uint32_words(seed) + [case_index]
-    # one generator, put at the start of trial t's stream before trial t
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
+    bit_generator = np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(_CASE_INDEX[case.id],))
+    )
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    lcg = state["state"]
+    mult, add = _jump_map(bit_generator, state)
     violations = 0
     worst = -math.inf
     worst_witness: dict = {}
-    for t, state in enumerate(_trial_states(words, trials)):
+    for t in range(trials):
+        # trial t starts where the case's stream jumped t times starts;
+        # one more jump gives trial t + 1's start
         bit_generator.state = state
+        lcg["state"] = (mult * lcg["state"] + add) & _MASK128
         n = int(rng.integers(lo, hi + 1))
         qv = qs[t % len(qs)] if qs is not None else None
         claims, inputs = case.trial(rng, n, qv, profile)

@@ -11,6 +11,7 @@ from qentropy import (
     JointDist,
     NormalizationError,
     PositivityError,
+    ProbDist,
     chain_rule_decomposition,
     conditioning_reduces_entropy_check,
     han_sandwich,
@@ -45,6 +46,14 @@ def test_joint_validation():
 def test_dims_and_ndim(skew_2x2):
     assert skew_2x2.dims == (2, 2)
     assert skew_2x2.ndim == 2
+
+
+def test_equality_compares_shape_and_cells():
+    # the dataclass == compared the cell arrays as a tuple and raised ValueError
+    assert JointDist(np.full((2, 2), 0.25)) == JointDist(np.full((2, 2), 0.25))
+    assert JointDist(np.full((2, 2), 0.25)) != JointDist(np.full(4, 0.25))
+    assert JointDist(np.full((2, 2), 0.25)) != JointDist(np.array([[0.1, 0.4], [0.25, 0.25]]))
+    assert JointDist(np.full(4, 0.25)) != ProbDist(np.full(4, 0.25))
 
 
 def test_marginal_hand_values(skew_2x2):

@@ -1,9 +1,10 @@
-"""Per-trial streams: one generator per run, re-seeded from a bulk hash.
+"""Per-trial streams: one spawned SeedSequence per case, one jump per trial.
 
-Trial t of a case draws from SeedSequence((seed, case index, t)).  The
-harness hashes the states of all its trials at once and sets them on one
-generator; these tests hold that port of NumPy's SeedSequence and PCG64
-seeding to NumPy itself, as the reference.
+Trial t of a case draws from
+PCG64(SeedSequence(seed, spawn_key=(case index,))).jumped(t).  The harness
+builds one generator per run and steps its state from one trial's start to
+the next with the jump's affine map; these tests hold those states to
+NumPy's own ``jumped`` as the reference.
 """
 
 import itertools
@@ -11,61 +12,63 @@ import itertools
 import numpy as np
 import pytest
 
-from qentropy import DomainError, run_case
+from qentropy import run_case
 from qentropy import verify
 
-SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5]  # 3, 4 and 5 entropy words
+SEEDS = [0, 1, 42, 2**32 + 3, 2**64 + 5]
 CASE_INDICES = [0, 23]
-TRIALS = [0, 1, 49, 9_999, 2**32 - 1]
+TRIALS = [0, 1, 49, 9_999]  # trial 0 is the generator before any jump
 
 
-def _reference(words, t):
-    return np.random.default_rng(np.random.SeedSequence(np.array(words + [t], dtype=np.uint32)))
+def _start_states(seed, case_index, trials):
+    """The generator state each trial of a run sees after run_case draws its n."""
+    seen = []
+
+    def trial(rng, n, q, profile):
+        seen.append(rng.bit_generator.state)
+        return [0.0], {}
+
+    # a probe case under a registered id: it runs on that case's streams
+    probe = verify.TheoremCase(
+        list(verify.REGISTRY)[case_index], "probe", trial, q_lo=None, q_hi=None
+    )
+    run_case(probe, trials=trials, seed=seed)
+    return seen
 
 
 @pytest.mark.parametrize("seed, case_index", itertools.product(SEEDS, CASE_INDICES))
-def test_states_equal_numpy_seed_sequence(seed, case_index):
-    words = verify._uint32_words(seed) + [case_index]
-    states = verify._pcg64_states(words, np.array(TRIALS, dtype=np.uint32))
-    assert len(states) == len(TRIALS)
-    for t, state in zip(TRIALS, states):
-        ref = _reference(words, t)
-        rng = np.random.Generator(np.random.PCG64(0))
-        rng.bit_generator.state = state
-        assert rng.bit_generator.state == ref.bit_generator.state, t
-        assert rng.integers(0, 2**40) == ref.integers(0, 2**40)
-        assert rng.exponential() == ref.exponential()
-        assert rng.permutation(16).tolist() == ref.permutation(16).tolist()
+def test_trial_states_equal_numpy_jumped(seed, case_index):
+    seen = _start_states(seed, case_index, max(TRIALS) + 1)
+    base = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(case_index,)))
+    for t in TRIALS:
+        ref = np.random.Generator(base.jumped(t))
+        ref.integers(2, 17)  # run_case's draw of n, with the default n_range
+        assert seen[t] == ref.bit_generator.state, t
 
 
-def test_trial_states_are_chunked_in_trial_order(monkeypatch):
-    monkeypatch.setattr(verify, "_STATE_CHUNK", 7)
-    words = verify._uint32_words(2**64 + 5) + [3]
-    got = list(verify._trial_states(words, 17))
-    assert got == verify._pcg64_states(words, np.arange(17, dtype=np.uint32))
+def test_run_case_builds_one_seed_sequence_and_one_generator(monkeypatch):
+    built = {"SeedSequence": 0, "PCG64": 0, "Generator": 0}
 
+    def counting(name):
+        real = getattr(np.random, name)
 
-def test_run_case_builds_one_generator_and_no_seed_sequence(monkeypatch):
-    built = []
-    real = np.random.Generator
+        def build(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
 
-    def counting(bit_generator):
-        built.append(bit_generator)
-        return real(bit_generator)
+        return build
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("run_case must not build a SeedSequence or a default_rng")
-
-    monkeypatch.setattr(np.random, "Generator", counting)
-    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
-    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    for name in built:
+        monkeypatch.setattr(np.random, name, counting(name))
+    monkeypatch.setattr(np.random, "default_rng", None)  # calling it would fail
     run_case("prop2.3", trials=40, seed=2**64 + 5)
-    assert len(built) == 1
+    assert built == {"SeedSequence": 1, "PCG64": 1, "Generator": 1}
 
 
-def test_trials_past_one_word_are_rejected_before_any_trial(monkeypatch):
-    monkeypatch.setattr(verify, "_trial_states", None)  # any trial would fail on it
-    with pytest.raises(DomainError, match=r"trials < 2\*\*32"):
-        run_case("id14", trials=2**32, seed=1)
-    with pytest.raises(DomainError):
-        run_case("qadd", trials=2**40, seed=1)
+def test_seed_and_case_pairs_do_not_share_streams():
+    # SeedSequence((2**32 + 3, 0, 0)) and SeedSequence((3, 1, 0)) hash the
+    # same words [3, 1, 0, 0]; a spawned child pads the seed's words to the
+    # pool size before its spawn key, so the two trials start apart
+    (a,) = _start_states(2**32 + 3, 0, 1)
+    (b,) = _start_states(3, 1, 1)
+    assert a != b

@@ -97,7 +97,7 @@ def test_report_json_shape():
         "schema", "case", "trials", "violations", "worst_violation",
         "worst_witness", "seed", "in_hypothesis",
     ]
-    assert doc["schema"] == "qentropy/4"
+    assert doc["schema"] == "qentropy/5"
     assert doc["case"] == "qadd"
     assert doc["trials"] == 10
     assert doc["in_hypothesis"] is True
@@ -228,8 +228,10 @@ def test_psi_cases_clean_near_one(cid):
 
 
 def _trial_rng(cid, seed, t):
-    """Trial t's generator, derived as run_case derives it."""
-    return np.random.default_rng(np.random.SeedSequence((seed, list(REGISTRY).index(cid), t)))
+    """Trial t's generator: the case's spawned stream, jumped t times."""
+    key = (list(REGISTRY).index(cid),)
+    stream = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.Generator(stream.jumped(t))
 
 
 def _replay(cid, seed, t, q):
@@ -255,6 +257,20 @@ def test_trial_returns_claims_and_inputs(cid):
     assert rep.worst_violation == max(verify._score(c) for c in claims)
     head = {"trial": 0, "n": n, **({"q": 1.5} if REGISTRY[cid].q_lo is not None else {})}
     assert rep.worst_witness == {**head, **witness}
+
+
+@pytest.mark.parametrize("cid", ["thm4.2", "id14"])
+def test_witness_trial_alone_replays_the_worst_violation(cid):
+    # a chain case and an identity case: only the witness trial is re-run,
+    # from (seed, case, trial), and gives the report's worst bit for bit
+    rep = run_case(cid, trials=200, seed=42)
+    witness = dict(rep.worst_witness)
+    t, n, q = witness.pop("trial"), witness.pop("n"), witness.pop("q")
+    assert t > 0
+    n_replayed, (claims, inputs) = _replay(cid, 42, t, q)
+    assert n_replayed == n
+    assert {k: verify._render(x) for k, x in inputs.items()} == witness
+    assert _bits(max(verify._score(c) for c in claims)) == _bits(rep.worst_violation)
 
 
 def _bits(x) -> bytes:
