@@ -7,6 +7,7 @@ the next with the jump's affine map; these tests hold those states to
 NumPy's own ``jumped`` as the reference.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 from qentropy import run_case
 from qentropy import verify
 
-SEEDS = [0, 1, 42, 2**32 + 3, 2**64 + 5]
+# 2**32 - 1 and 2**32 sit on either side of SeedSequence's split of the seed
+# into 32-bit words; 2**64 + 5 takes three words
+SEEDS = [0, 1, 7, 42, 2**32 - 1, 2**32, 2**32 + 3, 2**64 + 5]
 CASE_INDICES = [0, 23]
 TRIALS = [0, 1, 49, 9_999]  # trial 0 is the generator before any jump
 
@@ -36,14 +39,20 @@ def _start_states(seed, case_index, trials):
     return seen
 
 
-@pytest.mark.parametrize("seed, case_index", itertools.product(SEEDS, CASE_INDICES))
-def test_trial_states_equal_numpy_jumped(seed, case_index):
-    seen = _start_states(seed, case_index, max(TRIALS) + 1)
+@functools.lru_cache(maxsize=None)
+def _run_states(seed, case_index):
+    """Start states of one run long enough for every trial in TRIALS."""
+    return tuple(_start_states(seed, case_index, max(TRIALS) + 1))
+
+
+@pytest.mark.parametrize(
+    "seed, case_index, t", itertools.product(SEEDS, CASE_INDICES, TRIALS)
+)
+def test_trial_states_equal_numpy_jumped(seed, case_index, t):
     base = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(case_index,)))
-    for t in TRIALS:
-        ref = np.random.Generator(base.jumped(t))
-        ref.integers(2, 17)  # run_case's draw of n, with the default n_range
-        assert seen[t] == ref.bit_generator.state, t
+    ref = np.random.Generator(base.jumped(t))
+    ref.integers(2, 17)  # run_case's draw of n, with the default n_range
+    assert _run_states(seed, case_index)[t] == ref.bit_generator.state
 
 
 def test_run_case_builds_one_seed_sequence_and_one_generator(monkeypatch):
