@@ -356,14 +356,23 @@ def lagrange_identity(a, b) -> tuple[float, float]:
     with b_perp = b - (a . b / a . a) a the part of b orthogonal to a (and 0
     when a = 0); this projection route does not cancel when a and b are
     nearly parallel, where the left side does.
+
+    Non-finite entries, and vectors with (a . a)(b . b) above half the float
+    maximum, raise DomainError before any product overflows.
     """
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     if av.shape != bv.shape or av.ndim != 1:
         raise LengthMismatchError("a and b must be 1-d vectors of equal length")
-    aa = float(av @ av)
-    ab = float(av @ bv)
-    lhs = aa * float(bv @ bv) - ab**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        aa = float(av @ av)
+        bb = float(bv @ bv)
+        ab = float(av @ bv)
+    # a NaN or inf entry makes aa * bb NaN or inf, which fails the comparison
+    # too; past it, |ab| <= sqrt(aa bb) keeps ab**2 in range
+    if not aa * bb <= _HALF_FLOAT_MAX:
+        raise DomainError("a and b must be finite, with (a . a)(b . b) <= half the float maximum")
+    lhs = aa * bb - ab**2
     if aa == 0.0:
         return lhs, 0.0
     b_perp = bv - (ab / aa) * av

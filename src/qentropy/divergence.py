@@ -89,11 +89,9 @@ class ConvexGenerator:
     eval: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
 
-    # D_f(p, r) in closed form, or None for the sum r . f(p/r); set, with
-    # _dual and _lnq, by _lnq_pair for the library's ln_q family
-    _relative = None
-    # (q, inverted) of a family member, whose eval is -ln_q(x), or
-    # -x ln_q(1/x) when inverted; see _eval_within
+    # (q, inverted) of a member of the library's ln_q family, whose eval is
+    # -ln_q(x), or -x ln_q(1/x) when inverted; set, with _dual, by _lnq_pair.
+    # See f_divergence and _eval_within
     _lnq = None
 
     def __post_init__(self) -> None:
@@ -133,8 +131,6 @@ def _lnq_pair(q: float, labels: tuple[str, str]) -> ConvexGenerator:
     g = ConvexGenerator(eval=_g, label=labels[1])
     object.__setattr__(f, "_dual", g)
     object.__setattr__(g, "_dual", f)
-    object.__setattr__(f, "_relative", lambda p, r: tsallis_relative(p, r, q))
-    object.__setattr__(g, "_relative", lambda p, r: tsallis_relative(r, p, q))
     object.__setattr__(f, "_lnq", (q, True))
     object.__setattr__(g, "_lnq", (q, False))
     return f
@@ -253,8 +249,9 @@ def f_divergence(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> float:
     neg_qlog_generator(q) and neglog.  Its terms -p_j ln_q(r_j/p_j) stay
     finite where f(p_j/r_j) itself would overflow.
     """
-    if f._relative is not None:
-        return f._relative(p, r)
+    if f._lnq is not None:
+        qf, inverted = f._lnq
+        return tsallis_relative(p, r, qf) if inverted else tsallis_relative(r, p, qf)
     check_lengths(p, r)
     _require_finite_ratio(p.weights, p._hi, r.weights, r._lo)
     return float(r.weights @ np.asarray(f.eval(p.weights / r.weights), dtype=float))

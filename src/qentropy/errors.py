@@ -7,6 +7,22 @@ a rejected argument.
 
 from __future__ import annotations
 
+__all__ = [
+    "QEntropyError",
+    "DomainError",
+    "UndefinedValueError",
+    "PositivityError",
+    "NormalizationError",
+    "PartitionError",
+    "LengthMismatchError",
+    "DimensionError",
+    "HypothesisError",
+    "DegenerateRangeError",
+    "GeneratorError",
+    "ConsistencyError",
+    "UnknownCaseError",
+]
+
 
 class QEntropyError(Exception):
     """Base class for all errors raised by this package."""

@@ -5,8 +5,10 @@ Every row runs with RuntimeWarning raised as an error, so a raw numpy
 results too large for a double (q > 1 at tiny x), the public ratio kernels
 on a mass whose ratio overflows, a mean of inverse probabilities whose sum
 would overflow although the mean is finite, an exp R_q(p||r) past the
-float maximum, the f-divergence sandwich's dual-generator factor, and
-spreads of points so far apart that their squared deviations overflow.
+float maximum, the f-divergence sandwich's dual-generator factor,
+spreads of points so far apart that their squared deviations overflow, and
+Lagrange's identity on vectors whose squared norms' product passes half the
+float maximum or is not finite.
 """
 
 import math
@@ -26,6 +28,7 @@ from qentropy import (
     f_divergence_sandwich,
     identity_generator,
     kl_divergence,
+    lagrange_identity,
     lnq_generator,
     maxent_variance_bounds,
     neg_qlog_generator,
@@ -51,6 +54,7 @@ HALF = ProbDist([0.5, 0.5])
 FAR_APART = ProbDist([1e-160, 1.0])
 QLOG_MSG = "q_log is defined only for finite x > 0"
 SANDWICH_MSG = "the f-divergence sandwich's dual-generator factor overflows a double"
+LAGRANGE_MSG = "a and b must be finite, with (a . a)(b . b) <= half the float maximum"
 
 
 def _over(q):
@@ -163,6 +167,18 @@ CASES = [
     ("maxent_variance_bounds-fits", lambda: maxent_variance_bounds(ProbDist([1e-150, 1.0]), 2.0, 0.1, 1.0), None),
     ("pairwise_spread-fits", lambda: pairwise_spread([1e150, 1.0], HALF), None),
     ("cartwright_field-fits", lambda: cartwright_field([1e150, 1.0], HALF), None),
+    # (a . a)(b . b) past half the float maximum, where a dot, a . b squared
+    # or their product would overflow, or not finite
+    *[
+        (f"lagrange_identity-{name}", lambda a=a, b=b: lagrange_identity(a, b), (DomainError, LAGRANGE_MSG))
+        for name, a, b in (
+            ("dot-overflows", [1e155, 1.0], [1.0, 1e155]),
+            ("ab-squared-overflows", [1e100, 1e100], [1e110, 1.0]),
+            ("nan", [math.nan, 1.0], [1.0, 2.0]),
+            ("inf-against-zero", [math.inf, 1.0], [0.0, 0.0]),
+        )
+    ],
+    ("lagrange_identity-fits", lambda: lagrange_identity([1e76, 1.0], [1.0, 1e76]), None),
 ]
 
 
