@@ -9,6 +9,7 @@ relative to the largest magnitude in the report.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,8 +228,8 @@ def refined_maxent_bounds(r: ProbDist, q) -> BoundReport:
 def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> BoundReport:
     """Sandwich D_f(p||r) via the dual generator evaluated at t_j = p_j^2/r_j.
 
-    The middle factor D~_f*(t||p) - f(sum_j t_j) is itself nonnegative, so the
-    lower bound chains 0 <= min_i(r_i/p_i) (...) <= D_f(p||r).
+    The middle factor sum_j t_j f*(p_j/t_j) - f(sum_j t_j) is nonnegative,
+    so the lower bound chains 0 <= min_i(r_i/p_i) (...) <= D_f(p||r).
 
     Every domain is decided in O(1) from the extremes p and r carry.  Since
     rounding is monotone, each t_j lies in [t_lo, t_hi] = [p_lo^2/r_hi,
@@ -373,8 +374,17 @@ def lagrange_identity(a, b) -> tuple[float, float]:
     if not aa * bb <= _HALF_FLOAT_MAX:
         raise DomainError("a and b must be finite, with (a . a)(b . b) <= half the float maximum")
     lhs = aa * bb - ab**2
-    if aa == 0.0:
-        return lhs, 0.0
+    if aa < sys.float_info.min:
+        # |ab / aa| <= sqrt(bb / aa) fits unless a . a is subnormal or 0:
+        # then project with a scaled by an exact 2**-e, and scale the right
+        # side, of degree 2 in a, back in two steps so nothing overflows
+        if not av.any():
+            return lhs, 0.0
+        e = math.frexp(float(np.maximum.reduce(np.abs(av))))[1]
+        av = np.ldexp(av, -e)
+        aa = float(av @ av)
+        b_perp = bv - float(av @ bv) * (av / aa)
+        return lhs, math.ldexp(aa * math.ldexp(float(b_perp @ b_perp), e), e)
     b_perp = bv - (ab / aa) * av
     return lhs, aa * float(b_perp @ b_perp)
 

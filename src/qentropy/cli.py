@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--entropy", choices=_ENTROPY_SPECS)
     pc.add_argument("--divergence", choices=_DIVERGENCE_SPECS)
     pc.add_argument("--q", type=float, default=None, help="entropic index, q >= 0")
-    pc.add_argument("--psi", default=None, help="mean generator label (identity, log, lnq, power)")
+    pc.add_argument("--psi", default=None, help="mean generator label (identity, log, lnq)")
     pc.add_argument("--f", default=None, help="convex generator label (tsallis, xlogx, neglog)")
     pc.add_argument("--echo", action="store_true", help="re-emit the parsed distribution")
     pc.add_argument("--output", choices=("json", "table"), default="json")

@@ -38,7 +38,6 @@ _HALF_FLOAT_MAX = _FLOAT_MAX / 2.0
 __all__ = [
     "SUM_TOL",
     "ProbDist",
-    "IncompleteDist",
     "Partition",
     "NestedDist",
     "make_dist",
@@ -157,21 +156,6 @@ class ProbDist:
 
 
 @dataclass(frozen=True)
-class IncompleteDist:
-    """Positive weights with no normalization constraint."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr, _, _ = _clean_vector(self.weights, what="incomplete weights")
-        object.__setattr__(self, "weights", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.weights.size)
-
-
-@dataclass(frozen=True)
 class Partition:
     """Disjoint non-empty blocks of 0-based indices.
 
@@ -264,7 +248,7 @@ def power_sum(p: ProbDist, q) -> float:
     return float((p.weights**qf).sum())
 
 
-def check_lengths(p: ProbDist | IncompleteDist, r: ProbDist | IncompleteDist) -> None:
+def check_lengths(p: ProbDist, r: ProbDist) -> None:
     if p.n != r.n:
         raise LengthMismatchError(f"length mismatch: {p.n} vs {r.n}")
 

@@ -1,8 +1,7 @@
 """Relative entropies and the f-divergence machinery.
 
-Conventions: D_f(p||r) = sum_j r_j f(p_j/r_j) with f convex and f(1) = 0;
-the dual generator f*(t) = t f(1/t) and the incomplete variant
-D~_f*(a||b) = sum_j a_j f*(b_j/a_j) accept unnormalized positive weights.
+Conventions: D_f(p||r) = sum_j r_j f(p_j/r_j) with f convex and f(1) = 0,
+and the dual generator is f*(t) = t f(1/t).
 
 The library's generators are one ln_q family: tsallis[q], -x ln_q(1/x),
 and neg_lnq[q], -ln_q(x), are each other's dual, and xlogx and neglog are
@@ -22,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import IncompleteDist, ProbDist, check_lengths
+from .dist import ProbDist, check_lengths
 from .errors import DomainError, GeneratorError, HypothesisError
 from .qmath import (
     _as_q,
@@ -48,7 +47,6 @@ __all__ = [
     "renyi_relative",
     "f_divergence",
     "dual_generator",
-    "incomplete_f_divergence",
     "renyi_tsallis_relative_bridge",
     "complement_cross_entropy",
 ]
@@ -269,14 +267,6 @@ def dual_generator(f: ConvexGenerator) -> ConvexGenerator:
     returns that same instance.
     """
     return f._dual
-
-
-def incomplete_f_divergence(
-    f_star: ConvexGenerator, a: IncompleteDist, b: IncompleteDist
-) -> float:
-    """D~_f*(a||b) = sum_j a_j f*(b_j/a_j) on positive, unnormalized weights."""
-    check_lengths(a, b)
-    return float(a.weights @ np.asarray(f_star.eval(b.weights / a.weights), dtype=float))
 
 
 def renyi_tsallis_relative_bridge(p: ProbDist, r: ProbDist, q) -> tuple[float, float]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -47,6 +48,7 @@ def _cached_by_q(factory):
     def wrapper(q):
         return cached(_as_q(q) + 0.0)
 
+    wrapper.cache_clear = cached.cache_clear
     return wrapper
 
 
@@ -69,6 +71,8 @@ _LNQ_OVERFLOW = "ln_q overflows a double for q={!r}"
 # q - 1 >= y/745 for y = (1-q) log x, and |ln_q(x)| = expm1(y)/(q-1)
 # <= 745 e^y, which is below 1e307 for y <= 700.
 _LNQ_SAFE_EXPONENT = 700.0
+# every double x > 0 has |log x| < 745, so (1-q) log x fits below this q - 1
+_LNQ_HUGE_SLOPE = sys.float_info.max / 745.0
 
 
 def _ln_q(x, qf: float):
@@ -78,11 +82,16 @@ def _ln_q(x, qf: float):
     x is finite and > 0, for example because x is 1/w over the weights of
     a validated distribution whose carried minimum has a finite inverse
     (see ``_require_finite_ratio``).  Returns what numpy returns: an array
-    for an array, a numpy float for a scalar.
+    for an array, a numpy float for a scalar.  Past q = 1 + _LNQ_HUGE_SLOPE,
+    (1-q) log x can overflow: to -inf for x > 1, where expm1 gives the exact
+    limit 1/(q-1); ``_ln_q_fits`` has refused such a q for x < 1.
     """
-    if qf != 1.0:
+    if qf == 1.0:
+        return np.log(x)
+    if qf - 1.0 <= _LNQ_HUGE_SLOPE:
         return np.expm1((1.0 - qf) * np.log(x)) / (1.0 - qf)
-    return np.log(x)
+    with np.errstate(over="ignore"):
+        return np.expm1((1.0 - qf) * np.log(x)) / (1.0 - qf)
 
 
 def _ln_q_fits(x_min: float, qf: float, kernel=_ln_q) -> bool:

@@ -23,15 +23,12 @@ __all__ = [
     "CompatibleConvexity",
     "identity_generator",
     "log_generator",
-    "power_generator",
     "lnq_generator",
     "psi_by_label",
     "check_psi_convexity",
     "quasilinear_mean",
     "tsallis_quasilinear_entropy",
-    "quasilinear_entropy",
     "tsallis_quasilinear_relative",
-    "quasilinear_relative",
 ]
 
 # Round-trip / monotonicity validation grid for generators.
@@ -192,7 +189,7 @@ def _lnq_family(q: float, label: str) -> GeneratorPsi:
     1/(q-1) and exp_q would multiply its rounding by M^(q-1) for a mean M.
     Against a 50-digit oracle, for n up to 1e4, the two pairs are within a
     few ulps of each other at |1-q| = 1/2.  log is this generator at q = 1,
-    and lnq and power are this generator under their own labels.
+    under its own label.
     """
     # ln_q is concave increasing; x^(1-q) is for q < 1, and convex
     # decreasing for q > 1
@@ -218,28 +215,22 @@ def log_generator() -> GeneratorPsi:
 
 
 @_cached_by_q
-def power_generator(q) -> GeneratorPsi:
-    """psi(x) = x^(1-q), up to an affine map: the ln_q generator family."""
-    return _lnq_family(q, f"power[q={q:g}]")
-
-
-@_cached_by_q
 def lnq_generator(q) -> GeneratorPsi:
     """psi = ln_q, up to an affine map: the ln_q generator family."""
     return _lnq_family(q, f"lnq[q={q:g}]")
 
 
 def psi_by_label(label: str, q: float | None = None) -> GeneratorPsi:
-    """Resolve a generator by its CLI label: identity, log, power, lnq."""
+    """Resolve a generator by its CLI label: identity, log, lnq."""
     if label == "identity":
         return identity_generator()
     if label == "log":
         return log_generator()
-    if label in ("power", "lnq"):
+    if label == "lnq":
         if q is None:
             raise DomainError(f"generator {label!r} needs an entropic index q")
-        return power_generator(q) if label == "power" else lnq_generator(q)
-    raise DomainError(f"unknown generator label {label!r} (use identity, log, power, lnq)")
+        return lnq_generator(q)
+    raise DomainError(f"unknown generator label {label!r} (use identity, log, lnq)")
 
 
 @dataclass(frozen=True)
@@ -308,42 +299,28 @@ def quasilinear_mean(psi: GeneratorPsi, xs, p: ProbDist) -> float:
     return float(psi.inverse(np.asarray(p.weights @ psi.forward(arr))))
 
 
-def _mean_of_inverse_probs(psi: GeneratorPsi, p: ProbDist) -> float:
-    _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
-    inv = 1.0 / p.weights
-    return float(psi.inverse(np.asarray(p.weights @ psi.forward(inv))))
-
-
-def _mean_of_ratios(psi: GeneratorPsi, p: ProbDist, r: ProbDist) -> float:
-    check_lengths(p, r)
-    _require_finite_ratio(r.weights, r._hi, p.weights, p._lo)
-    ratio = r.weights / p.weights
-    return float(psi.inverse(np.asarray(p.weights @ psi.forward(ratio))))
+def _mean_of_ratios(psi: GeneratorPsi, p: ProbDist, num, num_max: float) -> float:
+    """The psi-mean over p of num_j/p_j: num is 1.0 or r's weights, num_max its max."""
+    _require_finite_ratio(num, num_max, p.weights, p._lo)
+    return float(psi.inverse(np.asarray(p.weights @ psi.forward(num / p.weights))))
 
 
 def tsallis_quasilinear_entropy(psi: GeneratorPsi, p: ProbDist, q) -> float:
     """ln_q of the psi-mean of the inverse probabilities.
 
-    Collapses to the Tsallis entropy for psi = ln_q or psi(x) = x^(1-q),
-    and is nonnegative for every strictly monotonic psi.
+    Collapses to the Tsallis entropy for psi = ln_q, and is nonnegative for
+    every strictly monotonic psi.  At q = 1, psi = ln_s gives the Renyi
+    entropy R_s and psi = log the Shannon entropy.
     """
-    return q_log(_mean_of_inverse_probs(psi, p), q)
-
-
-def quasilinear_entropy(psi: GeneratorPsi, p: ProbDist) -> float:
-    """log of the psi-mean of the inverse probabilities (the q = 1 member)."""
-    return float(np.log(_mean_of_inverse_probs(psi, p)))
+    return q_log(_mean_of_ratios(psi, p, 1.0, 1.0), q)
 
 
 def tsallis_quasilinear_relative(psi: GeneratorPsi, p: ProbDist, r: ProbDist, q) -> float:
     """-ln_q of the psi-mean of the ratios r_j/p_j.
 
     Nonnegative when psi is concave increasing or convex decreasing;
-    unrestricted sign otherwise.
+    unrestricted sign otherwise.  At q = 1, psi = ln_s gives the Renyi
+    divergence R_s(p||r) and psi = log the Kullback-Leibler divergence.
     """
-    return -q_log(_mean_of_ratios(psi, p, r), q)
-
-
-def quasilinear_relative(psi: GeneratorPsi, p: ProbDist, r: ProbDist) -> float:
-    """-log of the psi-mean of the ratios (q = 1 member; log -> KL, power -> Renyi)."""
-    return -float(np.log(_mean_of_ratios(psi, p, r)))
+    check_lengths(p, r)
+    return -q_log(_mean_of_ratios(psi, p, r.weights, r._hi), q)

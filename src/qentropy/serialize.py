@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-SCHEMA = "qentropy/5"
+SCHEMA = "qentropy/6"
 
 __all__ = ["SCHEMA", "dumps", "format_float"]
 

@@ -37,6 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import (
+    CHECK_TOL,
     BoundReport,
     SecondDerivativeRange,
     cartwright_field,
@@ -122,7 +123,7 @@ class Profile:
     """
 
     min_mass: float = MIN_MASS
-    tol: float = 1e-9
+    tol: float = CHECK_TOL
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_mass < 1.0:
@@ -227,9 +228,8 @@ def _render(x):
 
 # The generator factories memoize on q, so a trial that draws a generator
 # gets the instance whose construction-time self checks already ran.
-def _pick_entropy_psi(rng: np.random.Generator, q: float) -> GeneratorPsi:
-    kind = ("identity", "log", "lnq", "power")[int(rng.integers(4))]
-    return psi_by_label(kind, q)
+def _pick_psi(rng, q, kinds=("identity", "log", "lnq")) -> GeneratorPsi:
+    return psi_by_label(kinds[int(rng.integers(len(kinds)))], q)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def _pick_entropy_psi(rng: np.random.Generator, q: float) -> GeneratorPsi:
 
 def _trial_entropy_nonneg(rng, n, q, profile):
     p = sample_simplex(n, rng, profile.min_mass)
-    psi = _pick_entropy_psi(rng, q)
+    psi = _pick_psi(rng, q)
     val = tsallis_quasilinear_entropy(psi, p, q)
     return [Le(-0.0, val)], {"psi": psi.label, "p": p.weights}
 
@@ -267,7 +267,7 @@ def _trial_coarsen_entropy(rng, n, q, profile):
 def _trial_relative_nonneg(rng, n, q, profile):
     p = sample_simplex(n, rng, profile.min_mass)
     r = sample_simplex(n, rng, profile.min_mass)
-    psi = _pick_entropy_psi(rng, q)
+    psi = _pick_psi(rng, q)
     val = tsallis_quasilinear_relative(psi, p, r, q)
     return [Le(-0.0, val)], {"psi": psi.label, "p": p.weights, "r": r.weights}
 
@@ -306,14 +306,9 @@ def _trial_ratio_sandwich(rng, n, q, profile):
     return [rep], {"f": f_label, "psi": psi.label, "xs": xs, "p": p.weights, "r": r.weights}
 
 
-def _pick_maxent_psi(rng, q):
-    kinds = ("identity", "lnq", "power", "log") if q >= 1.0 else ("identity", "lnq", "power")
-    return psi_by_label(kinds[int(rng.integers(len(kinds)))], q)
-
-
 def _trial_quasilinear_gap(rng, n, q, profile):
     r = sample_simplex(n, rng, profile.min_mass)
-    psi = _pick_maxent_psi(rng, q)
+    psi = _pick_psi(rng, q, ("identity", "lnq", "log") if q >= 1.0 else ("identity", "lnq"))
     rep = quasilinear_vs_tsallis_bounds(psi, r, q)
     return [FromZero(rep)], {"psi": psi.label, "r": r.weights}
 

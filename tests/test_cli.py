@@ -41,7 +41,7 @@ def test_compute_tsallis_gold(capsys, dist_json):
     status, out, err = _run(capsys, ["compute", "--entropy", "tsallis", "--q", "2", dist_json])
     assert status == 0 and not err
     doc = json.loads(out)
-    assert doc["schema"] == "qentropy/5"
+    assert doc["schema"] == "qentropy/6"
     assert doc["functional"] == "tsallis_entropy"
     assert doc["value"] == pytest.approx(0.375, abs=1e-12)
 
@@ -73,7 +73,7 @@ def test_compute_quasilinear_needs_psi(capsys, dist_json):
 def test_compute_quasilinear(capsys, dist_json):
     status, out, _ = _run(
         capsys,
-        ["compute", "--entropy", "quasilinear", "--q", "2", "--psi", "power", dist_json],
+        ["compute", "--entropy", "quasilinear", "--q", "2", "--psi", "lnq", dist_json],
     )
     assert status == 0
     assert json.loads(out)["value"] == pytest.approx(0.375, abs=1e-12)
@@ -332,7 +332,7 @@ P_W = [0.1, 0.2, 0.3, 0.4]
 R_W = [0.4, 0.3, 0.2, 0.1]
 XS = [1.0, 4.0, 2.0, 0.5]
 Q_VALUES = ("0.7", "1", "2")
-PSI_LABELS = ("identity", "log", "power", "lnq")
+PSI_LABELS = ("identity", "log", "lnq")
 
 
 @pytest.fixture
@@ -613,10 +613,17 @@ ERROR_ROWS = [
     ("compute --divergence f --f bogus --q 2 p.json r.json", None,
      "error: unknown generator label 'bogus' (use tsallis, xlogx, neglog)"),
     ("compute --entropy quasilinear --psi bogus --q 2 p.json", None,
-     "error: unknown generator label 'bogus' (use identity, log, power, lnq)"),
+     "error: unknown generator label 'bogus' (use identity, log, lnq)"),
+    # x^(1-q) is the ln_q family under the label lnq, in every --psi command
+    ("compute --entropy quasilinear --psi power --q 2 p.json", None,
+     "error: unknown generator label 'power' (use identity, log, lnq)"),
+    ("compute --divergence quasilinear --psi power --q 2 p.json r.json", None,
+     "error: unknown generator label 'power' (use identity, log, lnq)"),
+    ("bounds --case thm3.1 --psi power --q 2 p.json", None,
+     "error: unknown generator label 'power' (use identity, log, lnq)"),
     ("compute --entropy quasilinear --psi bogus --q 2 missing.json", None, _NO_FILE),
     ("compute --divergence f --f bogus --q 2 p.json bad.json", None, _BAD_SUM),
-    ("compute --divergence quasilinear --psi power --q 2 p.json three.json", None,
+    ("compute --divergence quasilinear --psi lnq --q 2 p.json three.json", None,
      "error: length mismatch: 4 vs 3"),
     ("compute --entropy shannon missing.json", None, _NO_FILE),
     ("compute --entropy shannon bad.json", None, _BAD_SUM),

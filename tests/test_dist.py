@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qentropy import (
     DimensionError,
-    IncompleteDist,
     LengthMismatchError,
     NestedDist,
     NormalizationError,
@@ -67,13 +66,6 @@ def test_weights_are_frozen():
 def test_dist_equality_by_value():
     assert make_dist([0.5, 0.5]) == make_dist([0.5, 0.5])
     assert make_dist([0.5, 0.5]) != make_dist([0.25, 0.75])
-
-
-def test_incomplete_dist_skips_normalization():
-    t = IncompleteDist(np.array([0.2, 0.2]))
-    assert t.n == 2
-    with pytest.raises(PositivityError):
-        IncompleteDist(np.array([0.2, -0.1]))
 
 
 def test_partition_validation():

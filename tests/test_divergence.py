@@ -11,7 +11,6 @@ from qentropy import (
     DomainError,
     GeneratorError,
     HypothesisError,
-    IncompleteDist,
     LengthMismatchError,
     Partition,
     ProbDist,
@@ -21,7 +20,6 @@ from qentropy import (
     f_by_label,
     f_divergence,
     f_divergence_sandwich,
-    incomplete_f_divergence,
     kl_divergence,
     make_dist,
     neg_qlog_generator,
@@ -179,24 +177,6 @@ def test_dual_swaps_arguments(p_half, r_quarter):
         assert f_divergence(dual_generator(f), p_half, r_quarter) == pytest.approx(
             f_divergence(f, r_quarter, p_half), rel=1e-13
         )
-
-
-def test_incomplete_f_divergence_hand_value():
-    # a = (1/2, 1/2), b = (1/8, 1/8): sum a * f*(b/a) with f = xlogx
-    # f*(t) = -log t, so value = -log(1/4) = 2 log 2
-    a = IncompleteDist(np.array([0.5, 0.5]))
-    b = IncompleteDist(np.array([0.125, 0.125]))
-    val = incomplete_f_divergence(dual_generator(xlogx_generator()), a, b)
-    assert val == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
-
-
-def test_incomplete_duality_bookkeeping(p_half, r_quarter):
-    # sum_j p f(p/r) rewritten through t_j = p^2/r: sum_j t f*(p/t)
-    for f in (xlogx_generator(), tsallis_generator(2.0), neglog_generator()):
-        lhs = float(p_half.weights @ np.asarray(f.eval(p_half.weights / r_quarter.weights)))
-        t = IncompleteDist(p_half.weights**2 / r_quarter.weights)
-        rhs = incomplete_f_divergence(dual_generator(f), t, IncompleteDist(p_half.weights))
-        assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_neg_qlog_generator_values():

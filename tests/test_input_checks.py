@@ -23,7 +23,6 @@ from hypothesis.extra import numpy as hnp
 from qentropy import (
     DimensionError,
     DomainError,
-    IncompleteDist,
     JointDist,
     NestedDist,
     NormalizationError,
@@ -133,22 +132,6 @@ CASES = [
     ("ProbDist-2d", lambda: ProbDist(_as_2d(0.25)), (DimensionError, "probability weights must be one-dimensional, got shape (2, 2)")),
     ("ProbDist-empty", lambda: ProbDist(np.array([])), (DimensionError, "probability weights must contain at least one entry")),
     ("ProbDist-sum-overflows", lambda: ProbDist(np.array([HUGE, HUGE])), (NormalizationError, f"weights sum to {OVER_SUM}; |sum - 1| must be <= 1e-09")),
-    # IncompleteDist: the same checks without normalization
-    *[
-        (f"IncompleteDist-{name}", lambda v=v: IncompleteDist(np.array([0.5, v])), exp)
-        for name, v, exp in (
-            ("nan", NAN, _positivity("incomplete weights")),
-            ("+inf", INF, _positivity("incomplete weights")),
-            ("-inf", -INF, _positivity("incomplete weights")),
-            ("zero", 0.0, _positivity("incomplete weights")),
-            ("-zero", -0.0, _positivity("incomplete weights")),
-            ("minus-one", -1.0, _positivity("incomplete weights")),
-            ("subnormal", SUBNORMAL, None),
-            ("huge", HUGE, None),
-        )
-    ],
-    ("IncompleteDist-0d", lambda: IncompleteDist(_as_0d(1.0)), (DimensionError, "incomplete weights must be one-dimensional, got shape ()")),
-    ("IncompleteDist-2d-nan", lambda: IncompleteDist(_as_2d(NAN)), (DimensionError, "incomplete weights must be one-dimensional, got shape (2, 2)")),
     # NestedDist: every row checked, then the grand total
     *[
         (f"NestedDist-{name}", lambda v=v: NestedDist((np.array([0.5]), np.array([0.5, v]))), exp)
@@ -252,7 +235,6 @@ def _outcome(call):
 def test_positivity_checks_match_elementwise_form(a):
     rejects = _elementwise_rejects(a)
     assert (_outcome(lambda: q_log(a, 0.5)) is DomainError) == rejects
-    assert (_outcome(lambda: IncompleteDist(a.ravel())) is PositivityError) == rejects
     assert (_outcome(lambda: JointDist(a)) is PositivityError) == rejects
     assert (_outcome(lambda: _check_domain(a)) is DomainError) == bool(np.any(a <= 0.0))
 

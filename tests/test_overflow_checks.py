@@ -2,17 +2,20 @@
 
 Every row runs with RuntimeWarning raised as an error, so a raw numpy
 "overflow encountered in ..." fails the row.  Covered: ln_q and x^(1-q)
-results too large for a double (q > 1 at tiny x), the public ratio kernels
+results too large for a double (q > 1 at tiny x), ln_q at a q so large that
+(1-q) log x overflows although ln_q(x) tends to 1/(q-1), the public ratio kernels
 on a mass whose ratio overflows, a mean of inverse probabilities whose sum
 would overflow although the mean is finite, an exp R_q(p||r) past the
 float maximum, the f-divergence sandwich's dual-generator factor,
 spreads of points so far apart that their squared deviations overflow, and
 Lagrange's identity on vectors whose squared norms' product passes half the
-float maximum or is not finite.
+float maximum or is not finite, or whose a . a is subnormal.
 """
 
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,13 +37,13 @@ from qentropy import (
     neg_qlog_generator,
     neglog_generator,
     pairwise_spread,
-    power_generator,
     q_log,
     quasilinear_vs_tsallis_bounds,
     ratio_sandwich,
     refined_maxent_bounds,
     renyi_tsallis_relative_bridge,
     tsallis_conditional_entropy,
+    tsallis_entropy,
     tsallis_cross_entropy_sandwich,
     tsallis_generator,
     tsallis_quasilinear_relative,
@@ -93,6 +96,22 @@ CASES = [
             (1.7e308, 0.0, None),
         )
     ],
+    # (1 - q) log x past the float maximum: ln_q(x) tends to 1/(q - 1) for
+    # x > 1, and overflows for x < 1
+    *[
+        (f"q_log-huge-q-{name}", lambda x=x: q_log(x, 1e308), exp)
+        for name, x, exp in (
+            ("scalar", 8.0, None),
+            ("scalar-max", 1.7e308, None),
+            ("array", np.array([8.0, 1.0, 1.7e308]), None),
+            ("scalar-below-one", 0.5, _over(1e308)),
+            ("array-below-one", np.array([8.0, 0.5]), _over(1e308)),
+        )
+    ],
+    *[
+        (f"tsallis_entropy-q{q:g}", lambda q=q: tsallis_entropy(ProbDist([1 / 8] * 8), q), None)
+        for q in (1e308, sys.float_info.max)
+    ],
     (
         "tsallis_conditional_entropy",
         lambda: tsallis_conditional_entropy(JointDist([[1e-310, 0.5], [0.25, 0.25]]), (1,), (0,), 2.0),
@@ -127,10 +146,9 @@ CASES = [
         (DomainError, QLOG_MSG),
     ),
     ("ratio_sandwich-fits", lambda: ratio_sandwich(_sq, identity_generator(), [1.0, 2.0], HALF, TINY), None),
-    # beyond |1-q| < 1/2 the ln_q family's forward is x^(1-q), under both labels
+    # beyond |1-q| < 1/2 the ln_q family's forward is x^(1-q)
     *[
-        (f"{name}-forward-{x:g}-q{q:g}", lambda b=build, x=x, q=q: b(q).forward(np.array([x, 0.5])), exp)
-        for name, build in (("power", power_generator), ("lnq", lnq_generator))
+        (f"lnq-forward-{x:g}-q{q:g}", lambda x=x, q=q: lnq_generator(q).forward(np.array([x, 0.5])), exp)
         for x, q, exp in (
             (1e-310, 2.0, _pow_over(2.0)),
             (1e-300, 4.0, _pow_over(4.0)),
@@ -139,14 +157,11 @@ CASES = [
             (1e-300, 2.0, None),
         )
     ],
-    *[
-        (
-            f"tsallis_quasilinear_relative-{name}",
-            lambda b=build: tsallis_quasilinear_relative(b(2.0), HALF, TINY, 2.0),
-            _pow_over(2.0),
-        )
-        for name, build in (("power", power_generator), ("lnq", lnq_generator))
-    ],
+    (
+        "tsallis_quasilinear_relative-lnq",
+        lambda: tsallis_quasilinear_relative(lnq_generator(2.0), HALF, TINY, 2.0),
+        _pow_over(2.0),
+    ),
     (
         "renyi_tsallis_relative_bridge",
         lambda: renyi_tsallis_relative_bridge(HALF, TINY, 2.0),
@@ -179,6 +194,9 @@ CASES = [
         )
     ],
     ("lagrange_identity-fits", lambda: lagrange_identity([1e76, 1.0], [1.0, 1e76]), None),
+    # a subnormal a . a, where b's projection coefficient a . b / a . a overflows
+    ("lagrange_identity-tiny-a", lambda: lagrange_identity([1e-160], [1e150]), None),
+    ("lagrange_identity-tiny-a-zero-entry", lambda: lagrange_identity([1e-160, 0.0], [1e150, 1.0]), None),
 ]
 
 
@@ -194,6 +212,60 @@ def test_overflow_table(call, expected):
                 call()
             assert type(info.value) is exc_type
             assert str(info.value) == message
+
+
+def test_ln_q_at_a_huge_q_is_its_limit():
+    # ln_q(x) -> 1/(q - 1) for x > 1 as q grows; (1 - q) log x has overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert q_log(8.0, 1e308) == 1.0 / (1e308 - 1.0)
+        assert q_log(1.0, 1e308) == 0.0
+        assert tsallis_entropy(ProbDist([1 / 8] * 8), 1e308) == pytest.approx(1e-308, rel=1e-14)
+
+
+def _exact_double_sum(a, b):
+    """sum_{i<j} (a_i b_j - a_j b_i)^2 in exact arithmetic, rounded once."""
+    fa, fb = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    n = len(fa)
+    return float(sum((fa[i] * fb[j] - fa[j] * fb[i]) ** 2 for i in range(n) for j in range(i + 1, n)))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # one entry: b is parallel to a, and the double sum is exactly 0
+        ([1e-160], [1e150]),
+        ([1e-160, 0.0], [1e150, 1.0]),
+        # a . a underflows to 0 although a does not vanish
+        ([3e-170, -2e-165], [1e150, 4e152]),
+        ([1e-155, 2e-155, -3e-156], [1.0, -1e150, 7e149]),
+        # just below the smallest normal a . a
+        ([1e-154, 1e-154], [1.0, 2.0]),
+        ([1e-154, 1e-154], [1e153, -1e153]),
+        ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
+        ([0.0, 0.0], [1e150, 4e152]),
+    ],
+    ids=["parallel", "one-term", "a-dot-a-underflows", "three", "below-normal", "below-normal-huge-b", "normal", "zero-a"],
+)
+def test_lagrange_identity_right_side_against_exact_arithmetic(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rhs = lagrange_identity(a, b)[1]
+    assert rhs == pytest.approx(_exact_double_sum(a, b), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [0, 200, 400, 500, 510, 511, 512, 520, 530, 537, 540, 560, 600])
+def test_lagrange_identity_right_side_scales_across_the_subnormal_edge(k):
+    # the right side has degree 2 in a and in b: with a scaled by 2**-k and
+    # b by 2**(k//2) it scales by 2**(2 (k//2 - k)), while a . a crosses
+    # into the subnormals (k >= 512) and underflows to 0 (k >= 538)
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=5), rng.normal(size=5)
+    j = k // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rhs = lagrange_identity(np.ldexp(a, -k), np.ldexp(b, j))[1]
+    assert rhs == pytest.approx(math.ldexp(lagrange_identity(a, b)[1], 2 * (j - k)), rel=1e-13, abs=0.0)
 
 
 def test_f_divergence_of_xlogx_is_kl_where_p_over_r_overflows():

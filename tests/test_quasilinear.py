@@ -22,11 +22,8 @@ from qentropy import (
     make_dist,
     neg_qlog_generator,
     neglog_generator,
-    power_generator,
     psi_by_label,
-    quasilinear_entropy,
     quasilinear_mean,
-    quasilinear_relative,
     renyi_entropy,
     renyi_relative,
     renyi_tsallis_bridge,
@@ -62,7 +59,7 @@ def test_identity_mean_is_arithmetic_mean(p_quarter):
 
 def test_mean_between_extremes():
     rng = np.random.default_rng(7)
-    for psi in (identity_generator(), log_generator(), power_generator(2.0), lnq_generator(0.5)):
+    for psi in (identity_generator(), log_generator(), lnq_generator(2.0), lnq_generator(0.5)):
         for _ in range(25):
             n = int(rng.integers(2, 8))
             xs = rng.uniform(0.1, 10.0, n)
@@ -86,13 +83,13 @@ def test_mean_input_validation(p_half):
 def test_power_entropy_hand_value(p_quarter):
     # psi(x) = x^(1-2): sum p psi(1/p) = sum p^2 = 0.625, inverse -> 1.6,
     # ln_2(1.6) = 0.375 = 1 - sum p^2
-    val = tsallis_quasilinear_entropy(power_generator(2.0), p_quarter, 2.0)
+    val = tsallis_quasilinear_entropy(lnq_generator(2.0), p_quarter, 2.0)
     assert val == pytest.approx(0.375, abs=1e-14)
     assert val == pytest.approx(1.0 - float(p_quarter.weights @ p_quarter.weights), abs=1e-14)
 
 
 def test_undeformed_power_entropy_is_renyi(p_quarter):
-    val = quasilinear_entropy(power_generator(2.0), p_quarter)
+    val = tsallis_quasilinear_entropy(lnq_generator(2.0), p_quarter, 1.0)
     assert val == pytest.approx(-math.log(0.625), rel=1e-14)
     assert val == pytest.approx(renyi_entropy(p_quarter, 2.0), rel=1e-14)
 
@@ -119,18 +116,16 @@ def test_family_collapses_random():
         h = tsallis_entropy(p, q)
         tol = 1e-10 * (1.0 + abs(h))
         assert abs(tsallis_quasilinear_entropy(lnq_generator(q), p, q) - h) <= tol
-        assert abs(tsallis_quasilinear_entropy(power_generator(q), p, q) - h) <= tol
         d = tsallis_relative(p, r, q)
         tol_d = 1e-10 * (1.0 + abs(d))
         assert abs(tsallis_quasilinear_relative(lnq_generator(q), p, r, q) - d) <= tol_d
-        assert abs(tsallis_quasilinear_relative(power_generator(q), p, r, q) - d) <= tol_d
-        # undeformed outer index: power generator reproduces the collision family
+        # undeformed outer index: the ln_q generator reproduces the collision family
         rq = renyi_entropy(p, q)
-        assert abs(quasilinear_entropy(power_generator(q), p) - rq) <= 1e-10 * (1.0 + abs(rq))
+        assert abs(tsallis_quasilinear_entropy(lnq_generator(q), p, 1.0) - rq) <= 1e-10 * (1.0 + abs(rq))
         rr = renyi_relative(p, r, q)
-        assert abs(quasilinear_relative(power_generator(q), p, r) - rr) <= 1e-10 * (1.0 + abs(rr))
+        assert abs(tsallis_quasilinear_relative(lnq_generator(q), p, r, 1.0) - rr) <= 1e-10 * (1.0 + abs(rr))
         kl = kl_divergence(p, r)
-        assert abs(quasilinear_relative(log_generator(), p, r) - kl) <= 1e-10 * (1.0 + abs(kl))
+        assert abs(tsallis_quasilinear_relative(log_generator(), p, r, 1.0) - kl) <= 1e-10 * (1.0 + abs(kl))
 
 
 def test_undeformed_log_entropy_is_shannon():
@@ -140,12 +135,12 @@ def test_undeformed_log_entropy_is_shannon():
         w = rng.exponential(size=n)
         p = ProbDist(w / w.sum())
         h = shannon_entropy(p)
-        assert quasilinear_entropy(log_generator(), p) == pytest.approx(h, rel=1e-10, abs=1e-12)
+        assert tsallis_quasilinear_entropy(log_generator(), p, 1.0) == pytest.approx(h, rel=1e-10, abs=1e-12)
 
 
-def test_power_generator_q1_limit_is_log():
-    psi = power_generator(1.0)
-    assert psi.label.startswith("power")
+def test_lnq_generator_q1_limit_is_log():
+    psi = lnq_generator(1.0)
+    assert psi.label == "lnq[q=1]"
     xs = np.array([0.5, 1.0, 2.0, 10.0])
     np.testing.assert_allclose(psi.forward(xs), np.log(xs), atol=1e-15)
 
@@ -153,46 +148,46 @@ def test_power_generator_q1_limit_is_log():
 def test_generator_labels_and_lookup():
     assert psi_by_label("identity").label == "identity"
     assert psi_by_label("log").label == "log"
-    assert psi_by_label("power", 2.0).label == "power[q=2]"
+    assert psi_by_label("lnq", 2.0).label == "lnq[q=2]"
     assert psi_by_label("lnq", 0.5).label == "lnq[q=0.5]"
-    with pytest.raises(DomainError):
-        psi_by_label("power")
     with pytest.raises(DomainError):
         psi_by_label("lnq")
     with pytest.raises(DomainError):
         psi_by_label("sqrt")
-    # log and neglog are ln_q-family generators under their own labels, as is
-    # power near q = 1; a bad q is reported under the label that was asked for
-    for build in (lambda: power_generator(60), lambda: psi_by_label("power", 60)):
-        with pytest.raises(GeneratorError, match=r"'power\[q=60\]'"):
+    # x^(1-q) is the ln_q family's forward, not a generator of its own
+    with pytest.raises(DomainError, match=r"^unknown generator label 'power' \(use identity, log, lnq\)$"):
+        psi_by_label("power", 2.0)
+    # log and neglog are ln_q-family generators under their own labels; a
+    # bad q is reported under the label that was asked for
+    for build in (lambda: lnq_generator(60), lambda: psi_by_label("lnq", 60)):
+        with pytest.raises(GeneratorError, match=r"'lnq\[q=60\]'"):
             build()
-    assert power_generator(0.9).label == "power[q=0.9]"
+    assert lnq_generator(0.9).label == "lnq[q=0.9]"
     assert neglog_generator().label == "neglog"
     assert dual_generator(neglog_generator()).label == "xlogx"
 
 
 def test_generator_factories_are_memoized_on_q():
     q = 0.3183098862  # a q no other test builds
-    for factory, label in ((lnq_generator, "lnq"), (power_generator, "power")):
-        psi = factory(q)
-        assert factory(np.float64(q)) is psi
-        assert psi_by_label(label, q) is psi
-        assert factory(1.5) is not psi
+    psi = lnq_generator(q)
+    assert lnq_generator(np.float64(q)) is psi
+    assert psi_by_label("lnq", q) is psi
+    assert lnq_generator(1.5) is not psi
     assert identity_generator() is psi_by_label("identity")
     assert log_generator() is psi_by_label("log")
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             lnq_generator(bad)
         with pytest.raises(DomainError):
-            psi_by_label("power", bad)
+            psi_by_label("lnq", bad)
 
 
 def test_relative_nonneg_hypothesis_flag():
     assert identity_generator().relative_nonneg_hypothesis
     assert log_generator().relative_nonneg_hypothesis
     assert lnq_generator(3.0).relative_nonneg_hypothesis
-    assert power_generator(0.5).relative_nonneg_hypothesis  # concave increasing
-    assert power_generator(2.0).relative_nonneg_hypothesis  # convex decreasing
+    assert lnq_generator(0.5).relative_nonneg_hypothesis  # concave increasing
+    assert lnq_generator(2.0).relative_nonneg_hypothesis  # x^(1-q): convex decreasing
     bad = GeneratorPsi(
         forward=np.square, inverse=np.sqrt, direction="increasing", shape="convex", label="square"
     )
@@ -225,7 +220,7 @@ def test_generator_validation_rejects_overflow():
         )
 
 
-@pytest.mark.parametrize("factory", [power_generator, lnq_generator, neg_qlog_generator])
+@pytest.mark.parametrize("factory", [lnq_generator, neg_qlog_generator])
 def test_generator_validation_raises_no_raw_warning(factory):
     # At large q the slope of the generator near the bottom of the
     # validation grid exceeds a double; validation must either build the
@@ -238,30 +233,6 @@ def test_generator_validation_raises_no_raw_warning(factory):
                 factory(float(q))
             except GeneratorError:
                 pass
-
-
-def _built(factory, q):
-    try:
-        return factory(q)
-    except GeneratorError:
-        return None
-
-
-def test_lnq_and_power_differ_only_in_their_label():
-    # one ln_q family: lnq builds wherever power builds, and its forward
-    # and inverse give the same bits on the validation grid
-    x = 2.0 ** np.arange(-20, 21)
-    for q in [*np.arange(0.0, 60.25, 0.5).tolist(), 0.75, 1.25, 3.7]:
-        power, lnq = _built(power_generator, q), _built(lnq_generator, q)
-        assert (power is None) == (lnq is None), q
-        if power is None:
-            continue
-        assert lnq.label == f"lnq[q={q:g}]"
-        assert (lnq.direction, lnq.shape) == (power.direction, power.shape)
-        y = np.asarray(power.forward(x))
-        live = np.isfinite(y) & (y != 0.0)
-        assert np.array_equal(np.asarray(lnq.forward(x)), y), q
-        assert np.array_equal(np.asarray(lnq.inverse(y[live])), np.asarray(power.inverse(y[live]))), q
 
 
 def test_check_psi_convexity_square_holds():
@@ -319,7 +290,7 @@ def test_entropy_continuity_in_q(q, seed):
 
 def _dyadic_simplex(rng, n, spread):
     # weights k / 2^40 with integer k summing to 2^40: exact doubles summing
-    # to exactly 1, so the power and ln_q forms of the mean are one number.
+    # to exactly 1, so the x^(1-q) and ln_q forms of the mean are one number.
     # Masses differ by up to a factor e^spread.  Near a point mass H_q -> 0,
     # and rounding the mean exp_q(H_q) ~ 1 + H_q to a double alone costs
     # eps/H_q relative, so small n keep the spread small.
@@ -346,8 +317,8 @@ def _oracle(p, r, q):
         return [float(v / (1 - qd)) for v in (s - 1, s.ln(), 1 - t, -t.ln())]
 
 
-# q near 1, where power is the ln_q pair, and far from it, where power keeps
-# x^(1-q); the far q see larger n with more spread-out masses
+# q near 1, where the ln_q family is ln_q / exp_q, and far from it, where it
+# is x^(1-q); the far q see larger n with more spread-out masses
 NEAR_ONE = [1 + s * e for e in (1e-2, 1e-4, 1e-6, 2e-8) for s in (-1, 1)]
 FAR = [0.25, 1.5, 3.0, 10.0, 30.0]
 
@@ -358,14 +329,14 @@ def test_power_mean_matches_decimal_oracle(q):
     shapes = [(n, math.log(10.0)) for n in (2, 3, 5, 8, 16) for _ in range(4)]
     if q in FAR:
         shapes += [(1024, 8.0)] * 2
-    psi = power_generator(q)
+    psi = lnq_generator(q)
     for n, spread in shapes:
         p, r = _dyadic_simplex(rng, n, spread), _dyadic_simplex(rng, n, spread)
         h, rh, d, rd = _oracle(p, r, q)
         assert abs(tsallis_quasilinear_entropy(psi, p, q) - h) <= 1e-13 * abs(h)
-        assert abs(quasilinear_entropy(psi, p) - rh) <= 1e-13 * abs(rh)
+        assert abs(tsallis_quasilinear_entropy(psi, p, 1.0) - rh) <= 1e-13 * abs(rh)
         assert abs(tsallis_quasilinear_relative(psi, p, r, q) - d) <= 1e-13 * (1.0 + abs(d))
-        assert abs(quasilinear_relative(psi, p, r) - rd) <= 1e-13 * (1.0 + abs(rd))
+        assert abs(tsallis_quasilinear_relative(psi, p, r, 1.0) - rd) <= 1e-13 * (1.0 + abs(rd))
 
 
 # 1 - q from 1e-10 out to 9, for the direct forms and both bridges
@@ -405,10 +376,9 @@ def test_power_mean_is_exact_where_ln_q_saturates():
     # ln_q(128) at q = 10 rounds onto its supremum 1/9, where exp_q is
     # undefined; x^(1-q) = 2^-63 keeps the whole value
     uniform = ProbDist(np.full(128, 1 / 128))
-    assert quasilinear_entropy(power_generator(10.0), uniform) == math.log(128)
-    assert quasilinear_entropy(lnq_generator(10.0), uniform) == math.log(128)
+    assert tsallis_quasilinear_entropy(lnq_generator(10.0), uniform, 1.0) == math.log(128)
     # through ln_q, exp_q would multiply the rounding by M^(q-1) ~ 5e6 here
     w = np.exp(np.random.default_rng(3).uniform(-8.0, 0.0, 10_000))
     p = ProbDist(w / w.sum())
     renyi = renyi_entropy(p, 3.0)
-    assert quasilinear_entropy(power_generator(3.0), p) == pytest.approx(renyi, rel=1e-13)
+    assert tsallis_quasilinear_entropy(lnq_generator(3.0), p, 1.0) == pytest.approx(renyi, rel=1e-13)
