@@ -250,7 +250,9 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
     t_lo = p._lo * p._lo / r._hi
     t_hi = p._hi * p._hi / r._lo
     if not (t_lo > 0.0 and t_hi < math.inf):
-        raise PositivityError("incomplete weights entries must be finite and strictly positive")
+        raise PositivityError(
+            "the f-divergence sandwich's weights p^2/r underflow to 0 or overflow a double"
+        )
     t = p.weights**2 / r.weights
     dual = _eval_within(f_star, p.weights / t, p._lo / t_hi, p._hi / t_lo)
     s = float(t.sum())
@@ -353,7 +355,9 @@ def lagrange_identity(a, b) -> tuple[float, float]:
     """Return both sides of (sum a^2)(sum b^2) - (sum ab)^2 = sum_{i<j} (a_i b_j - a_j b_i)^2.
 
     Both sides are O(n) in time and memory.  The left side is computed as
-    written.  The right side, the double sum, equals (a . a) ||b_perp||^2
+    written, from a scaled by an exact power of two when a . a is below the
+    smallest normal double, where a . a itself keeps too few digits.  The
+    right side, the double sum, equals (a . a) ||b_perp||^2
     with b_perp = b - (a . b / a . a) a the part of b orthogonal to a (and 0
     when a = 0); this projection route does not cancel when a and b are
     nearly parallel, where the left side does.
@@ -376,14 +380,16 @@ def lagrange_identity(a, b) -> tuple[float, float]:
     lhs = aa * bb - ab**2
     if aa < sys.float_info.min:
         # |ab / aa| <= sqrt(bb / aa) fits unless a . a is subnormal or 0:
-        # then project with a scaled by an exact 2**-e, and scale the right
-        # side, of degree 2 in a, back in two steps so nothing overflows
+        # then project with a scaled by an exact 2**-e, and scale both
+        # sides, of degree 2 in a, back in two steps so nothing overflows
         if not av.any():
             return lhs, 0.0
         e = math.frexp(float(np.maximum.reduce(np.abs(av))))[1]
         av = np.ldexp(av, -e)
         aa = float(av @ av)
-        b_perp = bv - float(av @ bv) * (av / aa)
+        ab = float(av @ bv)
+        b_perp = bv - ab * (av / aa)
+        lhs = math.ldexp(aa * math.ldexp(bb, e), e) - math.ldexp(ab, e) ** 2
         return lhs, math.ldexp(aa * math.ldexp(float(b_perp @ b_perp), e), e)
     b_perp = bv - (ab / aa) * av
     return lhs, aa * float(b_perp @ b_perp)

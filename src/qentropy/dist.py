@@ -78,8 +78,8 @@ def _derived(cls, arr: np.ndarray):
     NestedDist.  The array is frozen in place, not copied.  Its min and
     max are taken as ``_validated`` takes them, so the carried ``_lo`` /
     ``_hi`` have the bits the public constructor would give, and a zero or
-    non-finite entry (a draw under a min_mass = 0 profile can underflow to
-    0) still raises PositivityError with the public constructor's message,
+    non-finite entry (a min_mass = 0 draw can underflow to 0) still raises
+    PositivityError with the public constructor's message,
     ``cls._POSITIVITY``.  The sum is not checked again: an n-term
     float sum is off by at most (n - 1) u times the sum of its terms (u =
     2**-53; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,

@@ -88,9 +88,6 @@ from .serialize import SCHEMA, dumps
 __all__ = [
     "MIN_MASS",
     "DEFAULT_Q_GRID",
-    "Profile",
-    "DEFAULT_PROFILE",
-    "STRESS_PROFILE",
     "TheoremCase",
     "VerifyReport",
     "REGISTRY",
@@ -114,31 +111,6 @@ def _check_tol(tol) -> None:
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Sampling floor and violation threshold for a verification run.
-
-    ``min_mass`` must lie in [0, 1) and ``tol`` must be finite and >= 0: a
-    NaN threshold would pass every trial and a negative one fail them all.
-    """
-
-    min_mass: float = MIN_MASS
-    tol: float = CHECK_TOL
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.min_mass < 1.0:
-            raise DomainError(
-                f"min_mass must be finite and in [0, 1), got {self.min_mass!r}"
-            )
-        _check_tol(self.tol)
-
-
-DEFAULT_PROFILE = Profile()
-# Tiny masses make the float error of the bound chains themselves the story;
-# the stress profile pushes the floor down and loosens the threshold to match.
-STRESS_PROFILE = Profile(min_mass=1e-9, tol=1e-6)
-
-
 def _masses(rng: np.random.Generator, size: int, min_mass: float) -> np.ndarray:
     """Normalized exponential draws, floored at min_mass and renormalized."""
     g = rng.exponential(size=size)
@@ -147,9 +119,11 @@ def _masses(rng: np.random.Generator, size: int, min_mass: float) -> np.ndarray:
 
 
 def sample_simplex(n: int, rng: np.random.Generator, min_mass: float = MIN_MASS) -> ProbDist:
-    """Draw a point of the n-simplex with every mass at least ~min_mass."""
+    """Draw a point of the n-simplex with every mass at least ~min_mass (0 <= min_mass < 1)."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
+    if not 0.0 <= min_mass < 1.0:
+        raise DomainError(f"min_mass must be finite and in [0, 1), got {min_mass!r}")
     if n == 1:
         return _derived(ProbDist, np.array([1.0]))
     return _derived(ProbDist, _masses(rng, n, min_mass))
@@ -166,16 +140,16 @@ def _sample_partition(n: int, rng: np.random.Generator) -> Partition:
     return Partition(blocks)
 
 
-def _sample_joint(rng: np.random.Generator, profile: Profile, k: int | None = None) -> JointDist:
+def _sample_joint(rng: np.random.Generator, k: int | None = None) -> JointDist:
     if k is None:
         k = int(rng.integers(2, 5))
     dims = tuple(int(d) for d in rng.integers(2, 5, size=k))
-    return _derived(JointDist, _masses(rng, math.prod(dims), profile.min_mass).reshape(dims))
+    return _derived(JointDist, _masses(rng, math.prod(dims), MIN_MASS).reshape(dims))
 
 
-def _sample_nested(rng: np.random.Generator, profile: Profile) -> NestedDist:
+def _sample_nested(rng: np.random.Generator) -> NestedDist:
     sizes = [int(s) for s in rng.integers(1, 5, size=int(rng.integers(2, 7)))]
-    c = _masses(rng, sum(sizes), profile.min_mass)
+    c = _masses(rng, sum(sizes), MIN_MASS)
     return NestedDist(tuple(np.split(c, np.cumsum(sizes[:-1]))))
 
 
@@ -237,15 +211,15 @@ def _pick_psi(rng, q, kinds=("identity", "log", "lnq")) -> GeneratorPsi:
 # ---------------------------------------------------------------------------
 
 
-def _trial_entropy_nonneg(rng, n, q, profile):
-    p = sample_simplex(n, rng, profile.min_mass)
+def _trial_entropy_nonneg(rng, n, q):
+    p = sample_simplex(n, rng)
     psi = _pick_psi(rng, q)
     val = tsallis_quasilinear_entropy(psi, p, q)
     return [Le(-0.0, val)], {"psi": psi.label, "p": p.weights}
 
 
-def _trial_coarsen_entropy(rng, n, q, profile):
-    p = sample_simplex(n, rng, profile.min_mass)
+def _trial_coarsen_entropy(rng, n, q):
+    p = sample_simplex(n, rng)
     part = _sample_partition(n, rng)
     c = coarsen(p, part)
     s_fine = power_sum(p, q)
@@ -264,17 +238,17 @@ def _trial_coarsen_entropy(rng, n, q, profile):
     ], {"p": p.weights, "blocks": part.blocks}
 
 
-def _trial_relative_nonneg(rng, n, q, profile):
-    p = sample_simplex(n, rng, profile.min_mass)
-    r = sample_simplex(n, rng, profile.min_mass)
+def _trial_relative_nonneg(rng, n, q):
+    p = sample_simplex(n, rng)
+    r = sample_simplex(n, rng)
     psi = _pick_psi(rng, q)
     val = tsallis_quasilinear_relative(psi, p, r, q)
     return [Le(-0.0, val)], {"psi": psi.label, "p": p.weights, "r": r.weights}
 
 
-def _trial_coarsen_relative(rng, n, q, profile):
-    p = sample_simplex(n, rng, profile.min_mass)
-    r = sample_simplex(n, rng, profile.min_mass)
+def _trial_coarsen_relative(rng, n, q):
+    p = sample_simplex(n, rng)
+    r = sample_simplex(n, rng)
     part = _sample_partition(n, rng)
     cp, cr = coarsen(p, part), coarsen(r, part)
     return [
@@ -297,39 +271,39 @@ def _pick_sandwich_pair(rng, q):
     return neg_qlog_generator(q), "neg_qlog", log_generator()
 
 
-def _trial_ratio_sandwich(rng, n, q, profile):
+def _trial_ratio_sandwich(rng, n, q):
     xs = rng.uniform(0.1, 10.0, n)
-    p = sample_simplex(n, rng, profile.min_mass)
-    r = sample_simplex(n, rng, profile.min_mass)
+    p = sample_simplex(n, rng)
+    r = sample_simplex(n, rng)
     f, f_label, psi = _pick_sandwich_pair(rng, q)
     rep = ratio_sandwich(f, psi, xs, p, r)
     return [rep], {"f": f_label, "psi": psi.label, "xs": xs, "p": p.weights, "r": r.weights}
 
 
-def _trial_quasilinear_gap(rng, n, q, profile):
-    r = sample_simplex(n, rng, profile.min_mass)
+def _trial_quasilinear_gap(rng, n, q):
+    r = sample_simplex(n, rng)
     psi = _pick_psi(rng, q, ("identity", "lnq", "log") if q >= 1.0 else ("identity", "lnq"))
     rep = quasilinear_vs_tsallis_bounds(psi, r, q)
     return [FromZero(rep)], {"psi": psi.label, "r": r.weights}
 
 
-def _trial_refined_maxent(rng, n, q, profile):
-    r = sample_simplex(n, rng, profile.min_mass)
+def _trial_refined_maxent(rng, n, q):
+    r = sample_simplex(n, rng)
     return [FromZero(refined_maxent_bounds(r, q))], {"r": r.weights}
 
 
-def _trial_fdiv_sandwich(rng, n, q, profile):
-    p = sample_simplex(n, rng, profile.min_mass)
-    r = sample_simplex(n, rng, profile.min_mass)
+def _trial_fdiv_sandwich(rng, n, q):
+    p = sample_simplex(n, rng)
+    r = sample_simplex(n, rng)
     kind = ("tsallis", "xlogx", "neglog")[int(rng.integers(3))]
     f = f_by_label(kind, q)
     rep = f_divergence_sandwich(f, p, r)
     return [FromZero(rep)], {"f": f.label, "p": p.weights, "r": r.weights}
 
 
-def _trial_reversed_kl(rng, n, q, profile):
-    p = sample_simplex(n, rng, profile.min_mass)
-    r = sample_simplex(n, rng, profile.min_mass)
+def _trial_reversed_kl(rng, n, q):
+    p = sample_simplex(n, rng)
+    r = sample_simplex(n, rng)
     rep = f_divergence_sandwich(neglog_generator(), p, r)
     # independent route to the same chain
     t = p.weights**2 / r.weights
@@ -345,7 +319,7 @@ def _trial_reversed_kl(rng, n, q, profile):
     ], {"p": p.weights, "r": r.weights}
 
 
-def _trial_lagrange(rng, n, q, profile):
+def _trial_lagrange(rng, n, q):
     a = rng.normal(0.0, 1.0, n)
     b = rng.normal(0.0, 1.0, n)
     lhs, _ = lagrange_identity(a, b)
@@ -371,18 +345,18 @@ def _pick_smooth_f(rng, q, lo, hi):
     return f, f.label, q * hi ** (-q - 1.0), q * lo ** (-q - 1.0)
 
 
-def _trial_smooth_jensen(rng, n, q, profile):
+def _trial_smooth_jensen(rng, n, q):
     xs = rng.uniform(0.1, 10.0, n)
-    p = sample_simplex(n, rng, profile.min_mass)
+    p = sample_simplex(n, rng)
     lo, hi = float(xs.min()), float(xs.max())
     f, label, m, big_m = _pick_smooth_f(rng, q, lo, hi)
     rep = smooth_jensen_sandwich(f, SecondDerivativeRange(m, big_m, (lo, hi)), xs, p)
     return [rep], {"f": label, "xs": xs, "p": p.weights}
 
 
-def _trial_spread_identity(rng, n, q, profile):
+def _trial_spread_identity(rng, n, q):
     xs = rng.uniform(-5.0, 5.0, n)
-    p = sample_simplex(n, rng, profile.min_mass)
+    p = sample_simplex(n, rng)
     w = p.weights
     mean = float(w @ xs)
     s_var = float(w @ (xs - mean) ** 2)
@@ -391,9 +365,9 @@ def _trial_spread_identity(rng, n, q, profile):
     return [Eq(s_pair, s_var)], {"xs": xs, "p": w}
 
 
-def _trial_variance_jensen(rng, n, q, profile):
+def _trial_variance_jensen(rng, n, q):
     xs = rng.uniform(0.1, 10.0, n)
-    p = sample_simplex(n, rng, profile.min_mass)
+    p = sample_simplex(n, rng)
     lo, hi = float(xs.min()), float(xs.max())
     f, label, m, big_m = _pick_smooth_f(rng, q, lo, hi)
     fe = getattr(f, "eval", f)
@@ -405,15 +379,15 @@ def _trial_variance_jensen(rng, n, q, profile):
     return [rep], {"f": label, "xs": xs, "p": w}
 
 
-def _trial_am_gm(rng, n, q, profile):
+def _trial_am_gm(rng, n, q):
     xs = rng.uniform(0.1, 10.0, n)
-    p = sample_simplex(n, rng, profile.min_mass)
+    p = sample_simplex(n, rng)
     return [cartwright_field(xs, p)], {"xs": xs, "p": p.weights}
 
 
-def _trial_cross_entropy_chain(rng, n, q, profile):
-    p = sample_simplex(n, rng, profile.min_mass)
-    r = sample_simplex(n, rng, profile.min_mass)
+def _trial_cross_entropy_chain(rng, n, q):
+    p = sample_simplex(n, rng)
+    r = sample_simplex(n, rng)
     dr = tightest_constants(p, r, q)
     return [
         tsallis_cross_entropy_sandwich(p, r, q, dr.m, dr.M),
@@ -422,40 +396,40 @@ def _trial_cross_entropy_chain(rng, n, q, profile):
     ], {"p": p.weights, "r": r.weights}
 
 
-def _trial_cross_entropy_chain_q1(rng, n, q, profile):
-    return _trial_cross_entropy_chain(rng, n, 1.0, profile)
+def _trial_cross_entropy_chain_q1(rng, n, q):
+    return _trial_cross_entropy_chain(rng, n, 1.0)
 
 
-def _trial_complement(rng, n, q, profile):
+def _trial_complement(rng, n, q):
     n = max(n, 2)  # components must stay below 1
-    p = sample_simplex(n, rng, profile.min_mass)
-    r = sample_simplex(n, rng, profile.min_mass)
+    p = sample_simplex(n, rng)
+    r = sample_simplex(n, rng)
     return [Le(*complement_cross_entropy(p, r))], {"p": p.weights, "r": r.weights}
 
 
-def _trial_chain_rule_pair(rng, n, q, profile):
-    j = _sample_joint(rng, profile, k=2)
+def _trial_chain_rule_pair(rng, n, q):
+    j = _sample_joint(rng, k=2)
     h_joint = tsallis_joint_entropy(j, q)
     h_first = tsallis_joint_entropy(marginal(j, (0,)), q)
     h_cond = tsallis_conditional_entropy(j, (1,), (0,), q)
     return [Eq(h_joint, h_first + h_cond)], {"dims": j.dims, "cells": j.cells}
 
 
-def _trial_chain_rule_multi(rng, n, q, profile):
-    j = _sample_joint(rng, profile)
+def _trial_chain_rule_multi(rng, n, q):
+    j = _sample_joint(rng)
     order = tuple(int(a) for a in rng.permutation(j.ndim))
     terms = chain_rule_decomposition(j, order, q)
     claim = Eq(tsallis_joint_entropy(j, q), math.fsum(terms))
     return [claim], {"dims": j.dims, "order": order, "cells": j.cells}
 
 
-def _trial_conditioning(rng, n, q, profile):
-    j = _sample_joint(rng, profile, k=2)
+def _trial_conditioning(rng, n, q):
+    j = _sample_joint(rng, k=2)
     return [Le(*conditioning_reduces_entropy_check(j, q))], {"dims": j.dims, "cells": j.cells}
 
 
-def _trial_han(rng, n, q, profile):
-    j = _sample_joint(rng, profile)
+def _trial_han(rng, n, q):
+    j = _sample_joint(rng)
     if q >= 1.0:
         rep = han_sandwich(j, q)
     else:
@@ -470,19 +444,19 @@ def _trial_han(rng, n, q, profile):
     return [rep], {"dims": j.dims, "cells": j.cells}
 
 
-def _trial_entropy_bridge(rng, n, q, profile):
-    p = sample_simplex(n, rng, profile.min_mass)
+def _trial_entropy_bridge(rng, n, q):
+    p = sample_simplex(n, rng)
     return [Eq(*renyi_tsallis_bridge(p, q))], {"p": p.weights}
 
 
-def _trial_relative_bridge(rng, n, q, profile):
-    p = sample_simplex(n, rng, profile.min_mass)
-    r = sample_simplex(n, rng, profile.min_mass)
+def _trial_relative_bridge(rng, n, q):
+    p = sample_simplex(n, rng)
+    r = sample_simplex(n, rng)
     return [Eq(*renyi_tsallis_relative_bridge(p, r, q))], {"p": p.weights, "r": r.weights}
 
 
-def _trial_deformed_additivity(rng, n, q, profile):
-    nd = _sample_nested(rng, profile)
+def _trial_deformed_additivity(rng, n, q):
+    nd = _sample_nested(rng)
     h_flat = tsallis_entropy(nd.flatten(), q)
     h_coarse = tsallis_entropy(nd.coarse(), q)
     sums = nd.row_sums
@@ -703,12 +677,12 @@ def run_case(
     n_range: tuple[int, int] = (2, 16),
     q_grid: tuple[float, ...] = DEFAULT_Q_GRID,
     override_hypothesis: bool = False,
-    profile: Profile = DEFAULT_PROFILE,
     tol: float | None = None,
 ) -> VerifyReport:
     """Run one case and count normalized violations above the threshold.
 
-    q values outside the case hypothesis raise HypothesisError unless
+    The threshold is ``tol`` if given, else the case's own ``tol``, else
+    CHECK_TOL.  q values outside the case hypothesis raise HypothesisError unless
     ``override_hypothesis`` is set, in which case the report is flagged
     ``in_hypothesis: false`` and violations are expected, not failures.
     """
@@ -746,7 +720,7 @@ def run_case(
                 )
             qs = admitted
 
-    eff_tol = tol if tol is not None else (case.tol if case.tol is not None else profile.tol)
+    eff_tol = tol if tol is not None else (case.tol if case.tol is not None else CHECK_TOL)
     bit_generator = np.random.PCG64(
         np.random.SeedSequence(seed, spawn_key=(_CASE_INDEX[case.id],))
     )
@@ -764,7 +738,7 @@ def run_case(
         lcg["state"] = (mult * lcg["state"] + add) & _MASK128
         n = int(rng.integers(lo, hi + 1))
         qv = qs[t % len(qs)] if qs is not None else None
-        claims, inputs = case.trial(rng, n, qv, profile)
+        claims, inputs = case.trial(rng, n, qv)
         v = float(max(_score(c) for c in claims))
         if v > worst:
             worst = v

@@ -63,9 +63,8 @@ def _derived_results():
         (nested.coarse, ProbDist),
         (lambda: sample_simplex(7, np.random.default_rng(3)), ProbDist),
         (lambda: sample_simplex(1, np.random.default_rng(3)), ProbDist),
-        (lambda: verify._sample_joint(np.random.default_rng(4), verify.DEFAULT_PROFILE), JointDist),
-        (lambda: verify._sample_joint(np.random.default_rng(5), verify.STRESS_PROFILE, k=2),
-         JointDist),
+        (lambda: verify._sample_joint(np.random.default_rng(4)), JointDist),
+        (lambda: verify._sample_joint(np.random.default_rng(5), k=2), JointDist),
     ]
 
 

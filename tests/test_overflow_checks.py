@@ -24,6 +24,7 @@ from qentropy import (
     DomainError,
     GeneratorError,
     JointDist,
+    PositivityError,
     ProbDist,
     cartwright_field,
     cross_term_gap_sandwich,
@@ -57,6 +58,7 @@ HALF = ProbDist([0.5, 0.5])
 FAR_APART = ProbDist([1e-160, 1.0])
 QLOG_MSG = "q_log is defined only for finite x > 0"
 SANDWICH_MSG = "the f-divergence sandwich's dual-generator factor overflows a double"
+WEIGHTS_MSG = "the f-divergence sandwich's weights p^2/r underflow to 0 or overflow a double"
 LAGRANGE_MSG = "a and b must be finite, with (a . a)(b . b) <= half the float maximum"
 
 
@@ -138,6 +140,12 @@ CASES = [
         "f_divergence_sandwich-neg_lnq",
         lambda: f_divergence_sandwich(neg_qlog_generator(2.0), ProbDist([1e-160, 1.0]), HALF),
         (DomainError, SANDWICH_MSG),
+    ),
+    # p^2/r underflows to 0 at p = 1e-170, under every library f
+    (
+        "f_divergence_sandwich-weights-underflow",
+        lambda: f_divergence_sandwich(xlogx_generator(), ProbDist([1e-170, 1.0]), HALF),
+        (PositivityError, WEIGHTS_MSG),
     ),
     ("f_divergence_sandwich-fits", lambda: f_divergence_sandwich(tsallis_generator(2.0), HALF, ProbDist([1e-150, 1.0])), None),
     (
@@ -230,6 +238,11 @@ def _exact_double_sum(a, b):
     return float(sum((fa[i] * fb[j] - fa[j] * fb[i]) ** 2 for i in range(n) for j in range(i + 1, n)))
 
 
+def _exact_norms_product(a, b):
+    """(a . a)(b . b) in exact arithmetic, rounded once."""
+    return float(sum(Fraction(x) ** 2 for x in a) * sum(Fraction(y) ** 2 for y in b))
+
+
 @pytest.mark.parametrize(
     "a, b",
     [
@@ -250,8 +263,11 @@ def _exact_double_sum(a, b):
 def test_lagrange_identity_right_side_against_exact_arithmetic(a, b):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rhs = lagrange_identity(a, b)[1]
-    assert rhs == pytest.approx(_exact_double_sum(a, b), rel=1e-13, abs=0.0)
+        lhs, rhs = lagrange_identity(a, b)
+    exact = _exact_double_sum(a, b)
+    assert rhs == pytest.approx(exact, rel=1e-13, abs=0.0)
+    # the left side cancels: it holds to a few units of (a . a)(b . b), not of itself
+    assert abs(lhs - exact) <= 4 * 2.0**-53 * _exact_norms_product(a, b)
 
 
 @pytest.mark.parametrize("k", [0, 200, 400, 500, 510, 511, 512, 520, 530, 537, 540, 560, 600])

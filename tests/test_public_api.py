@@ -56,7 +56,6 @@ def test_unexported_module_all_resolves(name):
 # Public names no registry or CLI path reaches, each kept for a reason.
 REACH_ALLOWLIST = {
     "make_dist": "the one-call constructor the demos and the benchmark build inputs with",
-    "Profile": "the type of run_case's profile; the default and stress profiles are built at import",
     "check_psi_convexity": "the hypothesis check behind validate_hypothesis=True on three bounds",
     "CompatibleConvexity": "what check_psi_convexity returns",
 }

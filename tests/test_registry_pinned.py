@@ -11,14 +11,7 @@ import hashlib
 
 import pytest
 
-from qentropy import (
-    DEFAULT_PROFILE,
-    REGISTRY,
-    STRESS_PROFILE,
-    QEntropyError,
-    run_case,
-    run_registry,
-)
+from qentropy import REGISTRY, QEntropyError, run_case, run_registry
 
 # (case, violations, worst_witness["trial"], worst_violation)
 PINNED = [
@@ -81,28 +74,27 @@ def test_registry_report_bytes_digest():
 
 
 # sha256 over run_case(c, trials=100, seed=3, n_range=(1, 12), q_grid=(q,),
-# override_hypothesis=True, profile=pr) for every case c, q in (0.5, 5.0) and
-# pr in (DEFAULT_PROFILE, STRESS_PROFILE), in that nesting order; a case that
-# raises contributes "ClassName: message" instead of its JSON line (only id16
-# at q = 5, twice: the relative bridge's HypothesisError for q > 2).  Off the
-# default grid and down to n = 1, it sees what REGISTRY_DIGEST cannot: a
-# -0.0 that becomes 0.0, a q the hypothesis excludes, a single-mass draw.
-OFF_DEFAULT_DIGEST = "0169517a695d5fb52a0cb36428c6a3dbe47cf65a245e5fc6e446ab4676460edd"
+# override_hypothesis=True) for every case c and q in (0.5, 5.0), in that
+# nesting order; a case that raises contributes "ClassName: message" instead
+# of its JSON line (only id16 at q = 5: the relative bridge's HypothesisError
+# for q > 2).  Off the default grid and down to n = 1, it sees what
+# REGISTRY_DIGEST cannot: a -0.0 that becomes 0.0, a q the hypothesis
+# excludes, a single-mass draw.
+OFF_DEFAULT_DIGEST = "40a1c605b1c71686ad31ced5e6b8fab2e144dd5a123be42a0062c48a97725ac6"
 
 
 def test_off_default_report_bytes_digest():
     h = hashlib.sha256()
     for case in REGISTRY.values():
         for q in (0.5, 5.0):
-            for profile in (DEFAULT_PROFILE, STRESS_PROFILE):
-                try:
-                    line = run_case(
-                        case, trials=100, seed=3, n_range=(1, 12), q_grid=(q,),
-                        override_hypothesis=True, profile=profile,
-                    ).to_json_line()
-                except QEntropyError as exc:
-                    line = f"{type(exc).__name__}: {exc}"
-                h.update(line.encode())
+            try:
+                line = run_case(
+                    case, trials=100, seed=3, n_range=(1, 12), q_grid=(q,),
+                    override_hypothesis=True,
+                ).to_json_line()
+            except QEntropyError as exc:
+                line = f"{type(exc).__name__}: {exc}"
+            h.update(line.encode())
     assert h.hexdigest() == OFF_DEFAULT_DIGEST
 
 

@@ -27,7 +27,7 @@ def _start_states(seed, case_index, trials):
     """The generator state each trial of a run sees after run_case draws its n."""
     seen = []
 
-    def trial(rng, n, q, profile):
+    def trial(rng, n, q):
         seen.append(rng.bit_generator.state)
         return [0.0], {}
 

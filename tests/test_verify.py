@@ -7,13 +7,10 @@ import numpy as np
 import pytest
 
 from qentropy import (
-    DEFAULT_PROFILE,
     DomainError,
     HypothesisError,
     REGISTRY,
-    STRESS_PROFILE,
     MIN_MASS,
-    Profile,
     UnknownCaseError,
     has_failures,
     run_case,
@@ -160,23 +157,11 @@ def test_small_runs_are_clean():
         assert rep.in_hypothesis
 
 
-def test_stress_profile_smoke():
-    for cid in ("id14", "lem4.2", "cor3.1"):
-        rep = run_case(cid, trials=50, seed=13, profile=STRESS_PROFILE, tol=1e-6)
-        assert rep.violations == 0, f"{cid}: worst={rep.worst_violation}"
-
-
 def test_custom_tol_overrides_case_tol():
     # an absurdly tight threshold flags float noise as violations
     rep = run_case("cor3.1", trials=40, seed=17, tol=1e-30)
     assert rep.violations > 0
     assert not has_failures([])  # empty is clean
-
-
-def test_profile_fields():
-    prof = Profile(min_mass=1e-4, tol=1e-8)
-    assert prof.min_mass == 1e-4
-    assert prof.tol == 1e-8
 
 
 BAD_TOLS = [math.nan, math.inf, -math.inf, -1e-12]
@@ -189,20 +174,14 @@ def test_run_case_rejects_bad_tol(tol):
         run_case("id14", trials=5, seed=1, tol=tol)
 
 
-@pytest.mark.parametrize("tol", BAD_TOLS)
-def test_profile_rejects_bad_tol(tol):
-    with pytest.raises(DomainError, match=r"tol must be finite and >= 0, got"):
-        Profile(tol=tol)
-
-
 @pytest.mark.parametrize("min_mass", [math.nan, math.inf, -math.inf, -1e-12, 1.0, 2.0])
-def test_profile_rejects_bad_min_mass(min_mass):
+def test_sample_simplex_rejects_bad_min_mass(min_mass):
     with pytest.raises(DomainError, match=r"min_mass must be finite and in \[0, 1\), got"):
-        Profile(min_mass=min_mass)
+        sample_simplex(4, np.random.default_rng(0), min_mass=min_mass)
 
 
 def test_boundary_tol_and_min_mass_are_accepted():
-    assert Profile(min_mass=0.0, tol=0.0).tol == 0.0
+    assert sample_simplex(4, np.random.default_rng(0), min_mass=0.0).weights.size == 4
     rep = run_case("id14", trials=5, seed=1, tol=0.0)
     assert rep.trials == 5
 
@@ -239,7 +218,7 @@ def _replay(cid, seed, t, q):
     rng = _trial_rng(cid, seed, t)
     n = int(rng.integers(2, 17))
     case = REGISTRY[cid]
-    return n, case.trial(rng, n, q if case.q_lo is not None else None, DEFAULT_PROFILE)
+    return n, case.trial(rng, n, q if case.q_lo is not None else None)
 
 
 @pytest.mark.parametrize("cid", list(REGISTRY))
@@ -335,8 +314,7 @@ def test_witness_is_rendered_only_for_a_new_worst(monkeypatch):
 
 
 def test_run_registry_forwards_options_to_run_case():
-    opts = dict(n_range=(1, 4), q_grid=(0.5,), override_hypothesis=True,
-                profile=STRESS_PROFILE, tol=1e-3)
+    opts = dict(n_range=(1, 4), q_grid=(0.5,), override_hypothesis=True, tol=1e-3)
     got = [r.to_json_line() for r in run_registry(4, 9, **opts)]
     assert got == [run_case(c, 4, 9, **opts).to_json_line() for c in REGISTRY.values()]
     with pytest.raises(TypeError):
