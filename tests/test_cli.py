@@ -345,6 +345,7 @@ def workdir(tmp_path, monkeypatch):
         "bad.json": {"weights": [0.3, 0.3]},
         "tiny.json": {"weights": [1e-160, 1.0]},
         "half.json": {"weights": [0.5, 0.5]},
+        "underflow.json": {"weights": [1e-170, 1.0]},
     }
     for name, doc in files.items():
         (tmp_path / name).write_text(json.dumps(doc))
@@ -578,6 +579,7 @@ def test_verify_list_lists_the_registry(capsys, workdir, argv):
 
 _NO_FILE = "missing.json: cannot read: [Errno 2] No such file or directory: 'missing.json'"
 _BAD_SUM = "bad.json: weights sum to 0.6; |sum - 1| must be <= 1e-09"
+_SANDWICH_WEIGHTS = "error: the f-divergence sandwich's weights p^2/r underflow to 0 or overflow a double"
 
 # (command line, QENTROPY_CHECK_TOL or None, the whole of stderr without its
 # final newline); every row exits with status 1 and prints nothing to stdout
@@ -654,6 +656,11 @@ ERROR_ROWS = [
      "error: the spread of points up to 1e+160 apart overflows a double"),
     ("bounds --case thm4.2 --q 2 half.json tiny.json", None,
      "error: the spread of points up to 1e+160 apart overflows a double"),
+    # p^2/r underflows to 0 under every library f, and the message names those weights
+    ("bounds --case thm3.2 --f xlogx underflow.json half.json", None, _SANDWICH_WEIGHTS),
+    ("bounds --case thm3.2 --f neglog underflow.json half.json", None, _SANDWICH_WEIGHTS),
+    ("bounds --case thm3.2 --f tsallis --q 2 underflow.json half.json", None, _SANDWICH_WEIGHTS),
+    ("bounds --case thm3.2 --f tsallis --q 0.5 underflow.json half.json", None, _SANDWICH_WEIGHTS),
     ("bounds --case cf xs.json three.json", None, "error: xs has shape (4,), expected (3,)"),
     ("bounds --case cf missing.json p.json", None, _NO_FILE),
     ("bounds --case cf xs.json bad.json", None, _BAD_SUM),

@@ -70,6 +70,24 @@ def test_sample_simplex_respects_profile_floor():
     assert float(p.weights.min()) >= 0.05 / (1 + 5 * 0.05)
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng: verify._sample_joint(rng).cells.ravel(),
+    lambda rng: np.concatenate(verify._sample_nested(rng).rows),
+], ids=["joint", "nested"])
+def test_joint_and_nested_samplers_floor_at_min_mass(monkeypatch, draw):
+    # a floor far above float noise shows itself: every floored cell is the
+    # same renormalized value, a tie that unfloored draws never make
+    monkeypatch.setattr(verify, "MIN_MASS", 0.05)
+    rng = np.random.default_rng(2)
+    ties = 0
+    for _ in range(50):
+        w = draw(rng)
+        assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert float(w.min()) >= 0.05 / (1 + w.size * 0.05)
+        ties += int(np.count_nonzero(w == w.min()) > 1)
+    assert ties > 0
+
+
 def test_run_case_is_deterministic():
     a = run_case("id14", trials=50, seed=7)
     b = run_case("id14", trials=50, seed=7)
