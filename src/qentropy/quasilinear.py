@@ -112,10 +112,7 @@ def _validate_generator(forward, inverse, direction: str, label: str) -> None:
 class GeneratorPsi:
     """A validated strictly monotonic generator on its domain.
 
-    ``forward`` and ``inverse`` must be numpy-vectorized callables.  ``shape``
-    records concavity of the forward map ('concave', 'convex', or 'unknown');
-    together with ``direction`` it decides whether the relative-entropy
-    nonnegativity hypothesis (concave increasing or convex decreasing) holds.
+    ``forward`` and ``inverse`` must be numpy-vectorized callables.
     ``positive_domain`` restricts arguments to x > 0 (everything except the
     identity).
     """
@@ -123,22 +120,11 @@ class GeneratorPsi:
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
     direction: str
-    shape: str = "unknown"
     label: str = "custom"
     positive_domain: bool = True
 
     def __post_init__(self) -> None:
-        if self.shape not in ("concave", "convex", "unknown"):
-            raise GeneratorError(f"shape must be concave/convex/unknown, got {self.shape!r}")
         _validate_generator(self.forward, self.inverse, self.direction, self.label)
-
-    @property
-    def relative_nonneg_hypothesis(self) -> bool:
-        """True when the generator is concave increasing or convex decreasing."""
-        return (self.direction, self.shape) in (
-            ("increasing", "concave"),
-            ("decreasing", "convex"),
-        )
 
     def check_domain(self, xs: np.ndarray) -> None:
         if self.positive_domain and (xs <= 0.0).any():
@@ -151,13 +137,10 @@ def _ident(x):
 
 @functools.lru_cache(maxsize=1)
 def identity_generator() -> GeneratorPsi:
-    # Affine, so weakly concave; with 'increasing' this satisfies the
-    # relative-entropy hypothesis (the divergence is identically 0).
     return GeneratorPsi(
         forward=_ident,
         inverse=_ident,
         direction="increasing",
-        shape="concave",
         label="identity",
         positive_domain=False,
     )
@@ -191,8 +174,6 @@ def _lnq_family(q: float, label: str) -> GeneratorPsi:
     few ulps of each other at |1-q| = 1/2.  log is this generator at q = 1,
     under its own label.
     """
-    # ln_q is concave increasing; x^(1-q) is for q < 1, and convex
-    # decreasing for q > 1
     if _near_one(q):
         forward, inverse, up = (lambda x: q_log(x, q)), (lambda y: q_exp(y, q)), True
     else:
@@ -203,7 +184,6 @@ def _lnq_family(q: float, label: str) -> GeneratorPsi:
         forward=forward,
         inverse=inverse,
         direction="increasing" if up else "decreasing",
-        shape="concave" if up else "convex",
         label=label,
     )
 
@@ -251,21 +231,26 @@ def _as_eval(f) -> Callable[[np.ndarray], np.ndarray]:
     return getattr(f, "eval", f)
 
 
-def check_psi_convexity(f, psi: GeneratorPsi, grid, lambdas, tol: float = 1e-12) -> CompatibleConvexity:
+def check_psi_convexity(f, psi: GeneratorPsi, grid, lambdas) -> CompatibleConvexity:
     """Sampled check that f(psi^{-1}((1-t) psi(a) + t psi(b))) <= (1-t) f(a) + t f(b).
 
-    Sampled, not a proof: a pass only means no violation was found on
-    grid x grid x lambdas.  ``tol`` absorbs ulp noise at the t in {0, 1}
-    endpoints, where psi round trips through its inverse.
+    This tests the hypothesis of jensen_gap, ratio_sandwich and
+    quasilinear_vs_tsallis_bounds on a grid the caller chooses.  Sampled,
+    not a proof: a pass only means no violation was found on
+    grid x grid x lambdas.  It takes O(len(grid)^2) time and memory per
+    lambda, for the grid x grid table.  A fixed tolerance of 1e-12 absorbs
+    ulp noise at the t in {0, 1} endpoints, where psi round trips through
+    its inverse.
     """
     fe = _as_eval(f)
     pts = np.asarray(grid, dtype=float)
     lams = [float(t) for t in lambdas]
-    if pts.ndim != 1 or pts.size == 0:
-        raise DomainError("grid must be a non-empty 1-d collection of points")
+    if pts.ndim != 1 or pts.size == 0 or not np.isfinite(pts).all():
+        raise DomainError("grid must be a non-empty 1-d collection of finite points")
     if not lams:
         raise DomainError("lambdas must be non-empty")
-    if any(t < 0.0 or t > 1.0 for t in lams):
+    # written so that a NaN fails it too
+    if not all(0.0 <= t <= 1.0 for t in lams):
         raise DomainError("lambdas must lie in [0, 1]")
     psi.check_domain(pts)
 
@@ -287,7 +272,7 @@ def check_psi_convexity(f, psi: GeneratorPsi, grid, lambdas, tol: float = 1e-12)
             worst = v
             ia, ib = np.unravel_index(j, viol.shape)
             witness = (float(pts[ia]), float(pts[ib]), t)
-    return CompatibleConvexity(holds=worst <= tol, worst_violation=worst, witness=witness)
+    return CompatibleConvexity(holds=worst <= 1e-12, worst_violation=worst, witness=witness)
 
 
 def quasilinear_mean(psi: GeneratorPsi, xs, p: ProbDist) -> float:

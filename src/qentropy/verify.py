@@ -44,6 +44,7 @@ from .bounds import (
     cross_term_gap_sandwich,
     f_divergence_sandwich,
     maxent_variance_bounds,
+    pairwise_spread,
     ratio_sandwich,
     refined_maxent_bounds,
     quasilinear_vs_tsallis_bounds,
@@ -322,11 +323,11 @@ def _trial_reversed_kl(rng, n, q):
 def _trial_lagrange(rng, n, q):
     a = rng.normal(0.0, 1.0, n)
     b = rng.normal(0.0, 1.0, n)
-    lhs, _ = lagrange_identity(a, b)
+    lhs, rhs = lagrange_identity(a, b)
     # the identity as the paper states it: the literal double sum over i < j
     cross = a[:, None] * b[None, :] - a[None, :] * b[:, None]
-    rhs = 0.5 * float((cross**2).sum())
-    return [Eq(lhs, rhs)], {"a": a, "b": b}
+    literal = 0.5 * float((cross**2).sum())
+    return [Eq(lhs, literal), Eq(rhs, literal)], {"a": a, "b": b}
 
 
 def _quartic(x):
@@ -358,8 +359,7 @@ def _trial_spread_identity(rng, n, q):
     xs = rng.uniform(-5.0, 5.0, n)
     p = sample_simplex(n, rng)
     w = p.weights
-    mean = float(w @ xs)
-    s_var = float(w @ (xs - mean) ** 2)
+    s_var = pairwise_spread(xs, p)
     diffs = xs[None, :] - xs[:, None]
     s_pair = 0.5 * float((w[:, None] * w[None, :] * diffs * diffs).sum())
     return [Eq(s_pair, s_var)], {"xs": xs, "p": w}
@@ -475,21 +475,19 @@ def _trial_deformed_additivity(rng, n, q):
 
 @dataclass(frozen=True)
 class TheoremCase:
-    """One registered claim with its admissible q range."""
+    """One registered claim; ``q_range`` is its closed range of admitted q, None if q-free."""
 
     id: str
     description: str
     trial: Callable
-    q_lo: float | None = 0.0
-    q_hi: float | None = 4.0
-    q_lo_strict: bool = False
+    q_range: tuple[float, float] | None = (0.0, 4.0)
     tol: float | None = None
 
     def admits(self, q: float) -> bool:
-        if self.q_lo is None:
+        if self.q_range is None:
             return True
-        above = q > self.q_lo if self.q_lo_strict else q >= self.q_lo
-        return above and q <= self.q_hi
+        lo, hi = self.q_range
+        return lo <= q <= hi
 
 
 def _case(*args, **kwargs) -> tuple[str, TheoremCase]:
@@ -516,7 +514,7 @@ REGISTRY: dict[str, TheoremCase] = dict(
             "prop2.4",
             "coarsening never raises relative entropies",
             _trial_coarsen_relative,
-            q_hi=2.0,
+            q_range=(0.0, 2.0),
         ),
         _case("prop3.1", "weighted Jensen gaps obey the ratio sandwich", _trial_ratio_sandwich),
         _case(
@@ -530,10 +528,9 @@ REGISTRY: dict[str, TheoremCase] = dict(
             "cor_dra",
             "reversed KL sandwich from the negative-log generator",
             _trial_reversed_kl,
-            q_lo=None,
-            q_hi=None,
+            q_range=None,
         ),
-        _case("lem4.1", "Lagrange identity on random vectors", _trial_lagrange, q_lo=None, q_hi=None),
+        _case("lem4.1", "Lagrange identity on random vectors", _trial_lagrange, q_range=None),
         _case(
             "thm4.1",
             "smooth Jensen gap bounded by curvature times half the spread",
@@ -543,37 +540,33 @@ REGISTRY: dict[str, TheoremCase] = dict(
             "lem4.2",
             "pairwise spread equals weighted variance",
             _trial_spread_identity,
-            q_lo=None,
-            q_hi=None,
+            q_range=None,
         ),
         _case("cor4.1", "variance form of the smooth Jensen sandwich", _trial_variance_jensen),
         _case(
             "cf",
             "variance bounds on the arithmetic-geometric mean gap",
             _trial_am_gm,
-            q_lo=None,
-            q_hi=None,
+            q_range=None,
         ),
         _case(
             "thm4.2",
             "deformed cross-entropy gap two-sided chain",
             _trial_cross_entropy_chain,
-            q_lo=0.0,
-            q_lo_strict=True,
+            # q > 0: no double lies strictly between 0 and the smallest positive one
+            q_range=(math.nextafter(0.0, 1.0), 4.0),
         ),
         _case(
             "cor4",
             "cross-entropy gap chain at the undeformed point",
             _trial_cross_entropy_chain_q1,
-            q_lo=None,
-            q_hi=None,
+            q_range=None,
         ),
         _case(
             "prop4.1",
             "complement self term is bounded by the complement cross term",
             _trial_complement,
-            q_lo=None,
-            q_hi=None,
+            q_range=None,
         ),
         _case("prop5.1", "two-axis chain rule is exact", _trial_chain_rule_pair),
         _case("prop5.2", "multi-axis chain rule is exact", _trial_chain_rule_multi),
@@ -581,13 +574,13 @@ REGISTRY: dict[str, TheoremCase] = dict(
             "prop5.3",
             "conditioning does not raise entropy above the undeformed point",
             _trial_conditioning,
-            q_lo=1.0,
+            q_range=(1.0, 4.0),
         ),
         _case(
             "thm5.1",
             "joint entropy bounded by scaled leave-one-out sum",
             _trial_han,
-            q_lo=1.0,
+            q_range=(1.0, 4.0),
         ),
         _case(
             "id14",
@@ -599,7 +592,7 @@ REGISTRY: dict[str, TheoremCase] = dict(
             "id16",
             "exp of relative collision-family divergence equals dual-deformed exp",
             _trial_relative_bridge,
-            q_hi=2.0,
+            q_range=(0.0, 2.0),
             tol=IDENTITY_TOL,
         ),
         _case(
@@ -701,7 +694,7 @@ def run_case(
 
     qs: list[float] | None = None
     in_hypothesis = True
-    if case.q_lo is not None:
+    if case.q_range is not None:
         grid = [float(x) for x in q_grid]
         if not grid:
             raise DomainError("q_grid is empty")

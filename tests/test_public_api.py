@@ -56,7 +56,7 @@ def test_unexported_module_all_resolves(name):
 # Public names no registry or CLI path reaches, each kept for a reason.
 REACH_ALLOWLIST = {
     "make_dist": "the one-call constructor the demos and the benchmark build inputs with",
-    "check_psi_convexity": "the hypothesis check behind validate_hypothesis=True on three bounds",
+    "check_psi_convexity": "tests three bounds' convexity hypothesis on a grid the caller chooses",
     "CompatibleConvexity": "what check_psi_convexity returns",
 }
 PSI_LABELS = ("identity", "log", "lnq")

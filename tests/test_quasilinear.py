@@ -182,18 +182,6 @@ def test_generator_factories_are_memoized_on_q():
             psi_by_label("lnq", bad)
 
 
-def test_relative_nonneg_hypothesis_flag():
-    assert identity_generator().relative_nonneg_hypothesis
-    assert log_generator().relative_nonneg_hypothesis
-    assert lnq_generator(3.0).relative_nonneg_hypothesis
-    assert lnq_generator(0.5).relative_nonneg_hypothesis  # concave increasing
-    assert lnq_generator(2.0).relative_nonneg_hypothesis  # x^(1-q): convex decreasing
-    bad = GeneratorPsi(
-        forward=np.square, inverse=np.sqrt, direction="increasing", shape="convex", label="square"
-    )
-    assert not bad.relative_nonneg_hypothesis
-
-
 def test_generator_validation_rejects_non_monotone():
     with pytest.raises(GeneratorError):
         GeneratorPsi(forward=np.cos, inverse=np.arccos, direction="increasing", label="cos")
@@ -269,6 +257,12 @@ def test_check_psi_convexity_input_validation():
         check_psi_convexity(np.exp, log_generator(), grid=[1.0, 2.0], lambdas=(1.5,))
     with pytest.raises(DomainError):
         check_psi_convexity(np.exp, log_generator(), grid=[-1.0, 2.0], lambdas=(0.5,))
+    # a NaN would make the violations NaN, and an incompatible pair "hold"
+    with pytest.raises(DomainError, match="lambdas must lie in"):
+        check_psi_convexity(np.exp, log_generator(), grid=[1.0, 2.0], lambdas=(math.nan,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite points"):
+            check_psi_convexity(np.exp, log_generator(), grid=[1.0, 2.0, bad], lambdas=(0.5,))
 
 
 @given(

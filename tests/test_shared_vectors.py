@@ -176,7 +176,6 @@ def test_quasilinear_vs_tsallis_evaluates_psi_once():
         forward=forward,
         inverse=lambda y: q_exp(y, 0.5),
         direction="increasing",
-        shape="concave",
         label="counting-lnq",
     )
     calls.clear()
@@ -199,7 +198,6 @@ def test_quasilinear_vs_tsallis_accepts_an_array_like_forward():
         forward=lambda x: list(np.log(x)),
         inverse=np.exp,
         direction="increasing",
-        shape="concave",
         label="list-log",
     )
     r = ProbDist([0.25, 0.75])

@@ -33,7 +33,7 @@ def _start_states(seed, case_index, trials):
 
     # a probe case under a registered id: it runs on that case's streams
     probe = verify.TheoremCase(
-        list(verify.REGISTRY)[case_index], "probe", trial, q_lo=None, q_hi=None
+        list(verify.REGISTRY)[case_index], "probe", trial, q_range=None
     )
     run_case(probe, trials=trials, seed=seed)
     return seen

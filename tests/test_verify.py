@@ -160,10 +160,47 @@ def test_q_free_case_ignores_grid():
     assert "q" not in a.worst_witness
 
 
+# Each case's admitted q at the edges of its range, one character per q in
+# ADMITS_QS ("1" admitted): 0, the smallest positive double, 1 and its
+# lower neighbour, and 2 and 4 with their upper neighbours.  Widening a
+# case's range is a change to its row here.
+ADMITS_QS = (
+    0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0, 2.0, math.nextafter(2.0, 3.0), 4.0,
+    math.nextafter(4.0, 5.0),
+)
+ADMITS = {
+    "prop2.1": "111111110",
+    "prop2.2": "111111110",
+    "prop2.3": "111111110",
+    "prop2.4": "111111000",
+    "prop3.1": "111111110",
+    "thm3.1": "111111110",
+    "cor3.1": "111111110",
+    "thm3.2": "111111110",
+    "cor_dra": "111111111",
+    "lem4.1": "111111111",
+    "thm4.1": "111111110",
+    "lem4.2": "111111111",
+    "cor4.1": "111111110",
+    "cf": "111111111",
+    "thm4.2": "011111110",
+    "cor4": "111111111",
+    "prop4.1": "111111111",
+    "prop5.1": "111111110",
+    "prop5.2": "111111110",
+    "prop5.3": "000011110",
+    "thm5.1": "000011110",
+    "id14": "111111110",
+    "id16": "111111000",
+    "qadd": "111111110",
+}
+
+
 def test_thm42_excludes_q_zero():
-    case = get_case("thm4.2")
-    assert not case.admits(0.0)
-    assert case.admits(0.25)
+    assert list(ADMITS) == list(REGISTRY)
+    for cid, want in ADMITS.items():
+        got = "".join("1" if REGISTRY[cid].admits(q) else "0" for q in ADMITS_QS)
+        assert got == want, cid
     rep = run_case("thm4.2", trials=11, seed=4)  # default grid drops q=0 silently
     assert rep.violations == 0
 
@@ -207,7 +244,7 @@ def test_boundary_tol_and_min_mass_are_accepted():
 NEAR_ONE_GRID = (1 - 1e-8, 1 - 2e-8, 1 + 2e-8, 0.99999, 1.00001)
 
 
-@pytest.mark.parametrize("cid", [c.id for c in REGISTRY.values() if c.q_lo is not None])
+@pytest.mark.parametrize("cid", [c.id for c in REGISTRY.values() if c.q_range is not None])
 def test_psi_cases_clean_near_one(cid):
     # every case that takes q, at each q it admits from 1e-8 to 1e-5 off
     # q = 1.  x^(1-q) inverted as y^(1/(1-q)) once gave thm3.1 56
@@ -236,7 +273,7 @@ def _replay(cid, seed, t, q):
     rng = _trial_rng(cid, seed, t)
     n = int(rng.integers(2, 17))
     case = REGISTRY[cid]
-    return n, case.trial(rng, n, q if case.q_lo is not None else None)
+    return n, case.trial(rng, n, q if case.q_range is not None else None)
 
 
 @pytest.mark.parametrize("cid", list(REGISTRY))
@@ -252,7 +289,7 @@ def test_trial_returns_claims_and_inputs(cid):
     # the report of that one trial is its top score and its rendered inputs
     rep = run_case(cid, trials=1, seed=5, q_grid=(1.5,))
     assert rep.worst_violation == max(verify._score(c) for c in claims)
-    head = {"trial": 0, "n": n, **({"q": 1.5} if REGISTRY[cid].q_lo is not None else {})}
+    head = {"trial": 0, "n": n, **({"q": 1.5} if REGISTRY[cid].q_range is not None else {})}
     assert rep.worst_witness == {**head, **witness}
 
 
@@ -342,3 +379,48 @@ def test_run_registry_forwards_options_to_run_case():
 def test_id16_beyond_q_two_raises_hypothesis_error():
     with pytest.raises(HypothesisError, match=r"needs q <= 2"):
         run_case("id16", trials=5, q_grid=(5.0,), override_hypothesis=True)
+
+
+# ---------------------------------------------------------------------------
+# the identity cases check the library's kernels, not a copy of them
+# ---------------------------------------------------------------------------
+
+
+def test_lem42_checks_the_library_spread(monkeypatch):
+    real = verify.pairwise_spread
+    monkeypatch.setattr(verify, "pairwise_spread", lambda xs, p: 1.01 * real(xs, p))
+    rep = run_case("lem4.2", trials=50, seed=3)
+    assert rep.violations > 0
+
+
+def test_lem41_checks_the_library_right_side(monkeypatch):
+    real = verify.lagrange_identity
+
+    def planted(a, b):
+        lhs, rhs = real(a, b)
+        return lhs, 1.01 * rhs
+
+    monkeypatch.setattr(verify, "lagrange_identity", planted)
+    rep = run_case("lem4.1", trials=50, seed=3)
+    assert rep.violations > 0
+
+
+# ---------------------------------------------------------------------------
+# beyond the q caps: groundwork for widening them
+# ---------------------------------------------------------------------------
+
+# Every case that takes q except two, whose failures past q = 4 are measured
+# (300 trials, seed 7): id14 has 29 violations at q = 10 (worst 8.5e-9) and
+# raises UndefinedValueError at q = 20 and 40; id16 raises HypothesisError
+# for every q > 2, where exp_(2-q) is not defined.
+WIDE_Q_CASES = [
+    c.id for c in REGISTRY.values() if c.q_range is not None and c.id not in ("id14", "id16")
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cid", WIDE_Q_CASES)
+def test_cases_clean_far_beyond_their_q_cap(cid):
+    for q in (6.0, 10.0, 20.0, 40.0):
+        rep = run_case(cid, trials=300, seed=7, q_grid=(q,), override_hypothesis=True)
+        assert rep.violations == 0, f"{cid} at q={q}: worst={rep.worst_violation}"
