@@ -24,13 +24,19 @@ Trial t of case c under seed s draws from
 spawned child of the seed, and each trial a disjoint jump along its stream
 (NumPy's guide to parallel random number generation), so results do not
 depend on execution order or batching, and a witness replays from (seed,
-case, trial) alone.  ``run_case`` builds one generator per call and steps
-its state from one trial's start to the next with the jump's affine map.
+case, trial) alone.  Each run of a range of trials builds one generator,
+advances it to the range's first trial, and steps its state from one trial's
+start to the next with the jump's affine map; ``run_registry`` splits the
+trials into ranges across processes, and the reports do not change.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -66,7 +72,7 @@ from .divergence import (
     xlogx_generator,
 )
 from .entropy import renyi_entropy, renyi_tsallis_bridge, tsallis_entropy
-from .errors import DomainError, HypothesisError, UnknownCaseError
+from .errors import DomainError, HypothesisError, QEntropyError, UnknownCaseError
 from .joint import (
     JointDist,
     chain_rule_decomposition,
@@ -662,23 +668,39 @@ def get_case(case_id: str) -> TheoremCase:
         raise UnknownCaseError(f"unknown case {case_id!r}; known cases: {known}") from None
 
 
-def run_case(
+class _Plan(NamedTuple):
+    """A validated run_case call: what its trials draw and what its report states."""
+
+    case: TheoremCase
+    seed: int
+    lo: int
+    hi: int
+    qs: list[float] | None
+    tol: float
+    in_hypothesis: bool
+
+    def report(self, trials: int, violations: int, worst: float, witness: dict) -> VerifyReport:
+        return VerifyReport(
+            case=self.case.id,
+            trials=trials,
+            violations=violations,
+            worst_violation=worst,
+            worst_witness=witness,
+            seed=self.seed,
+            in_hypothesis=self.in_hypothesis,
+        )
+
+
+def _plan(
     case: TheoremCase | str,
-    trials: int = 1000,
-    seed: int = 42,
-    *,
+    trials: int,
+    seed: int,
     n_range: tuple[int, int] = (2, 16),
     q_grid: tuple[float, ...] = DEFAULT_Q_GRID,
     override_hypothesis: bool = False,
     tol: float | None = None,
-) -> VerifyReport:
-    """Run one case and count normalized violations above the threshold.
-
-    The threshold is ``tol`` if given, else the case's own ``tol``, else
-    CHECK_TOL.  q values outside the case hypothesis raise HypothesisError unless
-    ``override_hypothesis`` is set, in which case the report is flagged
-    ``in_hypothesis: false`` and violations are expected, not failures.
-    """
+) -> _Plan:
+    """Validate run_case's arguments for one case."""
     if isinstance(case, str):
         case = get_case(case)
     if trials < 1:
@@ -714,17 +736,24 @@ def run_case(
             qs = admitted
 
     eff_tol = tol if tol is not None else (case.tol if case.tol is not None else CHECK_TOL)
+    return _Plan(case, seed, lo, hi, qs, eff_tol, in_hypothesis)
+
+
+def _run_trials(plan: _Plan, t0: int, t1: int) -> tuple[int, float, dict]:
+    """(violations, worst violation, its witness) over trials [t0, t1) of a planned case."""
+    case, lo, hi, qs = plan.case, plan.lo, plan.hi, plan.qs
     bit_generator = np.random.PCG64(
-        np.random.SeedSequence(seed, spawn_key=(_CASE_INDEX[case.id],))
+        np.random.SeedSequence(plan.seed, spawn_key=(_CASE_INDEX[case.id],))
     )
     rng = np.random.Generator(bit_generator)
-    state = bit_generator.state
+    # advancing t0 jumps at once is jumped(t0)
+    state = bit_generator.advance(t0 * _JUMP).state
     lcg = state["state"]
     mult, add = _jump_map(bit_generator, state)
     violations = 0
     worst = -math.inf
     worst_witness: dict = {}
-    for t in range(trials):
+    for t in range(t0, t1):
         # trial t starts where the case's stream jumped t times starts;
         # one more jump gives trial t + 1's start
         bit_generator.state = state
@@ -739,22 +768,141 @@ def run_case(
             if qv is not None:
                 worst_witness["q"] = qv
             worst_witness.update((k, _render(x)) for k, x in inputs.items())
-        if v > eff_tol:
+        if v > plan.tol:
             violations += 1
-    return VerifyReport(
-        case=case.id,
-        trials=trials,
-        violations=violations,
-        worst_violation=worst,
-        worst_witness=worst_witness,
-        seed=seed,
-        in_hypothesis=in_hypothesis,
-    )
+    return violations, worst, worst_witness
 
 
-def run_registry(trials: int = 1000, seed: int = 42, **options) -> list[VerifyReport]:
-    """run_case for every registered case in registry order; options as run_case."""
-    return [run_case(c, trials, seed, **options) for c in REGISTRY.values()]
+def run_case(
+    case: TheoremCase | str,
+    trials: int = 1000,
+    seed: int = 42,
+    *,
+    n_range: tuple[int, int] = (2, 16),
+    q_grid: tuple[float, ...] = DEFAULT_Q_GRID,
+    override_hypothesis: bool = False,
+    tol: float | None = None,
+) -> VerifyReport:
+    """Run one case and count normalized violations above the threshold.
+
+    The threshold is ``tol`` if given, else the case's own ``tol``, else
+    CHECK_TOL.  q values outside the case hypothesis raise HypothesisError unless
+    ``override_hypothesis`` is set, in which case the report is flagged
+    ``in_hypothesis: false`` and violations are expected, not failures.
+    """
+    plan = _plan(case, trials, seed, n_range, q_grid, override_hypothesis, tol)
+    return plan.report(trials, *_run_trials(plan, 0, trials))
+
+
+def _run_share(plans: list[_Plan], t0: int, t1: int) -> list:
+    """_run_trials(plan, t0, t1) of each plan in order, up to the first that raises."""
+    partials = []
+    for plan in plans:
+        try:
+            partials.append(_run_trials(plan, t0, t1))
+        except Exception:  # the merge runs this case's share again, and raises there
+            break
+    return partials
+
+
+def _fork_share(plans: list[_Plan], t0: int, t1: int):
+    """Fork a child that sends back _run_share(plans, t0, t1); (pid, pipe), or None."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the share runs in this one
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump(_run_share(plans, t0, t1), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            # never return into the caller's stack; no atexit handler, no second flush
+            os._exit(code)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _run_forked(plans: list[_Plan], spans: list[tuple[int, int]]) -> list[list]:
+    """_run_share of the first trial range here and of every other in a forked child."""
+    children = []
+    payloads = {}
+    statuses = {}
+    try:
+        for j, span in enumerate(spans[1:], 1):
+            child = _fork_share(plans, *span)
+            if child is not None:
+                children.append((j, *child))
+        shares = [_run_share(plans, *spans[0])] + [[] for _ in spans[1:]]
+        for j, _, pipe in children:
+            payloads[j] = pipe.read()
+    finally:
+        for j, pid, pipe in children:
+            pipe.close()
+            statuses[j] = os.waitpid(pid, 0)[1]
+    for j, payload in payloads.items():
+        if statuses[j] == 0:  # exit code 0: the child sent all it ran
+            shares[j] = pickle.loads(payload)
+    return shares
+
+
+def run_registry(
+    trials: int = 1000, seed: int = 42, *, workers: int | None = None, **options
+) -> list[VerifyReport]:
+    """run_case for every registered case in registry order; options as run_case.
+
+    The trials [0, trials) are split into k contiguous ranges, k = min(workers,
+    trials), where ``workers`` defaults to the number of CPUs this process may
+    run on. The calling process runs the first range of every case, and k - 1
+    children made with ``os.fork`` run the others, each sending back its
+    violation counts and worst witnesses through a pipe. Every trial draws
+    from its own stream (module docstring), and the ranges merge as one run:
+    counts add up and the worst of the lowest trial wins, so the reports are
+    the same bytes for every k. A case that raises raises in this process
+    what a serial run raises. The run is serial when k is 1, when the
+    platform has no ``os.fork``, when another thread is alive (a fork copies
+    only the calling thread), or when a tracer or profiler is set (it would
+    not see the children's calls). Every child is reaped before this returns
+    or raises.
+    """
+    if workers is not None and not (isinstance(workers, int) and workers >= 1):
+        raise DomainError(f"need workers >= 1, got {workers!r}")
+    try:
+        plans = [_plan(c, trials, seed, **options) for c in REGISTRY.values()]
+    except QEntropyError:
+        # a serial run raises it after the trials of the cases before it
+        return [run_case(c, trials, seed, **options) for c in REGISTRY.values()]
+    if workers is None:
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        workers = len(cpus) if cpus else os.cpu_count() or 1
+    k = min(workers, trials)
+    if (
+        k > 1
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and sys.gettrace() is None
+        and sys.getprofile() is None
+    ):
+        spans = [(trials * j // k, trials * (j + 1) // k) for j in range(k)]
+        shares = _run_forked(plans, spans)
+    else:
+        spans, shares = [(0, trials)], [[]]
+    reports = []
+    for i, plan in enumerate(plans):
+        violations, worst, witness = 0, -math.inf, {}
+        for share, (t0, t1) in zip(shares, spans):
+            # a range no child delivered runs here, and raises what the child raised
+            part = share[i] if i < len(share) else _run_trials(plan, t0, t1)
+            violations += part[0]
+            if part[1] > worst:  # ties keep the lower trial, as in run_case
+                worst, witness = part[1], part[2]
+        reports.append(plan.report(trials, violations, worst, witness))
+    return reports
 
 
 def has_failures(reports) -> bool:

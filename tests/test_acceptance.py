@@ -64,7 +64,8 @@ def registry_run_a():
 
 @pytest.fixture(scope="module")
 def registry_run_b():
-    return run_registry(trials=TRIALS, seed=SEED)
+    # three trial ranges, where registry_run_a takes one per usable CPU
+    return run_registry(trials=TRIALS, seed=SEED, workers=3)
 
 
 def test_criterion_01_inequality_registry_clean(registry_run_a):
@@ -274,4 +275,4 @@ def test_criterion_08_deterministic_reports(registry_run_a, registry_run_b):
     blob_a = "\n".join(r.to_json_line() for r in registry_run_a).encode()
     blob_b = "\n".join(r.to_json_line() for r in registry_run_b).encode()
     assert blob_a == blob_b
-    _summary("8 determinism", f"{len(blob_a)} report bytes identical across reruns")
+    _summary("8 determinism", f"{len(blob_a)} report bytes identical across two splits")

@@ -1,7 +1,12 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
+import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from qentropy import (
     HypothesisError,
     REGISTRY,
     MIN_MASS,
+    UndefinedValueError,
     UnknownCaseError,
     has_failures,
     run_case,
@@ -21,6 +27,7 @@ from qentropy import verify
 from qentropy.bounds import BoundReport
 from qentropy.serialize import dumps
 from qentropy.verify import Eq, FromZero, Le, get_case
+from test_registry_pinned import REGISTRY_DIGEST
 
 
 REQUIRED_CASES = [
@@ -137,6 +144,9 @@ def test_bad_arguments_rejected():
         run_case("id14", trials=5, seed=1, q_grid=())
     with pytest.raises(DomainError):
         run_case("id14", trials=5, seed=1, q_grid=(-1.0,))
+    for workers in (0, 1.5):
+        with pytest.raises(DomainError, match="workers"):
+            run_registry(2, 1, workers=workers)
 
 
 def test_hypothesis_gate():
@@ -370,10 +380,142 @@ def test_witness_is_rendered_only_for_a_new_worst(monkeypatch):
 
 def test_run_registry_forwards_options_to_run_case():
     opts = dict(n_range=(1, 4), q_grid=(0.5,), override_hypothesis=True, tol=1e-3)
-    got = [r.to_json_line() for r in run_registry(4, 9, **opts)]
-    assert got == [run_case(c, 4, 9, **opts).to_json_line() for c in REGISTRY.values()]
-    with pytest.raises(TypeError):
-        run_registry(4, 9, q_gird=(0.5,))
+    want = [run_case(c, 4, 9, **opts).to_json_line() for c in REGISTRY.values()]
+    for workers in (None, 2):
+        assert [r.to_json_line() for r in run_registry(4, 9, workers=workers, **opts)] == want
+        with pytest.raises(TypeError):
+            run_registry(4, 9, workers=workers, q_gird=(0.5,))
+    _assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# run_registry's trial ranges in forked children
+# ---------------------------------------------------------------------------
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_registry_bytes_do_not_depend_on_the_split(workers):
+    h = hashlib.sha256()
+    for seed in (1, 42, 7):
+        for r in run_registry(trials=300, seed=seed, workers=workers):
+            h.update(r.to_json_line().encode())
+    assert h.hexdigest() == REGISTRY_DIGEST
+    _assert_no_child_left()
+
+
+def test_run_registry_with_one_trial_runs_serially(monkeypatch):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    got = [r.to_json_line() for r in run_registry(1, 9, workers=2)]
+    assert got == [run_case(c, 1, 9).to_json_line() for c in REGISTRY.values()]
+
+
+def test_run_registry_runs_serially_beside_threads_profilers_and_without_fork(monkeypatch):
+    want = [run_case(c, 4, 9).to_json_line() for c in REGISTRY.values()]
+
+    def lines():
+        return [r.to_json_line() for r in run_registry(4, 9, workers=2)]
+
+    monkeypatch.setattr(os, "fork", _no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        assert lines() == want
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        got = lines()
+    finally:
+        sys.setprofile(previous)
+    assert got == want
+    monkeypatch.delattr(os, "fork")
+    assert lines() == want
+
+
+@pytest.mark.parametrize(
+    "opts, error",
+    [
+        # fails while planning, before any trial
+        (dict(q_grid=(20.0,)), HypothesisError),
+        # id16's bridge refuses q > 2 inside a trial
+        (dict(q_grid=(5.0,), override_hypothesis=True), HypothesisError),
+        (dict(q_grid=(40.0,), override_hypothesis=True), UndefinedValueError),
+    ],
+    ids=["planning", "id16_q5", "id14_q40"],
+)
+def test_run_registry_raises_what_a_serial_run_raises(opts, error):
+    raised = []
+    for workers in (1, 2, 3):
+        with pytest.raises(error) as info:
+            run_registry(30, 7, workers=workers, **opts)
+        _assert_no_child_left()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[1:] == raised[:1] * 2
+
+
+def _failing_at(real: verify.TheoremCase, bad_qs) -> verify.TheoremCase:
+    def trial(rng, n, q):
+        if q in bad_qs:
+            raise DomainError(f"{real.id} fails at q={q}")
+        return real.trial(rng, n, q)
+
+    return dataclasses.replace(real, trial=trial)
+
+
+def test_run_registry_raises_the_first_failure_in_serial_order(monkeypatch):
+    # q of trial t is t / 10: with three workers the ranges are trials
+    # [0, 10), [10, 20) and [20, 30).  prop2.3 (case 2) fails at trials 12
+    # and 25, in the second and third ranges; thm3.1 (case 5) fails at trial
+    # 0, in the first, which a serial run never reaches.
+    monkeypatch.setitem(REGISTRY, "prop2.3", _failing_at(REGISTRY["prop2.3"], (1.2, 2.5)))
+    monkeypatch.setitem(REGISTRY, "thm3.1", _failing_at(REGISTRY["thm3.1"], (0.0,)))
+    opts = dict(q_grid=tuple(t / 10 for t in range(30)), override_hypothesis=True)
+    for workers in (1, 3):
+        with pytest.raises(DomainError, match=r"^prop2\.3 fails at q=1\.2$"):
+            run_registry(30, 7, workers=workers, **opts)
+        _assert_no_child_left()
+        # prop2.4 (case 3) admits no q above 2, but a serial run meets prop2.3's failure first
+        with pytest.raises(DomainError, match=r"^prop2\.3 fails at q=2\.5$"):
+            run_registry(30, 7, workers=workers, q_grid=(2.5,))
+        _assert_no_child_left()
+
+
+def test_run_registry_runs_a_range_no_child_delivered(monkeypatch):
+    parent = os.getpid()
+    real = REGISTRY["prop2.2"]
+
+    def trial(rng, n, q):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real.trial(rng, n, q)
+
+    def lines():
+        return [r.to_json_line() for r in run_registry(12, 5, workers=3)]
+
+    want = [r.to_json_line() for r in run_registry(12, 5, workers=1)]
+    with monkeypatch.context() as m:
+        m.setitem(REGISTRY, "prop2.2", dataclasses.replace(real, trial=trial))
+        assert lines() == want
+    _assert_no_child_left()
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    assert lines() == want
 
 
 def test_id16_beyond_q_two_raises_hypothesis_error():
