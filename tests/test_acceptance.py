@@ -39,6 +39,7 @@ from qentropy import (
     tsallis_quasilinear_entropy,
     tsallis_quasilinear_relative,
     tsallis_relative,
+    verify,
 )
 
 TRIALS = 10_000
@@ -65,7 +66,9 @@ def registry_run_a():
 @pytest.fixture(scope="module")
 def registry_run_b():
     # three trial ranges, where registry_run_a takes one per usable CPU
-    return run_registry(trials=TRIALS, seed=SEED, workers=3)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "_usable_cpus", lambda: 3)
+        return run_registry(trials=TRIALS, seed=SEED)
 
 
 def test_criterion_01_inequality_registry_clean(registry_run_a):

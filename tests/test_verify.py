@@ -144,9 +144,6 @@ def test_bad_arguments_rejected():
         run_case("id14", trials=5, seed=1, q_grid=())
     with pytest.raises(DomainError):
         run_case("id14", trials=5, seed=1, q_grid=(-1.0,))
-    for workers in (0, 1.5):
-        with pytest.raises(DomainError, match="workers"):
-            run_registry(2, 1, workers=workers)
 
 
 def test_hypothesis_gate():
@@ -378,13 +375,14 @@ def test_witness_is_rendered_only_for_a_new_worst(monkeypatch):
     assert len(rendered) == 3 * new_worst  # psi, p and r per new worst
 
 
-def test_run_registry_forwards_options_to_run_case():
+def test_run_registry_forwards_options_to_run_case(split_into):
     opts = dict(n_range=(1, 4), q_grid=(0.5,), override_hypothesis=True, tol=1e-3)
     want = [run_case(c, 4, 9, **opts).to_json_line() for c in REGISTRY.values()]
-    for workers in (None, 2):
-        assert [r.to_json_line() for r in run_registry(4, 9, workers=workers, **opts)] == want
+    for k in (1, 2):
+        split_into(k)
+        assert [r.to_json_line() for r in run_registry(4, 9, **opts)] == want
         with pytest.raises(TypeError):
-            run_registry(4, 9, workers=workers, q_gird=(0.5,))
+            run_registry(4, 9, q_gird=(0.5,))
     _assert_no_child_left()
 
 
@@ -402,27 +400,61 @@ def _no_fork():
     raise AssertionError("os.fork called")
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_run_registry_bytes_do_not_depend_on_the_split(workers):
+@pytest.fixture
+def split_into(monkeypatch):
+    """split_into(k): run_registry splits any run of k or more trials into k ranges."""
+
+    def split(k):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: k)
+        monkeypatch.setattr(verify, "_MIN_RANGE", 1)
+
+    return split
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_run_registry_bytes_do_not_depend_on_the_split(k, split_into):
+    split_into(k)
     h = hashlib.sha256()
     for seed in (1, 42, 7):
-        for r in run_registry(trials=300, seed=seed, workers=workers):
+        for r in run_registry(trials=300, seed=seed):
             h.update(r.to_json_line().encode())
     assert h.hexdigest() == REGISTRY_DIGEST
     _assert_no_child_left()
 
 
-def test_run_registry_with_one_trial_runs_serially(monkeypatch):
+def test_run_registry_gives_each_range_min_range_trials(monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    want = [run_case(c, 49, 9).to_json_line() for c in REGISTRY.values()]
+    assert [r.to_json_line() for r in run_registry(49, 9)] == want
+    assert forks == []
+    # 50 trials make two ranges of 25 on any number of CPUs
+    run_registry(2 * verify._MIN_RANGE, 9)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_run_registry_with_one_trial_runs_serially(monkeypatch, split_into):
+    split_into(2)
     monkeypatch.setattr(os, "fork", _no_fork)
-    got = [r.to_json_line() for r in run_registry(1, 9, workers=2)]
+    got = [r.to_json_line() for r in run_registry(1, 9)]
     assert got == [run_case(c, 1, 9).to_json_line() for c in REGISTRY.values()]
 
 
-def test_run_registry_runs_serially_beside_threads_profilers_and_without_fork(monkeypatch):
+def test_run_registry_runs_serially_beside_threads_profilers_and_without_fork(
+    monkeypatch, split_into
+):
+    split_into(2)
     want = [run_case(c, 4, 9).to_json_line() for c in REGISTRY.values()]
 
     def lines():
-        return [r.to_json_line() for r in run_registry(4, 9, workers=2)]
+        return [r.to_json_line() for r in run_registry(4, 9)]
 
     monkeypatch.setattr(os, "fork", _no_fork)
     release = threading.Event()
@@ -456,11 +488,12 @@ def test_run_registry_runs_serially_beside_threads_profilers_and_without_fork(mo
     ],
     ids=["planning", "id16_q5", "id14_q40"],
 )
-def test_run_registry_raises_what_a_serial_run_raises(opts, error):
+def test_run_registry_raises_what_a_serial_run_raises(opts, error, split_into):
     raised = []
-    for workers in (1, 2, 3):
+    for k in (1, 2, 3):
+        split_into(k)
         with pytest.raises(error) as info:
-            run_registry(30, 7, workers=workers, **opts)
+            run_registry(30, 7, **opts)
         _assert_no_child_left()
         raised.append((type(info.value), str(info.value)))
     assert raised[1:] == raised[:1] * 2
@@ -475,25 +508,26 @@ def _failing_at(real: verify.TheoremCase, bad_qs) -> verify.TheoremCase:
     return dataclasses.replace(real, trial=trial)
 
 
-def test_run_registry_raises_the_first_failure_in_serial_order(monkeypatch):
-    # q of trial t is t / 10: with three workers the ranges are trials
+def test_run_registry_raises_the_first_failure_in_serial_order(monkeypatch, split_into):
+    # q of trial t is t / 10: in three ranges the ranges are trials
     # [0, 10), [10, 20) and [20, 30).  prop2.3 (case 2) fails at trials 12
     # and 25, in the second and third ranges; thm3.1 (case 5) fails at trial
     # 0, in the first, which a serial run never reaches.
     monkeypatch.setitem(REGISTRY, "prop2.3", _failing_at(REGISTRY["prop2.3"], (1.2, 2.5)))
     monkeypatch.setitem(REGISTRY, "thm3.1", _failing_at(REGISTRY["thm3.1"], (0.0,)))
     opts = dict(q_grid=tuple(t / 10 for t in range(30)), override_hypothesis=True)
-    for workers in (1, 3):
+    for k in (1, 3):
+        split_into(k)
         with pytest.raises(DomainError, match=r"^prop2\.3 fails at q=1\.2$"):
-            run_registry(30, 7, workers=workers, **opts)
+            run_registry(30, 7, **opts)
         _assert_no_child_left()
         # prop2.4 (case 3) admits no q above 2, but a serial run meets prop2.3's failure first
         with pytest.raises(DomainError, match=r"^prop2\.3 fails at q=2\.5$"):
-            run_registry(30, 7, workers=workers, q_grid=(2.5,))
+            run_registry(30, 7, q_grid=(2.5,))
         _assert_no_child_left()
 
 
-def test_run_registry_runs_a_range_no_child_delivered(monkeypatch):
+def test_run_registry_runs_a_range_no_child_delivered(monkeypatch, split_into):
     parent = os.getpid()
     real = REGISTRY["prop2.2"]
 
@@ -503,9 +537,11 @@ def test_run_registry_runs_a_range_no_child_delivered(monkeypatch):
         return real.trial(rng, n, q)
 
     def lines():
-        return [r.to_json_line() for r in run_registry(12, 5, workers=3)]
+        return [r.to_json_line() for r in run_registry(12, 5)]
 
-    want = [r.to_json_line() for r in run_registry(12, 5, workers=1)]
+    split_into(1)
+    want = lines()
+    split_into(3)
     with monkeypatch.context() as m:
         m.setitem(REGISTRY, "prop2.2", dataclasses.replace(real, trial=trial))
         assert lines() == want
