@@ -15,6 +15,7 @@ extremes but neither copies the array nor sums it again.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -167,7 +168,7 @@ class Partition:
 
     def __post_init__(self) -> None:
         try:
-            blocks = tuple(tuple(int(i) for i in block) for block in self.blocks)
+            blocks = tuple(tuple(operator.index(i) for i in block) for block in self.blocks)
         except (TypeError, ValueError) as exc:
             raise PartitionError(f"blocks must be iterables of integers: {exc}") from exc
         if not blocks:
@@ -183,10 +184,6 @@ class Partition:
                     raise PartitionError(f"index {i} appears in more than one block")
                 seen.add(i)
         object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def size(self) -> int:
-        return sum(len(b) for b in self.blocks)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ Cells are strictly positive and stored row-major as a numpy array; axes are
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ class JointDist:
 
 def _check_axes(j: JointDist, axes, *, what: str) -> tuple[int, ...]:
     try:
-        axes = tuple(int(a) for a in axes)
+        axes = tuple(operator.index(a) for a in axes)
     except (TypeError, ValueError):
         raise DimensionError(
             f"{what} must be a sequence of integer axes, got {axes!r}"

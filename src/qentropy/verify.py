@@ -24,10 +24,11 @@ Trial t of case c under seed s draws from
 spawned child of the seed, and each trial a disjoint jump along its stream
 (NumPy's guide to parallel random number generation), so results do not
 depend on execution order or batching, and a witness replays from (seed,
-case, trial) alone.  Each run of a range of trials builds one generator,
-advances it to the range's first trial, and steps its state from one trial's
-start to the next with the jump's affine map; ``run_registry`` splits the
-trials into ranges across processes, and the reports do not change.
+case, trial) alone.  A call builds each case's generator once and places it
+at trial t by restoring the stream's start state and advancing it t jumps,
+the step ``jumped(t)`` itself takes, so a trial sits at the same place
+whatever range runs it; ``run_registry`` splits the trials into ranges
+across processes, and the reports do not change.
 """
 
 from __future__ import annotations
@@ -642,22 +643,6 @@ class VerifyReport:
 
 # PCG64.jumped(k) advances the 128-bit LCG state by k * _JUMP steps.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-_MASK128 = (1 << 128) - 1
-
-
-def _jump_map(bit_generator: np.random.PCG64, state: dict) -> tuple[int, int]:
-    """(a, c) such that one jump takes the LCG state s to a*s + c modulo 2**128.
-
-    Advancing an LCG is affine in its state, for a fixed increment: the
-    jumps of the states 0 and 1 under ``state``'s increment are c and a + c.
-    Leaves ``bit_generator`` in a different state.
-    """
-    ends = []
-    for s in (0, 1):
-        bit_generator.state = {**state, "state": {**state["state"], "state": s}}
-        ends.append(bit_generator.advance(_JUMP).state["state"]["state"])
-    c, a_plus_c = ends
-    return (a_plus_c - c) & _MASK128, c
 
 
 def get_case(case_id: str) -> TheoremCase:
@@ -678,6 +663,8 @@ class _Plan(NamedTuple):
     qs: list[float] | None
     tol: float
     in_hypothesis: bool
+    rng: np.random.Generator  # the case's stream, placed at each trial in turn
+    start: dict  # its bit generator's state before any jump
 
     def report(self, trials: int, violations: int, worst: float, witness: dict) -> VerifyReport:
         return VerifyReport(
@@ -736,28 +723,23 @@ def _plan(
             qs = admitted
 
     eff_tol = tol if tol is not None else (case.tol if case.tol is not None else CHECK_TOL)
-    return _Plan(case, seed, lo, hi, qs, eff_tol, in_hypothesis)
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(_CASE_INDEX[case.id],)))
+    )
+    return _Plan(case, seed, lo, hi, qs, eff_tol, in_hypothesis, rng, rng.bit_generator.state)
 
 
 def _run_trials(plan: _Plan, t0: int, t1: int) -> tuple[int, float, dict]:
     """(violations, worst violation, its witness) over trials [t0, t1) of a planned case."""
-    case, lo, hi, qs = plan.case, plan.lo, plan.hi, plan.qs
-    bit_generator = np.random.PCG64(
-        np.random.SeedSequence(plan.seed, spawn_key=(_CASE_INDEX[case.id],))
-    )
-    rng = np.random.Generator(bit_generator)
-    # advancing t0 jumps at once is jumped(t0)
-    state = bit_generator.advance(t0 * _JUMP).state
-    lcg = state["state"]
-    mult, add = _jump_map(bit_generator, state)
+    case, lo, hi, qs, rng = plan.case, plan.lo, plan.hi, plan.qs, plan.rng
+    bit_generator = rng.bit_generator
     violations = 0
     worst = -math.inf
     worst_witness: dict = {}
     for t in range(t0, t1):
-        # trial t starts where the case's stream jumped t times starts;
-        # one more jump gives trial t + 1's start
-        bit_generator.state = state
-        lcg["state"] = (mult * lcg["state"] + add) & _MASK128
+        # trial t starts where the case's stream jumped t times starts
+        bit_generator.state = plan.start
+        bit_generator.advance(t * _JUMP)
         n = int(rng.integers(lo, hi + 1))
         qv = qs[t % len(qs)] if qs is not None else None
         claims, inputs = case.trial(rng, n, qv)

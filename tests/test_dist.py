@@ -70,7 +70,8 @@ def test_dist_equality_by_value():
 
 def test_partition_validation():
     part = Partition(((0, 2), (1, 3)))
-    assert part.size == 4
+    assert part.blocks == ((0, 2), (1, 3))
+    assert Partition(((np.int64(0),), (np.int32(1),))).blocks == ((0,), (1,))
     with pytest.raises(PartitionError):
         Partition(((0, 1), (1, 2)))  # overlap
     with pytest.raises(PartitionError):
@@ -79,6 +80,8 @@ def test_partition_validation():
         Partition(((0, -1),))  # negative index
     with pytest.raises(PartitionError):
         Partition(())
+    with pytest.raises(PartitionError, match="blocks must be iterables of integers"):
+        Partition(((0, 1.7), (2.2,)))  # not truncated to ((0, 1), (2,))
 
 
 def test_coarsen_hand_example():

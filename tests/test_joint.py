@@ -230,6 +230,8 @@ def test_conditioning_reduces_entropy_q_geq_1(j, q):
 BAD_AXES = [
     ("marginal-int", lambda j: marginal(j, 0), "axes must be a sequence of integer axes, got 0"),
     ("marginal-str", lambda j: marginal(j, ("x",)), "axes must be a sequence of integer axes, got ('x',)"),
+    # a float axis is an error, not truncated to axis 0
+    ("marginal-float", lambda j: marginal(j, (0.9,)), "axes must be a sequence of integer axes, got (0.9,)"),
     (
         "conditional-target-int",
         lambda j: tsallis_conditional_entropy(j, 1, (0,), 2.0),
@@ -249,6 +251,11 @@ BAD_AXES = [
         "chain-order-int",
         lambda j: chain_rule_decomposition(j, 0, 2.0),
         "order must be a sequence of integer axes, got 0",
+    ),
+    (
+        "chain-order-float",
+        lambda j: chain_rule_decomposition(j, (1.2, 0.4), 2.0),
+        "order must be a sequence of integer axes, got (1.2, 0.4)",
     ),
 ]
 

@@ -1,6 +1,5 @@
 import math
 import warnings
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -34,6 +33,8 @@ from qentropy import (
     tsallis_quasilinear_relative,
     tsallis_relative,
 )
+
+import oracle
 
 HALF = None  # set in fixtures below
 
@@ -294,23 +295,6 @@ def _dyadic_simplex(rng, n, spread):
     return ProbDist(k / 2.0**40)
 
 
-def _oracle(p, r, q):
-    """Tsallis and Renyi entropies of p and relative entropies of p to r at 50 digits.
-
-    With S = sum p^q and T = sum p^q r^(1-q), from the exact decimal values
-    of the float inputs: H_q = (S - 1)/(1-q), R_q = log S/(1-q),
-    D_q = (1 - T)/(1-q) and R_q(p||r) = -log T/(1-q).
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        qd = Decimal(q)
-        ps = [Decimal(w) for w in p.weights.tolist()]
-        rs = [Decimal(w) for w in r.weights.tolist()]
-        s = sum(a**qd for a in ps)
-        t = sum(a**qd * b ** (1 - qd) for a, b in zip(ps, rs))
-        return [float(v / (1 - qd)) for v in (s - 1, s.ln(), 1 - t, -t.ln())]
-
-
 # q near 1, where the ln_q family is ln_q / exp_q, and far from it, where it
 # is x^(1-q); the far q see larger n with more spread-out masses
 NEAR_ONE = [1 + s * e for e in (1e-2, 1e-4, 1e-6, 2e-8) for s in (-1, 1)]
@@ -326,7 +310,7 @@ def test_power_mean_matches_decimal_oracle(q):
     psi = lnq_generator(q)
     for n, spread in shapes:
         p, r = _dyadic_simplex(rng, n, spread), _dyadic_simplex(rng, n, spread)
-        h, rh, d, rd = _oracle(p, r, q)
+        h, rh, d, rd = oracle.entropies(p, r, q)
         assert abs(tsallis_quasilinear_entropy(psi, p, q) - h) <= 1e-13 * abs(h)
         assert abs(tsallis_quasilinear_entropy(psi, p, 1.0) - rh) <= 1e-13 * abs(rh)
         assert abs(tsallis_quasilinear_relative(psi, p, r, q) - d) <= 1e-13 * (1.0 + abs(d))
@@ -349,7 +333,7 @@ def test_entropies_and_bridges_match_decimal_oracle(q):
     rd_scale = 0.0 if abs(1.0 - q) < 0.5 else 1.0
     for n, spread in shapes:
         p, r = _dyadic_simplex(rng, n, spread), _dyadic_simplex(rng, n, spread)
-        h, rh, d, rd = _oracle(p, r, q)
+        h, rh, d, rd = oracle.entropies(p, r, q)
         assert abs(tsallis_entropy(p, q) - h) <= 1e-13 * abs(h)
         assert abs(renyi_entropy(p, q) - rh) <= 1e-13 * abs(rh)
         assert abs(tsallis_relative(p, r, q) - d) <= 1e-13 * abs(d)

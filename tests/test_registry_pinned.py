@@ -5,6 +5,13 @@ Comparing two runs inside one process cannot show that a refactor kept the
 same random draws and the same arithmetic; these values can.  Counts and
 witness trials are exact; worst violations hold to 1e-9 relative, which
 leaves room for last-ulp differences in the noise-level cases.
+
+Report bytes are the same for the same seed, configuration, NumPy build and
+CPU dispatch level.  The digests and rows here were pinned under numpy 2.4.6
+on x86-64 with its X86_V4 (AVX-512) loops dispatched and OpenBLAS 0.3.31
+running its SkylakeX kernel; NumPy's exp/log/power loops and OpenBLAS's dot
+products give other last bits under other dispatch levels (AVX2, say), so
+there the digests and some rows differ while no verdict does.
 """
 
 import hashlib
@@ -61,7 +68,7 @@ def test_registry_pinned(reports, case, violations, trial, worst):
 
 # sha256 over the JSON lines of run_registry(trials=300, seed=s) for s = 1,
 # 42, 7, in registry order: any change to a draw, a rounding or a report
-# field changes it (numpy 2.4).
+# field changes it (under the build the module docstring names).
 REGISTRY_DIGEST = "c06f315b63d4f6bc2337914b6ecf67aa6497ebef4c05de71cd4cc797f9f3f70f"
 
 
@@ -79,7 +86,8 @@ def test_registry_report_bytes_digest():
 # of its JSON line (only id16 at q = 5: the relative bridge's HypothesisError
 # for q > 2).  Off the default grid and down to n = 1, it sees what
 # REGISTRY_DIGEST cannot: a -0.0 that becomes 0.0, a q the hypothesis
-# excludes, a single-mass draw.
+# excludes, a single-mass draw.  Pinned under the build the module
+# docstring names.
 OFF_DEFAULT_DIGEST = "40a1c605b1c71686ad31ced5e6b8fab2e144dd5a123be42a0062c48a97725ac6"
 
 
@@ -102,7 +110,8 @@ def test_off_default_report_bytes_digest():
 # s = 2**32 + 3 and 2**64 + 5, seeds of 2 and 3 words: a spawned
 # SeedSequence pads them to the pool's 4 and appends the case's spawn key,
 # so its hash takes the extra mixing loop past the pool.  Taken with a
-# generator built per trial from PCG64(SeedSequence(s, spawn_key=(case,))).jumped(t).
+# generator built per trial from PCG64(SeedSequence(s, spawn_key=(case,))).jumped(t),
+# under the build the module docstring names.
 MULTI_WORD_SEED_DIGEST = "692108cdc9bc7280ede193275ca77ce8f8ed33ad1e7af261cd14bf6b3cdf6f61"
 
 

@@ -2,9 +2,10 @@
 
 Trial t of a case draws from
 PCG64(SeedSequence(seed, spawn_key=(case index,))).jumped(t).  The harness
-builds one generator per run and steps its state from one trial's start to
-the next with the jump's affine map; these tests hold those states to
-NumPy's own ``jumped`` as the reference.
+builds one generator per case and call, and places it at trial t by
+restoring the stream's start state and advancing it t jumps; these tests
+hold the states that trials see, in ranges from the stream's start and from
+mid-stream, to NumPy's own ``jumped`` as the reference.
 """
 
 import functools
@@ -21,22 +22,34 @@ from qentropy import verify
 SEEDS = [0, 1, 7, 42, 2**32 - 1, 2**32, 2**32 + 3, 2**64 + 5]
 CASE_INDICES = [0, 23]
 TRIALS = [0, 1, 49, 9_999]  # trial 0 is the generator before any jump
+# where a forked child's range, or the merge's re-run of one, starts
+MID_STREAM_STARTS = [25, 9_998]
 
 
-def _start_states(seed, case_index, trials):
-    """The generator state each trial of a run sees after run_case draws its n."""
-    seen = []
+def _probe(case_index, seen):
+    """A case under a registered id, on that case's streams, that records
+    the generator state each trial sees after the harness draws its n."""
 
     def trial(rng, n, q):
         seen.append(rng.bit_generator.state)
         return [0.0], {}
 
-    # a probe case under a registered id: it runs on that case's streams
-    probe = verify.TheoremCase(
-        list(verify.REGISTRY)[case_index], "probe", trial, q_range=None
-    )
-    run_case(probe, trials=trials, seed=seed)
+    return verify.TheoremCase(list(verify.REGISTRY)[case_index], "probe", trial, q_range=None)
+
+
+def _start_states(seed, case_index, trials):
+    """The generator state each trial of a run sees after run_case draws its n."""
+    seen = []
+    run_case(_probe(case_index, seen), trials=trials, seed=seed)
     return seen
+
+
+def _jumped_state(seed, case_index, t):
+    """NumPy's own state for trial t after the draw of n."""
+    base = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(case_index,)))
+    ref = np.random.Generator(base.jumped(t))
+    ref.integers(2, 17)  # run_case's draw of n, with the default n_range
+    return ref.bit_generator.state
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,10 +62,21 @@ def _run_states(seed, case_index):
     "seed, case_index, t", itertools.product(SEEDS, CASE_INDICES, TRIALS)
 )
 def test_trial_states_equal_numpy_jumped(seed, case_index, t):
-    base = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(case_index,)))
-    ref = np.random.Generator(base.jumped(t))
-    ref.integers(2, 17)  # run_case's draw of n, with the default n_range
-    assert _run_states(seed, case_index)[t] == ref.bit_generator.state
+    assert _run_states(seed, case_index)[t] == _jumped_state(seed, case_index, t)
+
+
+@pytest.mark.parametrize(
+    "seed, case_index, t0", itertools.product(SEEDS, CASE_INDICES, MID_STREAM_STARTS)
+)
+def test_mid_stream_range_states_equal_numpy_jumped(seed, case_index, t0):
+    seen = []
+    plan = verify._plan(_probe(case_index, seen), t0 + 2, seed)
+    # the plan's generator first runs another range, as the parent's does
+    # before it re-runs a range no child delivered
+    verify._run_trials(plan, 0, 2)
+    verify._run_trials(plan, t0, t0 + 2)
+    trials = [0, 1, t0, t0 + 1]
+    assert seen == [_jumped_state(seed, case_index, t) for t in trials]
 
 
 def test_run_case_builds_one_seed_sequence_and_one_generator(monkeypatch):
