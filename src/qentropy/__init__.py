@@ -3,7 +3,7 @@
 The package is organized around one parameter, the entropic index q:
 
 * ``qmath``       -- q-deformed log/exp pair
-* ``dist``        -- validated probability vectors, partitions, refinements
+* ``dist``        -- validated probability vectors; a refinement is ProbDist + Partition
 * ``quasilinear`` -- generator means and the entropies they induce
 * ``entropy``     -- power-sum entropy family on one distribution
 * ``divergence``  -- relative entropies and convex-generator divergences

@@ -1,15 +1,17 @@
-"""Finite probability vectors, partitions, and two-level refinements.
+"""Finite probability vectors and partitions of their cells.
 
 Validation is strict: weights must be strictly positive and sum to 1 within
 SUM_TOL.  Nothing is ever silently renormalized; a bad vector is the
 caller's bug and is rejected with a specific error.
 
+A two-level refinement is a ``ProbDist`` over the fine cells with a
+``Partition`` of them into blocks: ``coarsen`` gives the coarse level.
+
 The public constructors (``ProbDist(...)``, ``JointDist(...)``,
-``make_dist``, ``NestedDist``) are the boundary and validate in full.  An
-array the library has just derived from validated weights (a coarsening, a
-marginal, a flattened or coarse refinement, a sampled point) takes the
-private path ``_derived``, which keeps the positivity test and the carried
-extremes but neither copies the array nor sums it again.
+``make_dist``) are the boundary and validate in full.  An array the library
+has just derived from validated weights (a coarsening, a marginal, a sampled
+point) takes the private path ``_derived``, which keeps the positivity test
+and the carried extremes but neither copies the array nor sums it again.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "SUM_TOL",
     "ProbDist",
     "Partition",
-    "NestedDist",
     "make_dist",
     "coarsen",
     "power_sum",
@@ -75,9 +76,9 @@ def _derived(cls, arr: np.ndarray):
 
     For arrays the library has just derived from validated weights, and
     owns: a sampled point normalized by its own sum, block sums of a
-    ProbDist, axis sums of a JointDist, the cells or row sums of a
-    NestedDist.  The array is frozen in place, not copied.  Its min and
-    max are taken as ``_validated`` takes them, so the carried ``_lo`` /
+    ProbDist (a coarsening, or a two-level refinement's coarse level), axis
+    sums of a JointDist.  The array is frozen in place, not copied.  Its min
+    and max are taken as ``_validated`` takes them, so the carried ``_lo`` /
     ``_hi`` have the bits the public constructor would give, and a zero or
     non-finite entry (a min_mass = 0 draw can underflow to 0) still raises
     PositivityError with the public constructor's message,
@@ -94,20 +95,6 @@ def _derived(cls, arr: np.ndarray):
     object.__setattr__(obj, "_lo", lo)
     object.__setattr__(obj, "_hi", hi)
     return obj
-
-
-def _clean_vector(values, *, what: str, normalized: bool = False):
-    """A validated 1-d copy of ``values`` with its (min, max)."""
-    arr = np.array(values, dtype=float)  # copy: instances own their storage
-    if arr.ndim != 1:
-        raise DimensionError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionError(f"{what} must contain at least one entry")
-    return _validated(
-        arr,
-        positivity=f"{what} entries must be finite and strictly positive",
-        sum_what="weights sum to" if normalized else None,
-    )
 
 
 def _sum(arr: np.ndarray, hi: float) -> float:
@@ -138,7 +125,14 @@ class ProbDist:
     _POSITIVITY = "probability weights entries must be finite and strictly positive"
 
     def __post_init__(self) -> None:
-        arr, lo, hi = _clean_vector(self.weights, what="probability weights", normalized=True)
+        arr = np.array(self.weights, dtype=float)  # copy: instances own their storage
+        if arr.ndim != 1:
+            raise DimensionError(
+                f"probability weights must be one-dimensional, got shape {arr.shape}"
+            )
+        if arr.size == 0:
+            raise DimensionError("probability weights must contain at least one entry")
+        arr, lo, hi = _validated(arr, positivity=self._POSITIVITY, sum_what="weights sum to")
         object.__setattr__(self, "weights", arr)
         # extremes found by validation, not fields: repr and == ignore them
         object.__setattr__(self, "_lo", lo)
@@ -184,39 +178,6 @@ class Partition:
                     raise PartitionError(f"index {i} appears in more than one block")
                 seen.add(i)
         object.__setattr__(self, "blocks", blocks)
-
-
-@dataclass(frozen=True)
-class NestedDist:
-    """A two-level refinement: positive rows whose grand total is 1.
-
-    Row i carries weights x_i1..x_im_i; the row sums x_i form the coarse
-    distribution and the concatenated cells form the fine one.
-    """
-
-    rows: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise DimensionError("NestedDist needs at least one row")
-        checked = [_clean_vector(r, what="row weights") for r in self.rows]
-        rows = tuple(arr for arr, _, _ in checked)
-        total = float(sum(_sum(arr, hi) for arr, _, hi in checked))
-        if abs(total - 1.0) > SUM_TOL:
-            raise NormalizationError(
-                f"grand total is {_sum_text(total)}; |total - 1| must be <= {SUM_TOL}"
-            )
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def row_sums(self) -> np.ndarray:
-        return np.array([float(r.sum()) for r in self.rows])
-
-    def flatten(self) -> ProbDist:
-        return _derived(ProbDist, np.concatenate(self.rows))
-
-    def coarse(self) -> ProbDist:
-        return _derived(ProbDist, self.row_sums)
 
 
 def make_dist(weights) -> ProbDist:

@@ -36,14 +36,15 @@ _VALIDATION_GRID = 2.0 ** np.arange(-20, 21)
 _ROUNDTRIP_TOL = 1e-10
 
 
-def _validate_generator(forward, inverse, direction: str, label: str) -> None:
-    """Check inverse(forward(x)) = x and the declared direction on the grid.
+def _validate_generator(forward, inverse, label: str) -> None:
+    """Check inverse(forward(x)) = x and monotonicity on the grid.
 
-    Deformed generators saturate at the grid extremes (forward values within
-    an ulp of their supremum), where inversion is ill-posed in doubles; each
-    point therefore gets slack proportional to its estimated inversion
-    condition number, and monotonicity tolerates ulp-level plateaus but never
-    a step against the declared direction.
+    The direction is the forward's own, from the grid's first point to its
+    last.  Deformed generators saturate at the grid extremes (forward values
+    within an ulp of their supremum), where inversion is ill-posed in
+    doubles; each point therefore gets slack proportional to its estimated
+    inversion condition number, and monotonicity tolerates ulp-level
+    plateaus but never a step against the direction.
     """
     x = _VALIDATION_GRID
     with np.errstate(over="raise", invalid="raise"):
@@ -56,17 +57,11 @@ def _validate_generator(forward, inverse, direction: str, label: str) -> None:
     if not np.all(np.isfinite(y)):
         raise GeneratorError(f"generator {label!r} produced non-finite values on the grid")
 
+    # equal ends mean a constant or non-monotonic map
     dy = np.diff(y)
-    if direction == "increasing":
-        wrong = dy < 0.0
-        strict = y[-1] > y[0]
-    elif direction == "decreasing":
-        wrong = dy > 0.0
-        strict = y[-1] < y[0]
-    else:
-        raise GeneratorError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
-    if np.any(wrong) or not strict:
-        raise GeneratorError(f"generator {label!r} is not {direction} on the validation grid")
+    up = y[-1] > y[0]
+    if y[-1] == y[0] or np.any(dy < 0.0 if up else dy > 0.0):
+        raise GeneratorError(f"generator {label!r} is not strictly monotonic on the grid")
 
     # A point whose forward value equals a neighbor's has saturated: the map
     # destroyed the distinction in doubles, so inversion there is meaningless
@@ -76,8 +71,6 @@ def _validate_generator(forward, inverse, direction: str, label: str) -> None:
     plateau[:-1] |= dy == 0.0
     plateau[1:] |= dy == 0.0
     live = ~plateau
-    if not np.any(live):
-        raise GeneratorError(f"generator {label!r} is constant on the validation grid")
 
     with np.errstate(over="raise", invalid="raise"):
         try:
@@ -112,19 +105,19 @@ def _validate_generator(forward, inverse, direction: str, label: str) -> None:
 class GeneratorPsi:
     """A validated strictly monotonic generator on its domain.
 
-    ``forward`` and ``inverse`` must be numpy-vectorized callables.
-    ``positive_domain`` restricts arguments to x > 0 (everything except the
-    identity).
+    ``forward`` and ``inverse`` must be numpy-vectorized callables.  Whether
+    the generator increases or decreases is read off ``forward`` on the
+    validation grid, not declared.  ``positive_domain`` restricts arguments
+    to x > 0 (everything except the identity).
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
-    direction: str
     label: str = "custom"
     positive_domain: bool = True
 
     def __post_init__(self) -> None:
-        _validate_generator(self.forward, self.inverse, self.direction, self.label)
+        _validate_generator(self.forward, self.inverse, self.label)
 
     def check_domain(self, xs: np.ndarray) -> None:
         if self.positive_domain and (xs <= 0.0).any():
@@ -137,13 +130,7 @@ def _ident(x):
 
 @functools.lru_cache(maxsize=1)
 def identity_generator() -> GeneratorPsi:
-    return GeneratorPsi(
-        forward=_ident,
-        inverse=_ident,
-        direction="increasing",
-        label="identity",
-        positive_domain=False,
-    )
+    return GeneratorPsi(forward=_ident, inverse=_ident, label="identity", positive_domain=False)
 
 
 def _x_pow(x, qf: float):
@@ -175,17 +162,11 @@ def _lnq_family(q: float, label: str) -> GeneratorPsi:
     under its own label.
     """
     if _near_one(q):
-        forward, inverse, up = (lambda x: q_log(x, q)), (lambda y: q_exp(y, q)), True
+        forward, inverse = (lambda x: q_log(x, q)), (lambda y: q_exp(y, q))
     else:
         b = 1.0 / (1.0 - q)
         forward, inverse = (lambda x: _x_pow(x, q)), (lambda y: np.asarray(y, dtype=float) ** b)
-        up = q < 1.0
-    return GeneratorPsi(
-        forward=forward,
-        inverse=inverse,
-        direction="increasing" if up else "decreasing",
-        label=label,
-    )
+    return GeneratorPsi(forward=forward, inverse=inverse, label=label)
 
 
 @functools.lru_cache(maxsize=1)

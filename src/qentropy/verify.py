@@ -34,6 +34,7 @@ across processes, and the reports do not change.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import sys
@@ -60,7 +61,7 @@ from .bounds import (
     tightest_constants,
     tsallis_cross_entropy_sandwich,
 )
-from .dist import NestedDist, Partition, ProbDist, _derived, coarsen, power_sum
+from .dist import Partition, ProbDist, _derived, coarsen, power_sum
 from .divergence import (
     complement_cross_entropy,
     f_by_label,
@@ -119,6 +120,14 @@ def _check_tol(tol) -> None:
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
 
 
+def _index(value, name: str) -> int:
+    """An integer argument as an int; a float or a string is rejected, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _masses(rng: np.random.Generator, size: int, min_mass: float) -> np.ndarray:
     """Normalized exponential draws, floored at min_mass and renormalized."""
     g = rng.exponential(size=size)
@@ -128,6 +137,7 @@ def _masses(rng: np.random.Generator, size: int, min_mass: float) -> np.ndarray:
 
 def sample_simplex(n: int, rng: np.random.Generator, min_mass: float = MIN_MASS) -> ProbDist:
     """Draw a point of the n-simplex with every mass at least ~min_mass (0 <= min_mass < 1)."""
+    n = _index(n, "n")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if not 0.0 <= min_mass < 1.0:
@@ -155,10 +165,13 @@ def _sample_joint(rng: np.random.Generator, k: int | None = None) -> JointDist:
     return _derived(JointDist, _masses(rng, math.prod(dims), MIN_MASS).reshape(dims))
 
 
-def _sample_nested(rng: np.random.Generator) -> NestedDist:
+def _sample_nested(rng: np.random.Generator) -> tuple[ProbDist, Partition]:
+    """A two-level refinement: cells, and a partition of them into consecutive blocks."""
     sizes = [int(s) for s in rng.integers(1, 5, size=int(rng.integers(2, 7)))]
     c = _masses(rng, sum(sizes), MIN_MASS)
-    return NestedDist(tuple(np.split(c, np.cumsum(sizes[:-1]))))
+    edges = np.cumsum([0, *sizes]).tolist()
+    blocks = tuple(tuple(range(a, b)) for a, b in zip(edges[:-1], edges[1:]))
+    return _derived(ProbDist, c), Partition(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +476,15 @@ def _trial_relative_bridge(rng, n, q):
 
 
 def _trial_deformed_additivity(rng, n, q):
-    nd = _sample_nested(rng)
-    h_flat = tsallis_entropy(nd.flatten(), q)
-    h_coarse = tsallis_entropy(nd.coarse(), q)
-    sums = nd.row_sums
+    p, part = _sample_nested(rng)
+    coarse = coarsen(p, part)
+    rows = tuple(p.weights[list(block)] for block in part.blocks)
     inner = math.fsum(
-        float(sums[i]) ** q * tsallis_entropy(_derived(ProbDist, row / row.sum()), q)
-        for i, row in enumerate(nd.rows)
+        float(s) ** q * tsallis_entropy(_derived(ProbDist, row / s), q)
+        for s, row in zip(coarse.weights, rows)
     )
     # absolute residual: the identity is exact, scales here are O(ln_q n)
-    return [abs(h_flat - (h_coarse + inner))], {"rows": nd.rows}
+    return [abs(tsallis_entropy(p, q) - (tsallis_entropy(coarse, q) + inner))], {"rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +702,17 @@ def _plan(
     """Validate run_case's arguments for one case."""
     if isinstance(case, str):
         case = get_case(case)
-    if trials < 1:
+    if case.id not in _CASE_INDEX:
+        raise UnknownCaseError(
+            f"case {case.id!r} is not registered: a case's trial streams are keyed "
+            "by its position in REGISTRY"
+        )
+    if _index(trials, "trials") < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
-    seed = int(seed)
+    seed = _index(seed, "seed")
     if seed < 0:
         raise DomainError(f"need seed >= 0, got {seed}")
-    lo, hi = int(n_range[0]), int(n_range[1])
+    lo, hi = _index(n_range[0], "n_range[0]"), _index(n_range[1], "n_range[1]")
     if lo < 1 or hi < lo:
         raise DomainError(f"bad n_range {n_range!r}")
     if tol is not None:

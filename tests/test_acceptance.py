@@ -12,10 +12,11 @@ import pytest
 
 from qentropy import (
     JointDist,
-    NestedDist,
+    Partition,
     ProbDist,
     cartwright_field,
     chain_rule_decomposition,
+    coarsen,
     f_divergence,
     han_sandwich,
     kl_divergence,
@@ -117,14 +118,15 @@ def test_criterion_03_algebraic_identities(registry_run_a):
     assert qadd.trials == TRIALS
     assert qadd.violations == 0, f"additivity worst {qadd.worst_violation:.3e}"
     # direct residual on a fixed two-level layout
-    nd = NestedDist((np.array([0.1, 0.2]), np.array([0.3, 0.4])))
+    p = ProbDist([0.1, 0.2, 0.3, 0.4])
+    part = Partition(((0, 1), (2, 3)))
+    coarse = coarsen(p, part)
     for q in (0.5, 1.0, 2.0):
-        flat = tsallis_entropy(nd.flatten(), q)
         inner = math.fsum(
-            float(s) ** q * tsallis_entropy(ProbDist(row / row.sum()), q)
-            for s, row in zip(nd.row_sums, nd.rows)
+            float(s) ** q * tsallis_entropy(ProbDist(p.weights[list(block)] / s), q)
+            for s, block in zip(coarse.weights, part.blocks)
         )
-        assert abs(flat - (tsallis_entropy(nd.coarse(), q) + inner)) <= 1e-10
+        assert abs(tsallis_entropy(p, q) - (tsallis_entropy(coarse, q) + inner)) <= 1e-10
     _summary(
         "3 algebraic identities",
         f"lagrange worst {lag.worst_violation:.3e}, spread worst "

@@ -1,6 +1,6 @@
 """Distributions the library derives from validated weights skip re-validation.
 
-coarsen, marginal, NestedDist.flatten / coarse and the registry's samplers
+coarsen, marginal and the registry's samplers
 build their result through dist._derived: no copy, no second sum check, and
 no __post_init__.  Each result must equal what the public constructor gives
 on the same array, with the same carried extremes bit for bit, frozen, and
@@ -12,7 +12,6 @@ import pytest
 
 from qentropy import (
     JointDist,
-    NestedDist,
     Partition,
     PositivityError,
     ProbDist,
@@ -54,13 +53,10 @@ def _derived_results():
     p = ProbDist(w / w.sum())
     cells = rng.exponential(size=(2, 3, 4))
     j = JointDist(cells / cells.sum())
-    nested = NestedDist((p.weights[:4].copy(), p.weights[4:].copy()))
     return j, [
         (lambda: coarsen(p, Partition(((0, 4), (1, 2, 3), (5, 6, 7, 8)))), ProbDist),
         (lambda: marginal(j, (0, 2)), JointDist),
         (lambda: marginal(j, (1,)), JointDist),
-        (nested.flatten, ProbDist),
-        (nested.coarse, ProbDist),
         (lambda: sample_simplex(7, np.random.default_rng(3)), ProbDist),
         (lambda: sample_simplex(1, np.random.default_rng(3)), ProbDist),
         (lambda: verify._sample_joint(np.random.default_rng(4)), JointDist),
@@ -68,7 +64,7 @@ def _derived_results():
     ]
 
 
-@pytest.mark.parametrize("index", range(9))
+@pytest.mark.parametrize("index", range(7))
 def test_derived_equals_public_construction(index, monkeypatch):
     _, results = _derived_results()
     build, cls = results[index]

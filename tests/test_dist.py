@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qentropy import (
     DimensionError,
     LengthMismatchError,
-    NestedDist,
     NormalizationError,
     Partition,
     PartitionError,
@@ -117,20 +116,6 @@ def test_check_lengths():
         check_lengths(make_dist([0.5, 0.5]), make_dist([0.2, 0.3, 0.5]))
 
 
-def test_nested_dist_structure():
-    nd = NestedDist((np.array([0.1, 0.2]), np.array([0.3, 0.4])))
-    np.testing.assert_allclose(nd.row_sums, [0.3, 0.7], atol=1e-15)
-    np.testing.assert_allclose(nd.flatten().weights, [0.1, 0.2, 0.3, 0.4], atol=1e-15)
-    np.testing.assert_allclose(nd.coarse().weights, [0.3, 0.7], atol=1e-15)
-
-
-def test_nested_dist_validation():
-    with pytest.raises(NormalizationError):
-        NestedDist((np.array([0.1, 0.2]), np.array([0.3])))
-    with pytest.raises(PositivityError):
-        NestedDist((np.array([0.5, -0.1]), np.array([0.6])))
-
-
 @st.composite
 def _dists(draw, max_n=10):
     n = draw(st.integers(2, max_n))
@@ -168,21 +153,16 @@ def test_coarsening_never_raises_entropy(pair, q):
     assert tsallis_entropy(c, q) <= tsallis_entropy(p, q) + 1e-10
 
 
-@given(st.integers(2, 6), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.randoms())
+@given(_dist_with_partition(), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]))
 @settings(max_examples=100, deadline=None)
-def test_two_level_additivity_oracle(rows, q, rnd):
-    sizes = [rnd.randint(1, 4) for _ in range(rows)]
-    raw = np.array([rnd.uniform(0.05, 1.0) for _ in range(sum(sizes))])
-    raw = raw / raw.sum()
-    chunks, start = [], 0
-    for s in sizes:
-        chunks.append(raw[start : start + s])
-        start += s
-    nd = NestedDist(tuple(chunks))
-    lhs = tsallis_entropy(nd.flatten(), q)
+def test_two_level_additivity_oracle(pair, q):
+    # the grouping identity over any partition, whose blocks need not be consecutive:
+    # H_q(p) = H_q(coarsen(p)) + sum_i P_i^q H_q(block_i / P_i)
+    p, part = pair
+    coarse = coarsen(p, part)
     inner = sum(
-        float(nd.row_sums[i]) ** q * tsallis_entropy(ProbDist(row / row.sum()), q)
-        for i, row in enumerate(nd.rows)
+        float(s) ** q * tsallis_entropy(ProbDist(p.weights[list(block)] / s), q)
+        for s, block in zip(coarse.weights, part.blocks)
     )
-    rhs = tsallis_entropy(nd.coarse(), q) + inner
-    assert lhs == pytest.approx(rhs, abs=1e-10)
+    rhs = tsallis_entropy(coarse, q) + inner
+    assert tsallis_entropy(p, q) == pytest.approx(rhs, abs=1e-10)

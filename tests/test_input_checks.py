@@ -24,7 +24,6 @@ from qentropy import (
     DimensionError,
     DomainError,
     JointDist,
-    NestedDist,
     NormalizationError,
     PositivityError,
     ProbDist,
@@ -132,23 +131,6 @@ CASES = [
     ("ProbDist-2d", lambda: ProbDist(_as_2d(0.25)), (DimensionError, "probability weights must be one-dimensional, got shape (2, 2)")),
     ("ProbDist-empty", lambda: ProbDist(np.array([])), (DimensionError, "probability weights must contain at least one entry")),
     ("ProbDist-sum-overflows", lambda: ProbDist(np.array([HUGE, HUGE])), (NormalizationError, f"weights sum to {OVER_SUM}; |sum - 1| must be <= 1e-09")),
-    # NestedDist: every row checked, then the grand total
-    *[
-        (f"NestedDist-{name}", lambda v=v: NestedDist((np.array([0.5]), np.array([0.5, v]))), exp)
-        for name, v, exp in (
-            ("nan", NAN, _positivity("row weights")),
-            ("+inf", INF, _positivity("row weights")),
-            ("-inf", -INF, _positivity("row weights")),
-            ("zero", 0.0, _positivity("row weights")),
-            ("-zero", -0.0, _positivity("row weights")),
-            ("minus-one", -1.0, _positivity("row weights")),
-            ("subnormal", SUBNORMAL, None),
-            ("huge", HUGE, (NormalizationError, "grand total is 1.7e+308; |total - 1| must be <= 1e-09")),
-        )
-    ],
-    ("NestedDist-2d-row", lambda: NestedDist((_as_2d(0.25),)), (DimensionError, "row weights must be one-dimensional, got shape (2, 2)")),
-    ("NestedDist-row-sum-overflows", lambda: NestedDist((np.array([HUGE, HUGE]),)), (NormalizationError, f"grand total is {OVER_SUM}; |total - 1| must be <= 1e-09")),
-    ("NestedDist-total-overflows", lambda: NestedDist((np.array([HUGE]), np.array([HUGE]))), (NormalizationError, f"grand total is {OVER_SUM}; |total - 1| must be <= 1e-09")),
     # JointDist: any number of axes >= 1
     *[
         (f"JointDist-{name}", lambda v=v: JointDist(np.array([[0.25, 0.25], [0.5, v]])), exp)

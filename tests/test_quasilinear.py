@@ -53,6 +53,12 @@ def test_log_mean_is_geometric_mean(p_half):
     assert quasilinear_mean(log_generator(), [1.0, 4.0], p_half) == pytest.approx(2.0, rel=1e-14)
 
 
+def test_reciprocal_mean_is_harmonic_mean(p_half):
+    # psi = 1/x decreases, which validation reads off the forward: nothing declares it
+    psi = GeneratorPsi(forward=lambda x: 1.0 / x, inverse=lambda y: 1.0 / y, label="reciprocal")
+    assert quasilinear_mean(psi, [1.0, 4.0], p_half) == pytest.approx(1.6, rel=1e-14)
+
+
 def test_identity_mean_is_arithmetic_mean(p_quarter):
     m = quasilinear_mean(identity_generator(), [1.0, 5.0], p_quarter)
     assert m == pytest.approx(4.0, rel=1e-14)
@@ -185,18 +191,14 @@ def test_generator_factories_are_memoized_on_q():
 
 def test_generator_validation_rejects_non_monotone():
     with pytest.raises(GeneratorError):
-        GeneratorPsi(forward=np.cos, inverse=np.arccos, direction="increasing", label="cos")
-
-
-def test_generator_validation_rejects_wrong_direction():
+        GeneratorPsi(forward=np.cos, inverse=np.arccos, label="cos")
     with pytest.raises(GeneratorError):
-        GeneratorPsi(forward=np.log, inverse=np.exp, direction="decreasing", label="log-flipped")
+        GeneratorPsi(forward=lambda x: np.ones_like(x), inverse=lambda y: y, label="flat")
 
 
 def test_generator_validation_rejects_bad_inverse():
     with pytest.raises(GeneratorError):
-        GeneratorPsi(forward=np.log, inverse=lambda y: np.exp(y) + 1.0,
-                     direction="increasing", label="shifted")
+        GeneratorPsi(forward=np.log, inverse=lambda y: np.exp(y) + 1.0, label="shifted")
 
 
 def test_generator_validation_rejects_overflow():
@@ -204,7 +206,6 @@ def test_generator_validation_rejects_overflow():
         GeneratorPsi(
             forward=lambda x: np.exp(np.asarray(x, dtype=float) ** 8),
             inverse=lambda y: np.log(y) ** 0.125,
-            direction="increasing",
             label="blow-up",
         )
 

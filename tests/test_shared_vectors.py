@@ -175,7 +175,6 @@ def test_quasilinear_vs_tsallis_evaluates_psi_once():
     psi = GeneratorPsi(
         forward=forward,
         inverse=lambda y: q_exp(y, 0.5),
-        direction="increasing",
         label="counting-lnq",
     )
     calls.clear()
@@ -197,7 +196,6 @@ def test_quasilinear_vs_tsallis_accepts_an_array_like_forward():
     psi = GeneratorPsi(
         forward=lambda x: list(np.log(x)),
         inverse=np.exp,
-        direction="increasing",
         label="list-log",
     )
     r = ProbDist([0.25, 0.75])

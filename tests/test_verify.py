@@ -79,7 +79,7 @@ def test_sample_simplex_respects_profile_floor():
 
 @pytest.mark.parametrize("draw", [
     lambda rng: verify._sample_joint(rng).cells.ravel(),
-    lambda rng: np.concatenate(verify._sample_nested(rng).rows),
+    lambda rng: verify._sample_nested(rng)[0].weights,
 ], ids=["joint", "nested"])
 def test_joint_and_nested_samplers_floor_at_min_mass(monkeypatch, draw):
     # a floor far above float noise shows itself: every floored cell is the
@@ -131,6 +131,13 @@ def test_unknown_case_rejected():
         run_case("nosuch", trials=5, seed=1)
     with pytest.raises(UnknownCaseError):
         get_case("prop9.9")
+    # a case's streams are keyed by its position in REGISTRY: an unregistered id has none
+    mine = verify.TheoremCase("mine", "custom", lambda rng, n, q: ([0.0], {}), q_range=None)
+    with pytest.raises(UnknownCaseError, match="'mine' is not registered.*position in REGISTRY"):
+        run_case(mine, trials=3)
+    # a registered id keeps its streams under dataclasses.replace
+    renamed = dataclasses.replace(REGISTRY["id14"], description="changed")
+    assert run_case(renamed, trials=5, seed=1) == run_case("id14", trials=5, seed=1)
 
 
 def test_bad_arguments_rejected():
@@ -144,6 +151,21 @@ def test_bad_arguments_rejected():
         run_case("id14", trials=5, seed=1, q_grid=())
     with pytest.raises(DomainError):
         run_case("id14", trials=5, seed=1, q_grid=(-1.0,))
+    # integer arguments are taken exactly, never truncated
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        run_case("id14", trials=5, seed=1.9)
+    with pytest.raises(DomainError, match=r"n_range\[0\] must be an integer"):
+        run_case("id14", trials=5, seed=1, n_range=(2.7, 16))
+    with pytest.raises(DomainError, match=r"n_range\[1\] must be an integer"):
+        run_case("id14", trials=5, seed=1, n_range=(2, 16.9))
+    with pytest.raises(DomainError, match="trials must be an integer"):
+        run_case("id14", trials=5.0, seed=1)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        sample_simplex(2.5, np.random.default_rng(0))
+    # NumPy ints and multi-word seeds still pass
+    rep = run_case("id14", trials=np.int64(5), seed=np.uint64(1), n_range=(np.int32(2), 16))
+    assert rep.to_json_line() == run_case("id14", trials=5, seed=1).to_json_line()
+    assert run_case("id14", trials=5, seed=2**64 + 5).seed == 2**64 + 5
 
 
 def test_hypothesis_gate():
