@@ -1,7 +1,7 @@
 """Distributions the library derives from validated weights skip re-validation.
 
-coarsen, marginal and the registry's samplers
-build their result through dist._derived: no copy, no second sum check, and
+coarsen, marginal and the registry's samplers (the two-level refinement's
+cells among them) build their result through dist._derived: no copy, no second sum check, and
 no __post_init__.  Each result must equal what the public constructor gives
 on the same array, with the same carried extremes bit for bit, frozen, and
 a zero mass must still raise PositivityError.
@@ -61,10 +61,13 @@ def _derived_results():
         (lambda: sample_simplex(1, np.random.default_rng(3)), ProbDist),
         (lambda: verify._sample_joint(np.random.default_rng(4)), JointDist),
         (lambda: verify._sample_joint(np.random.default_rng(5), k=2), JointDist),
+        # a two-level refinement: the cells, and their sums over its blocks
+        (lambda: verify._sample_nested(np.random.default_rng(6))[0], ProbDist),
+        (lambda: coarsen(*verify._sample_nested(np.random.default_rng(6))), ProbDist),
     ]
 
 
-@pytest.mark.parametrize("index", range(7))
+@pytest.mark.parametrize("index", range(9))
 def test_derived_equals_public_construction(index, monkeypatch):
     _, results = _derived_results()
     build, cls = results[index]

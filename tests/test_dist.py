@@ -116,6 +116,27 @@ def test_check_lengths():
         check_lengths(make_dist([0.5, 0.5]), make_dist([0.2, 0.3, 0.5]))
 
 
+def test_nested_dist_structure():
+    # a two-level refinement is its cells with a partition of them; the
+    # coarse level is coarsen, and each block's cells give its row
+    p = ProbDist([0.1, 0.2, 0.3, 0.4])
+    part = Partition(((0, 1), (2, 3)))
+    np.testing.assert_allclose(coarsen(p, part).weights, [0.3, 0.7], atol=1e-15)
+    rows = [p.weights[list(block)] for block in part.blocks]
+    np.testing.assert_allclose(np.concatenate(rows), [0.1, 0.2, 0.3, 0.4], atol=0.0)
+    np.testing.assert_allclose([r.sum() for r in rows], [0.3, 0.7], atol=1e-15)
+
+
+def test_nested_dist_validation():
+    # the cells carry the grand total and positivity, the partition the cover
+    with pytest.raises(NormalizationError):
+        ProbDist([0.1, 0.2, 0.3])
+    with pytest.raises(PositivityError):
+        ProbDist([0.5, -0.1, 0.6])
+    with pytest.raises(PartitionError):
+        coarsen(ProbDist([0.1, 0.2, 0.3, 0.4]), Partition(((0, 1), (2,))))
+
+
 @st.composite
 def _dists(draw, max_n=10):
     n = draw(st.integers(2, max_n))

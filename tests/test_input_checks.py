@@ -26,8 +26,11 @@ from qentropy import (
     JointDist,
     NormalizationError,
     PositivityError,
+    Partition,
+    PartitionError,
     ProbDist,
     QEntropyError,
+    coarsen,
     UndefinedValueError,
     identity_generator,
     lnq_generator,
@@ -43,6 +46,7 @@ QLOG_MSG = "q_log is defined only for finite x > 0"
 QEXP_MSG = "q_exp requires finite arguments"
 OVER_SUM = "more than 1.7976931348623157e+308"
 PSI_MSG = "generator 'lnq[q=0.5]' requires strictly positive arguments"
+NOT_INT = "blocks must be iterables of integers: 'float' object cannot be interpreted as an integer"
 
 
 def _positivity(what):
@@ -131,6 +135,28 @@ CASES = [
     ("ProbDist-2d", lambda: ProbDist(_as_2d(0.25)), (DimensionError, "probability weights must be one-dimensional, got shape (2, 2)")),
     ("ProbDist-empty", lambda: ProbDist(np.array([])), (DimensionError, "probability weights must contain at least one entry")),
     ("ProbDist-sum-overflows", lambda: ProbDist(np.array([HUGE, HUGE])), (NormalizationError, f"weights sum to {OVER_SUM}; |sum - 1| must be <= 1e-09")),
+    # a two-level refinement is a ProbDist with a Partition of its cells: every
+    # index is taken exactly (never truncated), then coarsen checks the cover
+    *[
+        (f"Partition-{name}", lambda v=v: coarsen(ProbDist([0.25, 0.25, 0.5]), Partition(((0,), (1, v)))), exp)
+        for name, v, exp in (
+            ("nan", NAN, (PartitionError, NOT_INT)),
+            ("+inf", INF, (PartitionError, NOT_INT)),
+            ("-inf", -INF, (PartitionError, NOT_INT)),
+            ("zero", 0, (PartitionError, "index 0 appears in more than one block")),
+            ("-zero", -0.0, (PartitionError, NOT_INT)),
+            ("minus-one", -1, (PartitionError, "negative index -1")),
+            ("subnormal", SUBNORMAL, (PartitionError, NOT_INT)),
+            ("huge", HUGE, (PartitionError, NOT_INT)),
+            ("integral-float", 2.0, (PartitionError, NOT_INT)),
+            ("numpy-int", np.int64(2), None),
+            ("out-of-range", 3, (PartitionError, "blocks must cover exactly the indices 0..2")),
+        )
+    ],
+    ("Partition-no-blocks", lambda: Partition(()), (PartitionError, "a partition needs at least one block")),
+    ("Partition-empty-block", lambda: Partition(((0,), ())), (PartitionError, "empty block")),
+    ("Partition-flat", lambda: Partition((0, 1, 2)), (PartitionError, "blocks must be iterables of integers: 'int' object is not iterable")),
+    ("coarsen-misses-cell", lambda: coarsen(ProbDist([0.25, 0.25, 0.5]), Partition(((0, 1),))), (PartitionError, "blocks must cover exactly the indices 0..2")),
     # JointDist: any number of axes >= 1
     *[
         (f"JointDist-{name}", lambda v=v: JointDist(np.array([[0.25, 0.25], [0.5, v]])), exp)

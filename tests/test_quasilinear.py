@@ -196,6 +196,18 @@ def test_generator_validation_rejects_non_monotone():
         GeneratorPsi(forward=lambda x: np.ones_like(x), inverse=lambda y: y, label="flat")
 
 
+def test_generator_validation_rejects_wrong_direction():
+    # the direction is the forward's own, read between the grid's ends; one step
+    # against it is rejected, whichever way the forward runs
+    for sign in (1.0, -1.0):
+        with pytest.raises(GeneratorError, match="not strictly monotonic"):
+            GeneratorPsi(
+                forward=lambda x, s=sign: s * (np.log(x) - (x >= 1.0)),
+                inverse=lambda y, s=sign: np.exp(s * y),
+                label="stepped",
+            )
+
+
 def test_generator_validation_rejects_bad_inverse():
     with pytest.raises(GeneratorError):
         GeneratorPsi(forward=np.log, inverse=lambda y: np.exp(y) + 1.0, label="shifted")
