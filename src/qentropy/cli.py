@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -331,19 +330,6 @@ def _echo(args) -> None:
         print(dumps({"schema": SCHEMA, "weights": weights}))
 
 
-def _env_tol() -> float | None:
-    raw = os.environ.get("QENTROPY_CHECK_TOL")
-    if raw is None:
-        return None
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise _CliError(f"error: QENTROPY_CHECK_TOL is not a number: {raw!r}") from None
-    if not math.isfinite(tol) or tol < 0.0:
-        raise _CliError(f"error: QENTROPY_CHECK_TOL must be finite and >= 0, got {raw!r}")
-    return tol
-
-
 def _verify(args) -> int:
     if args.list:
         for cid, case in REGISTRY.items():
@@ -351,14 +337,9 @@ def _verify(args) -> int:
         return 0
     if args.run_all == (args.case is not None):
         raise _CliError("error: pass exactly one of --all or --case")
-    _check_q(args.q)
-    if args.trials < 1:
-        raise _CliError(f"error: --trials must be >= 1, got {args.trials}")
-    if args.seed < 0:
-        raise _CliError(f"error: --seed must be >= 0, got {args.seed}")
-    tol = _env_tol()
+    # run_case checks --q, --trials and --seed; its errors print as "error: ..."
     q_grid = DEFAULT_Q_GRID if args.q is None else (args.q,)
-    opts = dict(q_grid=q_grid, override_hypothesis=args.override_hypothesis, tol=tol)
+    opts = dict(q_grid=q_grid, override_hypothesis=args.override_hypothesis)
     if args.run_all:
         reports = run_registry(args.trials, args.seed, **opts)
     else:

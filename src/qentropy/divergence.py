@@ -24,6 +24,7 @@ import numpy as np
 from .dist import ProbDist, check_lengths
 from .errors import DomainError, GeneratorError, HypothesisError
 from .qmath import (
+    _GENERATOR_GRID,
     _as_q,
     _cached_by_q,
     _ln_q,
@@ -51,9 +52,6 @@ __all__ = [
     "complement_cross_entropy",
 ]
 
-_CONVEXITY_GRID = 2.0 ** np.arange(-20, 21)
-
-
 def _validate_convex(eval_fn: Callable, label: str) -> None:
     # f(1) = 0 and sampled midpoint convexity; sampled means a pass is
     # evidence, not proof.
@@ -62,7 +60,7 @@ def _validate_convex(eval_fn: Callable, label: str) -> None:
             at_one = float(np.asarray(eval_fn(np.asarray(1.0))))
             if abs(at_one) > 1e-12:
                 raise GeneratorError(f"generator {label!r}: eval(1) = {at_one!r}, must be 0")
-            g = _CONVEXITY_GRID
+            g = _GENERATOR_GRID
             a = g[:, None]
             b = g[None, :]
             fa = np.asarray(eval_fn(a), dtype=float)

@@ -23,6 +23,9 @@ from .errors import DomainError, UndefinedValueError
 # Distinct q values each generator factory keeps built and validated.
 _GENERATOR_CACHE_SIZE = 256
 
+# Points where a generator's construction-time self checks evaluate it.
+_GENERATOR_GRID = 2.0 ** np.arange(-20, 21)
+
 __all__ = ["q_log", "q_exp"]
 
 

@@ -16,7 +16,9 @@ import numpy as np
 
 from .dist import ProbDist, _points, check_lengths
 from .errors import DomainError, GeneratorError
-from .qmath import _cached_by_q, _ln_q_fits, _near_one, _require_finite_ratio, q_exp, q_log
+from .qmath import (
+    _GENERATOR_GRID, _cached_by_q, _ln_q_fits, _near_one, _require_finite_ratio, q_exp, q_log,
+)
 
 __all__ = [
     "GeneratorPsi",
@@ -31,8 +33,6 @@ __all__ = [
     "tsallis_quasilinear_relative",
 ]
 
-# Round-trip / monotonicity validation grid for generators.
-_VALIDATION_GRID = 2.0 ** np.arange(-20, 21)
 _ROUNDTRIP_TOL = 1e-10
 
 
@@ -46,7 +46,7 @@ def _validate_generator(forward, inverse, label: str) -> None:
     inversion condition number, and monotonicity tolerates ulp-level
     plateaus but never a step against the direction.
     """
-    x = _VALIDATION_GRID
+    x = _GENERATOR_GRID
     with np.errstate(over="raise", invalid="raise"):
         try:
             y = np.asarray(forward(x), dtype=float)

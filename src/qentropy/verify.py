@@ -15,9 +15,10 @@ claims; v > 0 means a claim fails. The claim kinds:
   max(violation(), -lower) / (1 + scale());
 - a bare float, an absolute residual, scored as itself.
 
-Exact identities use a tighter default threshold. A report's witness holds
-the inputs of its worst trial; it is rendered only when a trial sets a new
-worst.
+A trial fails when v exceeds its case's ``tol``: 1e-9, or 1e-10 for the exact
+identities; ``dataclasses.replace(get_case(c), tol=...)`` runs a stricter case.
+A report's witness holds the inputs of its worst trial; it is rendered only
+when a trial sets a new worst.
 
 Trial t of case c under seed s draws from
 ``PCG64(SeedSequence(s, spawn_key=(index(c),))).jumped(t)``: each case is a
@@ -34,6 +35,7 @@ across processes, and the reports do not change.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import pickle
@@ -115,11 +117,6 @@ DEFAULT_Q_GRID = (0.0, 0.25, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0, 4.0)
 IDENTITY_TOL = 1e-10
 
 
-def _check_tol(tol) -> None:
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
-
-
 def _index(value, name: str) -> int:
     """An integer argument as an int; a float or a string is rejected, not truncated."""
     try:
@@ -140,7 +137,11 @@ def sample_simplex(n: int, rng: np.random.Generator, min_mass: float = MIN_MASS)
     n = _index(n, "n")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if not 0.0 <= min_mass < 1.0:
+    try:
+        ok = 0.0 <= min_mass < 1.0
+    except TypeError:  # a string or None is no mass
+        ok = False
+    if not ok:
         raise DomainError(f"min_mass must be finite and in [0, 1), got {min_mass!r}")
     if n == 1:
         return _derived(ProbDist, np.array([1.0]))
@@ -494,13 +495,18 @@ def _trial_deformed_additivity(rng, n, q):
 
 @dataclass(frozen=True)
 class TheoremCase:
-    """One registered claim; ``q_range`` is its closed range of admitted q, None if q-free."""
+    """One registered claim; ``q_range`` is its closed range of admitted q, None if q-free,
+    and a trial fails when its normalized violation exceeds ``tol``."""
 
     id: str
     description: str
     trial: Callable
     q_range: tuple[float, float] | None = (0.0, 4.0)
-    tol: float | None = None
+    tol: float = CHECK_TOL
+
+    def __post_init__(self):  # a NaN tol would pass every trial, a negative one fail all
+        if not 0.0 <= self.tol < math.inf:
+            raise DomainError(f"tol must be finite and >= 0, got {self.tol!r}")
 
     def admits(self, q: float) -> bool:
         if self.q_range is None:
@@ -639,18 +645,7 @@ class VerifyReport:
     in_hypothesis: bool = True
 
     def to_json_line(self) -> str:
-        return dumps(
-            {
-                "schema": SCHEMA,
-                "case": self.case,
-                "trials": self.trials,
-                "violations": self.violations,
-                "worst_violation": self.worst_violation,
-                "worst_witness": self.worst_witness,
-                "seed": self.seed,
-                "in_hypothesis": self.in_hypothesis,
-            }
-        )
+        return dumps({"schema": SCHEMA, **vars(self)})  # the fields in declaration order
 
 
 # PCG64.jumped(k) advances the 128-bit LCG state by k * _JUMP steps.
@@ -673,7 +668,6 @@ class _Plan(NamedTuple):
     lo: int
     hi: int
     qs: list[float] | None
-    tol: float
     in_hypothesis: bool
     rng: np.random.Generator  # the case's stream, placed at each trial in turn
     start: dict  # its bit generator's state before any jump
@@ -697,7 +691,6 @@ def _plan(
     n_range: tuple[int, int] = (2, 16),
     q_grid: tuple[float, ...] = DEFAULT_Q_GRID,
     override_hypothesis: bool = False,
-    tol: float | None = None,
 ) -> _Plan:
     """Validate run_case's arguments for one case."""
     if isinstance(case, str):
@@ -712,21 +705,27 @@ def _plan(
     seed = _index(seed, "seed")
     if seed < 0:
         raise DomainError(f"need seed >= 0, got {seed}")
-    lo, hi = _index(n_range[0], "n_range[0]"), _index(n_range[1], "n_range[1]")
+    try:
+        lo, hi = n_range
+    except (TypeError, ValueError):
+        raise DomainError(f"n_range must be a pair (lo, hi), got {n_range!r}") from None
+    lo, hi = _index(lo, "n_range[0]"), _index(hi, "n_range[1]")
     if lo < 1 or hi < lo:
         raise DomainError(f"bad n_range {n_range!r}")
-    if tol is not None:
-        _check_tol(tol)
+    try:
+        grid = list(q_grid)
+    except TypeError:
+        raise DomainError(f"q_grid must be an iterable of numbers, got {q_grid!r}") from None
+    if not grid:
+        raise DomainError("q_grid is empty")
+    for qv in grid:
+        if not (isinstance(qv, numbers.Real) and 0.0 <= qv < math.inf):
+            raise DomainError(f"q_grid value {qv!r} is not a number in [0, inf)")
+    grid = [float(qv) for qv in grid]
 
     qs: list[float] | None = None
     in_hypothesis = True
     if case.q_range is not None:
-        grid = [float(x) for x in q_grid]
-        if not grid:
-            raise DomainError("q_grid is empty")
-        for qv in grid:
-            if not math.isfinite(qv) or qv < 0.0:
-                raise DomainError(f"q grid value {qv} outside [0, inf)")
         admitted = [qv for qv in grid if case.admits(qv)]
         if override_hypothesis:
             qs = grid
@@ -739,16 +738,16 @@ def _plan(
                 )
             qs = admitted
 
-    eff_tol = tol if tol is not None else (case.tol if case.tol is not None else CHECK_TOL)
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(_CASE_INDEX[case.id],)))
     )
-    return _Plan(case, seed, lo, hi, qs, eff_tol, in_hypothesis, rng, rng.bit_generator.state)
+    return _Plan(case, seed, lo, hi, qs, in_hypothesis, rng, rng.bit_generator.state)
 
 
 def _run_trials(plan: _Plan, t0: int, t1: int) -> tuple[int, float, dict]:
     """(violations, worst violation, its witness) over trials [t0, t1) of a planned case."""
     case, lo, hi, qs, rng = plan.case, plan.lo, plan.hi, plan.qs, plan.rng
+    tol = case.tol
     bit_generator = rng.bit_generator
     violations = 0
     worst = -math.inf
@@ -767,7 +766,7 @@ def _run_trials(plan: _Plan, t0: int, t1: int) -> tuple[int, float, dict]:
             if qv is not None:
                 worst_witness["q"] = qv
             worst_witness.update((k, _render(x)) for k, x in inputs.items())
-        if v > plan.tol:
+        if v > tol:
             violations += 1
     return violations, worst, worst_witness
 
@@ -780,16 +779,16 @@ def run_case(
     n_range: tuple[int, int] = (2, 16),
     q_grid: tuple[float, ...] = DEFAULT_Q_GRID,
     override_hypothesis: bool = False,
-    tol: float | None = None,
 ) -> VerifyReport:
-    """Run one case and count normalized violations above the threshold.
+    """Run one case and count normalized violations above the case's ``tol``.
 
-    The threshold is ``tol`` if given, else the case's own ``tol``, else
-    CHECK_TOL.  q values outside the case hypothesis raise HypothesisError unless
-    ``override_hypothesis`` is set, in which case the report is flagged
-    ``in_hypothesis: false`` and violations are expected, not failures.
+    That is 1e-9, or 1e-10 for the exact identities; a stricter run passes
+    ``dataclasses.replace(case, tol=...)``.  A q-free case ignores the values
+    of a valid ``q_grid``.  q values outside the case hypothesis raise
+    HypothesisError unless ``override_hypothesis`` is set, in which case the
+    report is flagged ``in_hypothesis: false`` and its violations are not failures.
     """
-    plan = _plan(case, trials, seed, n_range, q_grid, override_hypothesis, tol)
+    plan = _plan(case, trials, seed, n_range, q_grid, override_hypothesis)
     return plan.report(trials, *_run_trials(plan, 0, trials))
 
 

@@ -110,10 +110,11 @@ def test_criterion_02_bridge_identities(registry_run_a):
 
 
 def test_criterion_03_algebraic_identities(registry_run_a):
-    lag = run_case("lem4.1", trials=TRIALS, seed=SEED, n_range=(2, 32), tol=1e-10)
-    spread = run_case("lem4.2", trials=TRIALS, seed=SEED, n_range=(2, 32), tol=1e-10)
-    assert lag.violations == 0, f"lagrange worst {lag.worst_violation:.3e}"
-    assert spread.violations == 0, f"spread worst {spread.worst_violation:.3e}"
+    lag = run_case("lem4.1", trials=TRIALS, seed=SEED, n_range=(2, 32))
+    spread = run_case("lem4.2", trials=TRIALS, seed=SEED, n_range=(2, 32))
+    # no trial scores above 1e-10 exactly when the worst score is at most 1e-10
+    assert lag.worst_violation <= 1e-10, f"lagrange worst {lag.worst_violation:.3e}"
+    assert spread.worst_violation <= 1e-10, f"spread worst {spread.worst_violation:.3e}"
     qadd = _by_case(registry_run_a)["qadd"]
     assert qadd.trials == TRIALS
     assert qadd.violations == 0, f"additivity worst {qadd.worst_violation:.3e}"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -250,17 +251,21 @@ def test_verify_override_hypothesis_is_informational(capsys):
     assert doc["violations"] > 0
 
 
-def test_verify_env_tolerance_forces_failure(capsys, monkeypatch):
-    monkeypatch.setenv("QENTROPY_CHECK_TOL", "1e-30")
+def test_verify_strict_case_tol_exits_two(capsys, monkeypatch):
+    # a case's own tol is the one threshold: at 0 float noise is a violation
+    monkeypatch.setitem(qe.REGISTRY, "id14", dataclasses.replace(qe.REGISTRY["id14"], tol=0.0))
     status, out, _ = _run(capsys, ["verify", "--case", "id14", "--trials", "20"])
     assert status == 2
     assert json.loads(out)["violations"] > 0
 
 
-def test_verify_env_tolerance_must_be_numeric(capsys, monkeypatch):
-    monkeypatch.setenv("QENTROPY_CHECK_TOL", "tight")
-    status, _, err = _run(capsys, ["verify", "--case", "id14", "--trials", "5"])
-    assert status == 1 and "QENTROPY_CHECK_TOL" in err
+def test_verify_ignores_the_removed_tolerance_variable(capsys, monkeypatch):
+    argv = ["verify", "--case", "id14", "--trials", "20", "--seed", "3"]
+    monkeypatch.delenv("QENTROPY_CHECK_TOL", raising=False)
+    plain = _run(capsys, argv)
+    monkeypatch.setenv("QENTROPY_CHECK_TOL", "1e-30")
+    assert _run(capsys, argv) == plain
+    assert plain[0] == 0
 
 
 def test_verify_unknown_case(capsys):
@@ -350,7 +355,6 @@ def workdir(tmp_path, monkeypatch):
     for name, doc in files.items():
         (tmp_path / name).write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QENTROPY_CHECK_TOL", raising=False)
     return tmp_path
 
 
@@ -534,14 +538,14 @@ def _verify_line(rep, output):
 
 
 VERIFY_ROWS = [
-    # (argv, run_case arguments per case, tol, exit status)
+    # (argv, run_case arguments per case, tol set on those cases or None, exit status)
     (["--case", "id14", "--trials", "20", "--seed", "3"], [("id14", 20, 3, None, False)], None, 0),
     (["--case", "id14", "--trials", "10", "--q", "0.5"], [("id14", 10, 42, 0.5, False)], None, 0),
     (["--case", "thm5.1", "--q", "0.5", "--trials", "5", "--override-hypothesis"],
      [("thm5.1", 5, 42, 0.5, True)], None, 0),
     (["--all", "--trials", "2", "--seed", "5"],
      [(cid, 2, 5, None, False) for cid in qe.REGISTRY], None, 0),
-    (["--case", "id14", "--trials", "20"], [("id14", 20, 42, None, False)], "1e-30", 2),
+    (["--case", "id14", "--trials", "20"], [("id14", 20, 42, None, False)], 1e-30, 2),
 ]
 
 
@@ -549,13 +553,13 @@ VERIFY_ROWS = [
 @pytest.mark.parametrize("argv, runs, tol, code", VERIFY_ROWS,
                          ids=[" ".join(r[0]) + (f" tol={r[2]}" if r[2] else "") for r in VERIFY_ROWS])
 def test_verify_matches_run_case(capsys, workdir, monkeypatch, argv, runs, tol, code, output):
-    if tol is not None:
-        monkeypatch.setenv("QENTROPY_CHECK_TOL", tol)
     expected = ""
     for cid, trials, seed, q, override in runs:
+        if tol is not None:
+            monkeypatch.setitem(qe.REGISTRY, cid, dataclasses.replace(qe.REGISTRY[cid], tol=tol))
         rep = qe.run_case(
             cid, trials=trials, seed=seed, q_grid=qe.DEFAULT_Q_GRID if q is None else (q,),
-            override_hypothesis=override, tol=None if tol is None else float(tol),
+            override_hypothesis=override,
         )
         expected += _verify_line(rep, output)
     status, out, err = _run(capsys, ["verify", *argv, "--output", output])
@@ -579,115 +583,111 @@ def test_verify_list_lists_the_registry(capsys, workdir, argv):
 
 _NO_FILE = "missing.json: cannot read: [Errno 2] No such file or directory: 'missing.json'"
 _BAD_SUM = "bad.json: weights sum to 0.6; |sum - 1| must be <= 1e-09"
+_NO_CASE = "error: unknown case 'nosuch'; known cases: " + ", ".join(qe.REGISTRY)
 _SANDWICH_WEIGHTS = "error: the f-divergence sandwich's weights p^2/r underflow to 0 or overflow a double"
 
-# (command line, QENTROPY_CHECK_TOL or None, the whole of stderr without its
-# final newline); every row exits with status 1 and prints nothing to stdout
+# (command line, the whole of stderr without its final newline); every row
+# exits with status 1 and prints nothing to stdout
 ERROR_ROWS = [
     # compute: --echo, then the functional flag, file count, --q, --psi, --f
-    ("compute --echo --q 2 p.json", None, "error: --echo takes no functional flags"),
-    ("compute --echo --psi lnq p.json r.json", None, "error: --echo takes no functional flags"),
-    ("compute --echo p.json r.json", None, "error: --echo reads exactly one file"),
-    ("compute p.json", None, "error: pass exactly one of --entropy or --divergence (or --echo)"),
-    ("compute --entropy shannon --divergence kl p.json", None,
+    ("compute --echo --q 2 p.json", "error: --echo takes no functional flags"),
+    ("compute --echo --psi lnq p.json r.json", "error: --echo takes no functional flags"),
+    ("compute --echo p.json r.json", "error: --echo reads exactly one file"),
+    ("compute p.json", "error: pass exactly one of --entropy or --divergence (or --echo)"),
+    ("compute --entropy shannon --divergence kl p.json",
      "error: pass exactly one of --entropy or --divergence (or --echo)"),
-    ("compute --entropy tsallis --q 2 p.json r.json", None,
+    ("compute --entropy tsallis --q 2 p.json r.json",
      "error: --entropy tsallis reads exactly 1 file, got 2"),
-    ("compute --divergence kl --q 2 p.json", None, "error: --divergence kl reads exactly 2 files, got 1"),
-    ("compute --entropy shannon --q -1 p.json", None, "error: --q is not accepted for shannon"),
-    ("compute --entropy shannon --psi lnq --q 2 p.json", None, "error: --q is not accepted for shannon"),
-    ("compute --divergence kl --q 2 p.json r.json", None, "error: --q is not accepted for kl"),
-    ("compute --entropy tsallis p.json", None, "error: tsallis needs --q"),
-    ("compute --divergence renyi p.json r.json", None, "error: renyi needs --q"),
-    ("compute --entropy quasilinear --psi lnq p.json", None, "error: quasilinear needs --q"),
-    ("compute --divergence quasilinear --q 2 p.json r.json", None, "error: quasilinear needs --psi"),
-    ("compute --entropy tsallis --q 2 --psi lnq p.json", None, "error: --psi only applies to quasilinear"),
-    ("compute --divergence f --psi lnq p.json r.json", None, "error: --psi only applies to quasilinear"),
-    ("compute --divergence f p.json r.json", None, "error: --divergence f needs --f"),
-    ("compute --divergence kl --f xlogx p.json r.json", None, "error: --f only applies to --divergence f"),
-    ("compute --entropy renyi --f tsallis --q 2 p.json", None, "error: --f only applies to --divergence f"),
-    ("compute --entropy tsallis --q -1 p.json", None, "error: --q must be a finite number >= 0, got -1.0"),
-    ("compute --entropy tsallis --q nan p.json", None, "error: --q must be a finite number >= 0, got nan"),
-    ("compute --entropy tsallis --q inf p.json", None, "error: --q must be a finite number >= 0, got inf"),
+    ("compute --divergence kl --q 2 p.json", "error: --divergence kl reads exactly 2 files, got 1"),
+    ("compute --entropy shannon --q -1 p.json", "error: --q is not accepted for shannon"),
+    ("compute --entropy shannon --psi lnq --q 2 p.json", "error: --q is not accepted for shannon"),
+    ("compute --divergence kl --q 2 p.json r.json", "error: --q is not accepted for kl"),
+    ("compute --entropy tsallis p.json", "error: tsallis needs --q"),
+    ("compute --divergence renyi p.json r.json", "error: renyi needs --q"),
+    ("compute --entropy quasilinear --psi lnq p.json", "error: quasilinear needs --q"),
+    ("compute --divergence quasilinear --q 2 p.json r.json", "error: quasilinear needs --psi"),
+    ("compute --entropy tsallis --q 2 --psi lnq p.json", "error: --psi only applies to quasilinear"),
+    ("compute --divergence f --psi lnq p.json r.json", "error: --psi only applies to quasilinear"),
+    ("compute --divergence f p.json r.json", "error: --divergence f needs --f"),
+    ("compute --divergence kl --f xlogx p.json r.json", "error: --f only applies to --divergence f"),
+    ("compute --entropy renyi --f tsallis --q 2 p.json", "error: --f only applies to --divergence f"),
+    ("compute --entropy tsallis --q -1 p.json", "error: --q must be a finite number >= 0, got -1.0"),
+    ("compute --entropy tsallis --q nan p.json", "error: --q must be a finite number >= 0, got nan"),
+    ("compute --entropy tsallis --q inf p.json", "error: --q must be a finite number >= 0, got inf"),
     # compute: files load before generators are resolved
-    ("compute --divergence f --f tsallis p.json r.json", None,
+    ("compute --divergence f --f tsallis p.json r.json",
      "error: generator 'tsallis' needs an entropic index q"),
-    ("compute --divergence f --f bogus --q 2 p.json r.json", None,
+    ("compute --divergence f --f bogus --q 2 p.json r.json",
      "error: unknown generator label 'bogus' (use tsallis, xlogx, neglog)"),
-    ("compute --entropy quasilinear --psi bogus --q 2 p.json", None,
+    ("compute --entropy quasilinear --psi bogus --q 2 p.json",
      "error: unknown generator label 'bogus' (use identity, log, lnq)"),
     # x^(1-q) is the ln_q family under the label lnq, in every --psi command
-    ("compute --entropy quasilinear --psi power --q 2 p.json", None,
+    ("compute --entropy quasilinear --psi power --q 2 p.json",
      "error: unknown generator label 'power' (use identity, log, lnq)"),
-    ("compute --divergence quasilinear --psi power --q 2 p.json r.json", None,
+    ("compute --divergence quasilinear --psi power --q 2 p.json r.json",
      "error: unknown generator label 'power' (use identity, log, lnq)"),
-    ("bounds --case thm3.1 --psi power --q 2 p.json", None,
+    ("bounds --case thm3.1 --psi power --q 2 p.json",
      "error: unknown generator label 'power' (use identity, log, lnq)"),
-    ("compute --entropy quasilinear --psi bogus --q 2 missing.json", None, _NO_FILE),
-    ("compute --divergence f --f bogus --q 2 p.json bad.json", None, _BAD_SUM),
-    ("compute --divergence quasilinear --psi lnq --q 2 p.json three.json", None,
+    ("compute --entropy quasilinear --psi bogus --q 2 missing.json", _NO_FILE),
+    ("compute --divergence f --f bogus --q 2 p.json bad.json", _BAD_SUM),
+    ("compute --divergence quasilinear --psi lnq --q 2 p.json three.json",
      "error: length mismatch: 4 vs 3"),
-    ("compute --entropy shannon missing.json", None, _NO_FILE),
-    ("compute --entropy shannon bad.json", None, _BAD_SUM),
-    ("compute --divergence kl missing.json bad.json", None, _NO_FILE),
+    ("compute --entropy shannon missing.json", _NO_FILE),
+    ("compute --entropy shannon bad.json", _BAD_SUM),
+    ("compute --divergence kl missing.json bad.json", _NO_FILE),
     # bounds: file count, --q, --psi, --f, then the --q value
-    ("bounds --case cor3.1 --q 2 p.json r.json", None, "error: bounds --case cor3.1 reads exactly 1 file, got 2"),
-    ("bounds --case thm3.2 --f tsallis --q 2 p.json", None,
+    ("bounds --case cor3.1 --q 2 p.json r.json", "error: bounds --case cor3.1 reads exactly 1 file, got 2"),
+    ("bounds --case thm3.2 --f tsallis --q 2 p.json",
      "error: bounds --case thm3.2 reads exactly 2 files, got 1"),
-    ("bounds --case thm3.1 --psi lnq p.json", None, "error: bounds --case thm3.1 needs --q"),
-    ("bounds --case thm4.2 p.json r.json", None, "error: bounds --case thm4.2 needs --q"),
-    ("bounds --case cor_dra --q 2 p.json r.json", None, "error: bounds --case cor_dra does not take --q"),
-    ("bounds --case cor4 --q nan p.json r.json", None, "error: bounds --case cor4 does not take --q"),
-    ("bounds --case cf --q 1 xs.json p.json", None, "error: bounds --case cf does not take --q"),
-    ("bounds --case thm3.1 --q 2 p.json", None, "error: bounds --case thm3.1 needs --psi"),
-    ("bounds --case cor3.1 --q 2 --psi lnq p.json", None, "error: --psi only applies to thm3.1"),
-    ("bounds --case thm3.2 p.json r.json", None, "error: bounds --case thm3.2 needs --f"),
-    ("bounds --case cor_dra --f xlogx p.json r.json", None, "error: --f only applies to thm3.2"),
-    ("bounds --case thm3.1 --psi lnq --f xlogx --q 2 p.json", None, "error: --f only applies to thm3.2"),
-    ("bounds --case thm3.1 --psi lnq --q -1 p.json", None, "error: --q must be a finite number >= 0, got -1.0"),
+    ("bounds --case thm3.1 --psi lnq p.json", "error: bounds --case thm3.1 needs --q"),
+    ("bounds --case thm4.2 p.json r.json", "error: bounds --case thm4.2 needs --q"),
+    ("bounds --case cor_dra --q 2 p.json r.json", "error: bounds --case cor_dra does not take --q"),
+    ("bounds --case cor4 --q nan p.json r.json", "error: bounds --case cor4 does not take --q"),
+    ("bounds --case cf --q 1 xs.json p.json", "error: bounds --case cf does not take --q"),
+    ("bounds --case thm3.1 --q 2 p.json", "error: bounds --case thm3.1 needs --psi"),
+    ("bounds --case cor3.1 --q 2 --psi lnq p.json", "error: --psi only applies to thm3.1"),
+    ("bounds --case thm3.2 p.json r.json", "error: bounds --case thm3.2 needs --f"),
+    ("bounds --case cor_dra --f xlogx p.json r.json", "error: --f only applies to thm3.2"),
+    ("bounds --case thm3.1 --psi lnq --f xlogx --q 2 p.json", "error: --f only applies to thm3.2"),
+    ("bounds --case thm3.1 --psi lnq --q -1 p.json", "error: --q must be a finite number >= 0, got -1.0"),
     # bounds: library errors, after the files load
-    ("bounds --case thm3.2 --f tsallis p.json r.json", None,
+    ("bounds --case thm3.2 --f tsallis p.json r.json",
      "error: generator 'tsallis' needs an entropic index q"),
-    ("bounds --case thm3.2 --f bogus p.json missing.json", None, _NO_FILE),
-    ("bounds --case thm4.2 --q 0 p.json r.json", None,
+    ("bounds --case thm3.2 --f bogus p.json missing.json", _NO_FILE),
+    ("bounds --case thm4.2 --q 0 p.json r.json",
      "error: q = 0 has identically zero curvature; no usable range"),
-    ("bounds --case thm4.2 --q 2 p.json three.json", None, "error: length mismatch: 4 vs 3"),
-    ("bounds --case thm4.2 --q 2 tiny.json half.json", None,
+    ("bounds --case thm4.2 --q 2 p.json three.json", "error: length mismatch: 4 vs 3"),
+    ("bounds --case thm4.2 --q 2 tiny.json half.json",
      "error: the spread of points up to 1e+160 apart overflows a double"),
-    ("bounds --case thm4.2 --q 2 half.json tiny.json", None,
+    ("bounds --case thm4.2 --q 2 half.json tiny.json",
      "error: the spread of points up to 1e+160 apart overflows a double"),
     # p^2/r underflows to 0 under every library f, and the message names those weights
-    ("bounds --case thm3.2 --f xlogx underflow.json half.json", None, _SANDWICH_WEIGHTS),
-    ("bounds --case thm3.2 --f neglog underflow.json half.json", None, _SANDWICH_WEIGHTS),
-    ("bounds --case thm3.2 --f tsallis --q 2 underflow.json half.json", None, _SANDWICH_WEIGHTS),
-    ("bounds --case thm3.2 --f tsallis --q 0.5 underflow.json half.json", None, _SANDWICH_WEIGHTS),
-    ("bounds --case cf xs.json three.json", None, "error: xs has shape (4,), expected (3,)"),
-    ("bounds --case cf missing.json p.json", None, _NO_FILE),
-    ("bounds --case cf xs.json bad.json", None, _BAD_SUM),
-    # verify: --all/--case, then --q, --trials, --seed, then the environment
-    ("verify --q -1 --trials 0", None, "error: pass exactly one of --all or --case"),
-    ("verify --all --case id14", None, "error: pass exactly one of --all or --case"),
-    ("verify --case id14 --q -1 --trials 0 --seed -1", None, "error: --q must be a finite number >= 0, got -1.0"),
-    ("verify --case id14 --trials 0 --seed -1", None, "error: --trials must be >= 1, got 0"),
-    ("verify --case id14 --seed -1", None, "error: --seed must be >= 0, got -1"),
-    ("verify --case nosuch --trials 0", None, "error: --trials must be >= 1, got 0"),
-    ("verify --case nosuch", None,
-     "error: unknown case 'nosuch'; known cases: " + ", ".join(qe.REGISTRY)),
-    ("verify --case id14 --trials 0", "tight", "error: --trials must be >= 1, got 0"),
-    ("verify --case nosuch", "tight", "error: QENTROPY_CHECK_TOL is not a number: 'tight'"),
-    ("verify --case id14", "-1", "error: QENTROPY_CHECK_TOL must be finite and >= 0, got '-1'"),
-    ("verify --case id14", "nan", "error: QENTROPY_CHECK_TOL must be finite and >= 0, got 'nan'"),
-    ("verify --case thm5.1 --q 0.5 --trials 5", None,
+    ("bounds --case thm3.2 --f xlogx underflow.json half.json", _SANDWICH_WEIGHTS),
+    ("bounds --case thm3.2 --f neglog underflow.json half.json", _SANDWICH_WEIGHTS),
+    ("bounds --case thm3.2 --f tsallis --q 2 underflow.json half.json", _SANDWICH_WEIGHTS),
+    ("bounds --case thm3.2 --f tsallis --q 0.5 underflow.json half.json", _SANDWICH_WEIGHTS),
+    ("bounds --case cf xs.json three.json", "error: xs has shape (4,), expected (3,)"),
+    ("bounds --case cf missing.json p.json", _NO_FILE),
+    ("bounds --case cf xs.json bad.json", _BAD_SUM),
+    # verify: --all/--case, then run_case's checks: the case, --trials, --seed, --q
+    ("verify --q -1 --trials 0", "error: pass exactly one of --all or --case"),
+    ("verify --all --case id14", "error: pass exactly one of --all or --case"),
+    ("verify --case id14 --q -1 --trials 0 --seed -1", "error: need trials >= 1, got 0"),
+    ("verify --case id14 --trials 0 --seed -1", "error: need trials >= 1, got 0"),
+    ("verify --case id14 --seed -1", "error: need seed >= 0, got -1"),
+    ("verify --case nosuch --trials 0", _NO_CASE),
+    ("verify --case nosuch", _NO_CASE),
+    # a case that takes no q still rejects a q outside [0, inf)
+    ("verify --case lem4.1 --q -1", "error: q_grid value -1.0 is not a number in [0, inf)"),
+    ("verify --all --q -1", "error: q_grid value -1.0 is not a number in [0, inf)"),
+    ("verify --case thm5.1 --q 0.5 --trials 5",
      "error: case thm5.1 admits no q in [0.5]; pass override_hypothesis=True "
      "(CLI: --override-hypothesis) to probe outside its hypothesis"),
 ]
 
 
-@pytest.mark.parametrize("line, tol, stderr", ERROR_ROWS,
-                         ids=[r[0] + (f" tol={r[1]}" if r[1] else "") for r in ERROR_ROWS])
-def test_error_status_and_message(capsys, workdir, monkeypatch, line, tol, stderr):
-    if tol is not None:
-        monkeypatch.setenv("QENTROPY_CHECK_TOL", tol)
+@pytest.mark.parametrize("line, stderr", ERROR_ROWS, ids=[r[0] for r in ERROR_ROWS])
+def test_error_status_and_message(capsys, workdir, line, stderr):
     assert _run(capsys, line.split()) == (1, "", stderr + "\n")
 
 

@@ -151,6 +151,15 @@ def test_bad_arguments_rejected():
         run_case("id14", trials=5, seed=1, q_grid=())
     with pytest.raises(DomainError):
         run_case("id14", trials=5, seed=1, q_grid=(-1.0,))
+    # malformed arguments raise a DomainError that names them, never a raw error
+    for bad in (("abc",), (None,)):
+        with pytest.raises(DomainError, match=r"q_grid value .* is not a number in \[0, inf\)"):
+            run_case("id14", trials=5, seed=1, q_grid=bad)
+    with pytest.raises(DomainError, match="q_grid must be an iterable"):
+        run_case("id14", trials=5, seed=1, q_grid=0.5)
+    for bad in ((2,), (2, 16, 99), 16):
+        with pytest.raises(DomainError, match="n_range must be a pair"):
+            run_case("id14", trials=5, seed=1, n_range=bad)
     # integer arguments are taken exactly, never truncated
     with pytest.raises(DomainError, match="seed must be an integer"):
         run_case("id14", trials=5, seed=1.9)
@@ -175,6 +184,7 @@ def test_hypothesis_gate():
     assert rep.in_hypothesis is False
     # out-of-hypothesis violations are informational, not failures
     assert not has_failures([rep])
+    assert not has_failures([])  # empty is clean
 
 
 def test_override_with_admissible_grid_stays_in_hypothesis():
@@ -187,6 +197,14 @@ def test_q_free_case_ignores_grid():
     b = run_case("lem4.1", trials=10, seed=2, q_grid=(3.0,))
     assert a.to_json_line() == b.to_json_line()
     assert "q" not in a.worst_witness
+
+
+@pytest.mark.parametrize("grid", [(), (-1.0,), (math.nan,), (math.inf,)], ids=repr)
+@pytest.mark.parametrize("cid", [c.id for c in REGISTRY.values() if c.q_range is None])
+def test_q_free_case_rejects_bad_grid(cid, grid):
+    # the grid is checked for every case, whether or not its trials read q
+    with pytest.raises(DomainError, match=r"q_grid is empty|q_grid value .* is not a number"):
+        run_case(cid, trials=5, seed=1, q_grid=grid)
 
 
 # Each case's admitted q at the edges of its range, one character per q in
@@ -241,24 +259,28 @@ def test_small_runs_are_clean():
         assert rep.in_hypothesis
 
 
-def test_custom_tol_overrides_case_tol():
-    # an absurdly tight threshold flags float noise as violations
-    rep = run_case("cor3.1", trials=40, seed=17, tol=1e-30)
-    assert rep.violations > 0
-    assert not has_failures([])  # empty is clean
+def test_threshold_is_the_case_tol_alone():
+    with pytest.raises(TypeError):
+        run_case("cor3.1", 5, 1, tol=1e-30)
+    with pytest.raises(TypeError):
+        run_registry(5, 1, tol=1e-30)
+    assert "tol" not in verify._Plan._fields
+    # a stricter run is a case with a tighter tol: float noise becomes violations
+    strict = dataclasses.replace(get_case("cor3.1"), tol=1e-30)
+    assert run_case(strict, trials=40, seed=17).violations > 0
+    assert run_case("cor3.1", trials=40, seed=17).violations == 0
 
 
 BAD_TOLS = [math.nan, math.inf, -math.inf, -1e-12]
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)
-def test_run_case_rejects_bad_tol(tol):
-    # a NaN threshold would pass every trial, a negative one fail them all
+def test_theorem_case_rejects_bad_tol(tol):
     with pytest.raises(DomainError, match=r"tol must be finite and >= 0, got"):
-        run_case("id14", trials=5, seed=1, tol=tol)
+        dataclasses.replace(REGISTRY["id14"], tol=tol)
 
 
-@pytest.mark.parametrize("min_mass", [math.nan, math.inf, -math.inf, -1e-12, 1.0, 2.0])
+@pytest.mark.parametrize("min_mass", [math.nan, math.inf, -math.inf, -1e-12, 1.0, 2.0, "0.1"])
 def test_sample_simplex_rejects_bad_min_mass(min_mass):
     with pytest.raises(DomainError, match=r"min_mass must be finite and in \[0, 1\), got"):
         sample_simplex(4, np.random.default_rng(0), min_mass=min_mass)
@@ -266,7 +288,7 @@ def test_sample_simplex_rejects_bad_min_mass(min_mass):
 
 def test_boundary_tol_and_min_mass_are_accepted():
     assert sample_simplex(4, np.random.default_rng(0), min_mass=0.0).weights.size == 4
-    rep = run_case("id14", trials=5, seed=1, tol=0.0)
+    rep = run_case(dataclasses.replace(REGISTRY["id14"], tol=0.0), trials=5, seed=1)
     assert rep.trials == 5
 
 
@@ -398,7 +420,7 @@ def test_witness_is_rendered_only_for_a_new_worst(monkeypatch):
 
 
 def test_run_registry_forwards_options_to_run_case(split_into):
-    opts = dict(n_range=(1, 4), q_grid=(0.5,), override_hypothesis=True, tol=1e-3)
+    opts = dict(n_range=(1, 4), q_grid=(0.5,), override_hypothesis=True)
     want = [run_case(c, 4, 9, **opts).to_json_line() for c in REGISTRY.values()]
     for k in (1, 2):
         split_into(k)
