@@ -28,7 +28,7 @@ from .errors import (
     ConsistencyError,
     PositivityError,
 )
-from .qmath import _as_q, _ln_q, _require_finite_ratio, q_log
+from .qmath import _as_q, _finite_real, _ln_q, _require_finite_ratio, q_log
 from .quasilinear import GeneratorPsi, _as_eval, quasilinear_mean
 
 CHECK_TOL = 1e-9
@@ -102,12 +102,15 @@ class SecondDerivativeRange:
     interval: tuple[float, float]
 
     def __post_init__(self) -> None:
-        lo, hi = self.interval
-        if not (math.isfinite(self.m) and math.isfinite(self.M)):
+        try:
+            lo, hi = self.interval
+        except (TypeError, ValueError):
+            raise DomainError(f"invalid interval {self.interval!r}") from None
+        if not (_finite_real(self.m) and _finite_real(self.M)):
             raise DomainError("curvature bounds must be finite")
         if not 0.0 <= self.m <= self.M:
             raise DomainError(f"need 0 <= m <= M, got m={self.m!r}, M={self.M!r}")
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        if not (_finite_real(lo) and _finite_real(hi) and lo <= hi):
             raise DomainError(f"invalid interval {self.interval!r}")
         object.__setattr__(self, "interval", (float(lo), float(hi)))
         object.__setattr__(self, "m", float(self.m))

@@ -108,10 +108,10 @@ def _parse_vector_file(path: str, keys: tuple[str, ...]) -> np.ndarray:
             ):
                 raise _CliError(f"{path}:1: 'dims' must be a non-empty array of integers >= 1")
             cells = _parse_number_list(doc["cells"], path, "cells")
-            if len(cells) != int(np.prod(dims)):
+            if len(cells) != math.prod(dims):
                 raise _CliError(
                     f"{path}:1: 'cells' has {len(cells)} entries, dims {dims} need "
-                    f"{int(np.prod(dims))}"
+                    f"{math.prod(dims)}"
                 )
             return np.asarray(cells)
         for key in keys:

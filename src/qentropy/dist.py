@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    DomainError,
     LengthMismatchError,
     NormalizationError,
     PartitionError,
@@ -46,6 +47,14 @@ __all__ = [
     "coarsen",
     "power_sum",
 ]
+
+
+def _floats(values, what: str, *, copy: bool = True) -> np.ndarray:
+    """values as a float array (new if ``copy``); a ragged or non-numeric one is a DomainError."""
+    try:
+        return np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a rectangular array of real numbers") from None
 
 
 def _validated(arr: np.ndarray, *, positivity: str, sum_what: str | None):
@@ -125,7 +134,7 @@ class ProbDist:
     _POSITIVITY = "probability weights entries must be finite and strictly positive"
 
     def __post_init__(self) -> None:
-        arr = np.array(self.weights, dtype=float)  # copy: instances own their storage
+        arr = _floats(self.weights, "probability weights")  # a copy: instances own their storage
         if arr.ndim != 1:
             raise DimensionError(
                 f"probability weights must be one-dimensional, got shape {arr.shape}"
@@ -182,7 +191,7 @@ class Partition:
 
 def make_dist(weights) -> ProbDist:
     """Validate and freeze a probability vector."""
-    return ProbDist(np.asarray(weights, dtype=float))
+    return ProbDist(weights)
 
 
 def coarsen(p: ProbDist, partition: Partition) -> ProbDist:
@@ -213,7 +222,7 @@ def check_lengths(p: ProbDist, r: ProbDist) -> None:
 
 def _points(xs, p: ProbDist) -> np.ndarray:
     """Sample points xs as a float array, one per mass of p."""
-    arr = np.asarray(xs, dtype=float)
+    arr = _floats(xs, "xs", copy=False)
     if arr.shape != (p.n,):
         raise LengthMismatchError(f"xs has shape {arr.shape}, expected ({p.n},)")
     return arr

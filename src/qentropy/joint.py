@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dist import _derived, _validated
+from .dist import _derived, _floats, _validated
 from .errors import DimensionError, HypothesisError
 from .qmath import _as_q, _ln_q, _require_finite_ratio, _require_ln_q_fits
 
@@ -38,7 +38,7 @@ class JointDist:
     _POSITIVITY = "every cell must be finite and strictly positive"
 
     def __post_init__(self) -> None:
-        arr = np.array(self.cells, dtype=float)
+        arr = _floats(self.cells, "cells")
         if arr.ndim < 1:
             raise DimensionError("cells must have at least one axis")
         if arr.size == 0:

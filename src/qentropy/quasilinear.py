@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import ProbDist, _points, check_lengths
+from .dist import ProbDist, _floats, _points, check_lengths
 from .errors import DomainError, GeneratorError
 from .qmath import (
     _GENERATOR_GRID, _cached_by_q, _ln_q_fits, _near_one, _require_finite_ratio, q_exp, q_log,
@@ -224,8 +224,11 @@ def check_psi_convexity(f, psi: GeneratorPsi, grid, lambdas) -> CompatibleConvex
     its inverse.
     """
     fe = _as_eval(f)
-    pts = np.asarray(grid, dtype=float)
-    lams = [float(t) for t in lambdas]
+    pts = _floats(grid, "grid", copy=False)
+    try:
+        lams = [float(t) for t in lambdas]
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("lambdas must lie in [0, 1]") from None
     if pts.ndim != 1 or pts.size == 0 or not np.isfinite(pts).all():
         raise DomainError("grid must be a non-empty 1-d collection of finite points")
     if not lams:

@@ -28,14 +28,13 @@ depend on execution order or batching, and a witness replays from (seed,
 case, trial) alone.  A call builds each case's generator once and places it
 at trial t by restoring the stream's start state and advancing it t jumps,
 the step ``jumped(t)`` itself takes, so a trial sits at the same place
-whatever range runs it; ``run_registry`` splits the trials into ranges
-across processes, and the reports do not change.
+whatever range runs it; ``run_case`` and ``run_registry`` split the
+trials into ranges across processes, and the reports do not change.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import os
 import pickle
@@ -76,7 +75,7 @@ from .divergence import (
     xlogx_generator,
 )
 from .entropy import renyi_entropy, renyi_tsallis_bridge, tsallis_entropy
-from .errors import DomainError, HypothesisError, QEntropyError, UnknownCaseError
+from .errors import DomainError, HypothesisError, UnknownCaseError
 from .joint import (
     JointDist,
     chain_rule_decomposition,
@@ -94,6 +93,7 @@ from .quasilinear import (
     tsallis_quasilinear_entropy,
     tsallis_quasilinear_relative,
 )
+from .qmath import _finite_real
 from .serialize import SCHEMA, dumps
 
 __all__ = [
@@ -661,7 +661,7 @@ def get_case(case_id: str) -> TheoremCase:
 
 
 class _Plan(NamedTuple):
-    """A validated run_case call: what its trials draw and what its report states."""
+    """One case of a checked run: what its trials draw and what its report states."""
 
     case: TheoremCase
     seed: int
@@ -684,22 +684,22 @@ class _Plan(NamedTuple):
         )
 
 
-def _plan(
-    case: TheoremCase | str,
+def _plans(
+    cases,
     trials: int,
     seed: int,
     n_range: tuple[int, int] = (2, 16),
     q_grid: tuple[float, ...] = DEFAULT_Q_GRID,
     override_hypothesis: bool = False,
-) -> _Plan:
-    """Validate run_case's arguments for one case."""
-    if isinstance(case, str):
-        case = get_case(case)
-    if case.id not in _CASE_INDEX:
-        raise UnknownCaseError(
-            f"case {case.id!r} is not registered: a case's trial streams are keyed "
-            "by its position in REGISTRY"
-        )
+) -> list[_Plan]:
+    """Check a run's arguments once, then plan each case in order; no trial runs here."""
+    cases = [get_case(c) if isinstance(c, str) else c for c in cases]
+    for case in cases:
+        if case.id not in _CASE_INDEX:
+            raise UnknownCaseError(
+                f"case {case.id!r} is not registered: a case's trial streams are keyed "
+                "by its position in REGISTRY"
+            )
     if _index(trials, "trials") < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
     seed = _index(seed, "seed")
@@ -719,29 +719,27 @@ def _plan(
     if not grid:
         raise DomainError("q_grid is empty")
     for qv in grid:
-        if not (isinstance(qv, numbers.Real) and 0.0 <= qv < math.inf):
+        if not (_finite_real(qv) and qv >= 0.0):
             raise DomainError(f"q_grid value {qv!r} is not a number in [0, inf)")
     grid = [float(qv) for qv in grid]
 
-    qs: list[float] | None = None
-    in_hypothesis = True
-    if case.q_range is not None:
-        admitted = [qv for qv in grid if case.admits(qv)]
-        if override_hypothesis:
-            qs = grid
-            in_hypothesis = len(admitted) == len(grid)
-        else:
-            if not admitted:
+    plans = []
+    for case in cases:
+        qs, in_hypothesis = None, True
+        if case.q_range is not None:
+            admitted = [qv for qv in grid if case.admits(qv)]
+            if not (admitted or override_hypothesis):
                 raise HypothesisError(
                     f"case {case.id} admits no q in {grid}; pass override_hypothesis=True "
                     "(CLI: --override-hypothesis) to probe outside its hypothesis"
                 )
-            qs = admitted
-
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(_CASE_INDEX[case.id],)))
-    )
-    return _Plan(case, seed, lo, hi, qs, in_hypothesis, rng, rng.bit_generator.state)
+            qs = grid if override_hypothesis else admitted
+            in_hypothesis = len(admitted) == len(qs)
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(_CASE_INDEX[case.id],)))
+        )
+        plans.append(_Plan(case, seed, lo, hi, qs, in_hypothesis, rng, rng.bit_generator.state))
+    return plans
 
 
 def _run_trials(plan: _Plan, t0: int, t1: int) -> tuple[int, float, dict]:
@@ -769,27 +767,6 @@ def _run_trials(plan: _Plan, t0: int, t1: int) -> tuple[int, float, dict]:
         if v > tol:
             violations += 1
     return violations, worst, worst_witness
-
-
-def run_case(
-    case: TheoremCase | str,
-    trials: int = 1000,
-    seed: int = 42,
-    *,
-    n_range: tuple[int, int] = (2, 16),
-    q_grid: tuple[float, ...] = DEFAULT_Q_GRID,
-    override_hypothesis: bool = False,
-) -> VerifyReport:
-    """Run one case and count normalized violations above the case's ``tol``.
-
-    That is 1e-9, or 1e-10 for the exact identities; a stricter run passes
-    ``dataclasses.replace(case, tol=...)``.  A q-free case ignores the values
-    of a valid ``q_grid``.  q values outside the case hypothesis raise
-    HypothesisError unless ``override_hypothesis`` is set, in which case the
-    report is flagged ``in_hypothesis: false`` and its violations are not failures.
-    """
-    plan = _plan(case, trials, seed, n_range, q_grid, override_hypothesis)
-    return plan.report(trials, *_run_trials(plan, 0, trials))
 
 
 def _run_share(plans: list[_Plan], t0: int, t1: int) -> list:
@@ -863,37 +840,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_registry(trials: int = 1000, seed: int = 42, **options) -> list[VerifyReport]:
-    """run_case for every registered case in registry order; options as run_case.
-
-    The trials [0, trials) are split into k contiguous ranges, one per usable
-    CPU, with at least _MIN_RANGE trials in each. The calling process runs
-    the first range of every case, and k - 1 children made with ``os.fork``
-    run the others, each sending back its violation counts and worst
-    witnesses through a pipe. Every trial draws from its own stream (module
-    docstring), and the ranges merge as one run: counts add up and the worst
-    of the lowest trial wins, so the reports are the same bytes for every k.
-    A case that raises raises in this process what a serial run raises. The
-    run is serial when k is 1, when the platform has no ``os.fork``, when
-    another thread is alive (a fork copies only the calling thread), or when
-    a tracer or profiler is set (it would not see the children's calls).
-    Warnings a child raises go to its stderr under the filters it inherited,
-    once per child, and are not recorded by the caller's
-    ``warnings.catch_warnings``. Every child is reaped before this returns or
-    raises.
-    """
-    try:
-        plans = [_plan(c, trials, seed, **options) for c in REGISTRY.values()]
-    except QEntropyError:
-        # a serial run raises it after the trials of the cases before it
-        return [run_case(c, trials, seed, **options) for c in REGISTRY.values()]
+def _run(plans: list[_Plan], trials: int) -> list[VerifyReport]:
+    """The reports of trials [0, trials) of every plan, split across CPUs (run_case's docstring)."""
     k = min(_usable_cpus(), trials // _MIN_RANGE)
-    if (
-        k > 1
-        and hasattr(os, "fork")
-        and threading.active_count() == 1
-        and sys.gettrace() is None
-        and sys.getprofile() is None
+    if k > 1 and hasattr(os, "fork") and threading.active_count() == 1 and (
+        sys.gettrace() is None and sys.getprofile() is None
     ):
         spans = [(trials * j // k, trials * (j + 1) // k) for j in range(k)]
         shares = _run_forked(plans, spans)
@@ -906,10 +857,58 @@ def run_registry(trials: int = 1000, seed: int = 42, **options) -> list[VerifyRe
             # a range no child delivered runs here, and raises what the child raised
             part = share[i] if i < len(share) else _run_trials(plan, t0, t1)
             violations += part[0]
-            if part[1] > worst:  # ties keep the lower trial, as in run_case
+            if part[1] > worst:  # ties keep the lower trial, as a serial run does
                 worst, witness = part[1], part[2]
         reports.append(plan.report(trials, violations, worst, witness))
     return reports
+
+
+def run_case(
+    case: TheoremCase | str,
+    trials: int = 1000,
+    seed: int = 42,
+    *,
+    n_range: tuple[int, int] = (2, 16),
+    q_grid: tuple[float, ...] = DEFAULT_Q_GRID,
+    override_hypothesis: bool = False,
+) -> VerifyReport:
+    """Run one case and count normalized violations above the case's ``tol``.
+
+    That is 1e-9, or 1e-10 for the exact identities; a stricter run passes
+    ``dataclasses.replace(case, tol=...)``.  A q-free case ignores the values
+    of a valid ``q_grid``.  q values outside the case hypothesis raise
+    HypothesisError unless ``override_hypothesis`` is set, in which case the
+    report is flagged ``in_hypothesis: false`` and its violations are not failures.
+
+    Errors come in one order: the arguments (the case, ``trials``,
+    ``seed``, ``n_range``, ``q_grid``), then each case's hypothesis, then
+    the trials, so no trial runs before every check has passed.
+
+    The trials [0, trials) split into k contiguous ranges, one per usable
+    CPU and at least _MIN_RANGE trials each: this process runs the first
+    range of every case, and k - 1 children made with ``os.fork`` run the
+    others and send their counts and worst witnesses back through a pipe.
+    Every trial draws from its own stream (module docstring) and the ranges
+    merge as one run (counts add up, the worst of the lowest trial wins), so
+    the reports are the same bytes for every k, and a trial that raises
+    raises here what a serial run raises. The run is serial below
+    2 * _MIN_RANGE trials, on one CPU, without ``os.fork``, beside another
+    thread (a fork copies only the calling thread) and under a tracer or
+    profiler (it would not see the children's calls). A child's warnings go
+    to its stderr under the filters it inherited, once per child, and are
+    not recorded by the caller's ``warnings.catch_warnings``. Every child is
+    reaped before this returns or raises.
+    """
+    return _run(_plans([case], trials, seed, n_range, q_grid, override_hypothesis), trials)[0]
+
+
+def run_registry(trials: int = 1000, seed: int = 42, **options) -> list[VerifyReport]:
+    """run_case for every registered case in registry order; options as run_case.
+
+    The arguments are checked once and every case's hypothesis in registry
+    order before any trial runs; the trials then split as run_case's do.
+    """
+    return _run(_plans(REGISTRY.values(), trials, seed, **options), trials)
 
 
 def has_failures(reports) -> bool:

@@ -172,6 +172,20 @@ def test_joint_file_dims_mismatch(capsys, tmp_path):
     assert status == 1 and "cells" in err
 
 
+# dims whose product wraps in int64: to 4, the number of cells, and to 0
+@pytest.mark.parametrize("dims, need", [
+    ([4611686018427387905, 4], 18446744073709551620),
+    ([4294967296, 4294967296], 18446744073709551616),
+], ids=["wraps-to-cell-count", "wraps-to-zero"])
+def test_joint_file_dims_product_is_exact(capsys, tmp_path, dims, need):
+    src = tmp_path / "j.json"
+    cells = [0.25] * 4 if dims[1] == 4 else [1.0]
+    src.write_text(json.dumps({"dims": dims, "cells": cells}))
+    status, out, err = _run(capsys, ["compute", "--entropy", "tsallis", "--q", "2", str(src)])
+    assert (status, out) == (1, "")
+    assert err == f"{src}:1: 'cells' has {len(cells)} entries, dims {dims} need {need}\n"
+
+
 def test_bounds_cor31_gold(capsys, dist_json):
     status, out, _ = _run(capsys, ["bounds", "--case", "cor3.1", "--q", "2", dist_json])
     assert status == 0
@@ -682,6 +696,10 @@ ERROR_ROWS = [
     ("verify --all --q -1", "error: q_grid value -1.0 is not a number in [0, inf)"),
     ("verify --case thm5.1 --q 0.5 --trials 5",
      "error: case thm5.1 admits no q in [0.5]; pass override_hypothesis=True "
+     "(CLI: --override-hypothesis) to probe outside its hypothesis"),
+    # prop5.3 is the first case that admits no q = 0.5; no case's trials run before it
+    ("verify --all --q 0.5 --trials 2000",
+     "error: case prop5.3 admits no q in [0.5]; pass override_hypothesis=True "
      "(CLI: --override-hypothesis) to probe outside its hypothesis"),
 ]
 

@@ -11,6 +11,7 @@ elementwise form ``not all(isfinite(a)) or any(a <= 0)`` on random arrays
 seeded with the same awkward values.  No check may raise a RuntimeWarning.
 """
 
+import fractions
 import math
 import warnings
 
@@ -30,12 +31,17 @@ from qentropy import (
     PartitionError,
     ProbDist,
     QEntropyError,
+    SecondDerivativeRange,
+    check_psi_convexity,
     coarsen,
     UndefinedValueError,
     identity_generator,
     lnq_generator,
+    make_dist,
     q_exp,
     q_log,
+    run_case,
+    smooth_jensen_sandwich,
 )
 
 NAN, INF = math.nan, math.inf
@@ -47,6 +53,7 @@ QEXP_MSG = "q_exp requires finite arguments"
 OVER_SUM = "more than 1.7976931348623157e+308"
 PSI_MSG = "generator 'lnq[q=0.5]' requires strictly positive arguments"
 NOT_INT = "blocks must be iterables of integers: 'float' object cannot be interpreted as an integer"
+NOT_Q = "entropic index must be a finite real >= 0, got {!r}"
 
 
 def _positivity(what):
@@ -193,6 +200,30 @@ CASES = [
     ("check_domain-0d-zero", lambda: _check_domain(0.0), (DomainError, PSI_MSG)),
     ("check_domain-2d-negative", lambda: _check_domain(_as_2d(-1.0)), (DomainError, PSI_MSG)),
     ("check_domain-identity-negative", lambda: identity_generator().check_domain(np.array([-1.0, 0.0])), None),
+    # an entropic index is a numbers.Real: never a string, None or a complex
+    *[
+        (f"q-{name}", lambda v=v: q_log(2.0, v), exp)
+        for name, v, exp in (
+            ("string", "x", (DomainError, NOT_Q.format("x"))),
+            ("numeric-string", "2", (DomainError, NOT_Q.format("2"))),
+            ("none", None, (DomainError, NOT_Q.format(None))),
+            ("complex", 1j, (DomainError, NOT_Q.format(1j))),
+            ("int-past-a-double", 10**400, (DomainError, NOT_Q.format(10**400))),
+            ("numpy-float", np.float64(2.0), None),
+            ("fraction", fractions.Fraction(1, 2), None),
+        )
+    ],
+    # SecondDerivativeRange: m and M finite reals, the interval a pair of them
+    ("SecondDerivativeRange-short-interval", lambda: SecondDerivativeRange(0.0, 1.0, (1.0,)), (DomainError, "invalid interval (1.0,)")),
+    ("SecondDerivativeRange-no-interval", lambda: SecondDerivativeRange(0.0, 1.0, None), (DomainError, "invalid interval None")),
+    ("SecondDerivativeRange-string-m", lambda: SecondDerivativeRange("0.1", 1.0, (0.0, 1.0)), (DomainError, "curvature bounds must be finite")),
+    # arrays: a ragged or non-numeric input; a numeric string converts, as numpy converts it
+    ("make_dist-string", lambda: make_dist(["a"]), (DomainError, "probability weights must be a rectangular array of real numbers")),
+    ("make_dist-numeric-strings", lambda: make_dist(["0.5", "0.5"]), None),
+    ("JointDist-ragged", lambda: JointDist([[0.5], [0.25, 0.25]]), (DomainError, "cells must be a rectangular array of real numbers")),
+    ("xs-strings", lambda: smooth_jensen_sandwich(np.square, SecondDerivativeRange(2.0, 2.0, (0.0, 1.0)), ["a", "b"], ProbDist([0.5, 0.5])), (DomainError, "xs must be a rectangular array of real numbers")),
+    ("q_grid-int-past-a-double", lambda: run_case("id14", 5, 1, q_grid=(2**1024,)), (DomainError, f"q_grid value {2**1024!r} is not a number in [0, inf)")),
+    ("check_psi_convexity-string-lambda", lambda: check_psi_convexity(np.square, identity_generator(), [1.0, 2.0], ["a"]), (DomainError, "lambdas must lie in [0, 1]")),
 ]
 
 

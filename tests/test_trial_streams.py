@@ -38,9 +38,15 @@ def _probe(case_index, seen):
 
 
 def _start_states(seed, case_index, trials):
-    """The generator state each trial of a run sees after run_case draws its n."""
+    """The generator state each trial of a run sees after the harness draws its n.
+
+    The trials run in this process, on the plan run_case makes: a run_case
+    of 50 or more trials forks, and the probe's records of a child's range
+    stay in the child.
+    """
     seen = []
-    run_case(_probe(case_index, seen), trials=trials, seed=seed)
+    (plan,) = verify._plans([_probe(case_index, seen)], trials, seed)
+    verify._run_trials(plan, 0, trials)
     return seen
 
 
@@ -70,7 +76,7 @@ def test_trial_states_equal_numpy_jumped(seed, case_index, t):
 )
 def test_mid_stream_range_states_equal_numpy_jumped(seed, case_index, t0):
     seen = []
-    plan = verify._plan(_probe(case_index, seen), t0 + 2, seed)
+    (plan,) = verify._plans([_probe(case_index, seen)], t0 + 2, seed)
     # the plan's generator first runs another range, as the parent's does
     # before it re-runs a range no child delivered
     verify._run_trials(plan, 0, 2)

@@ -466,6 +466,42 @@ def test_run_registry_bytes_do_not_depend_on_the_split(k, split_into):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_run_case_bytes_do_not_depend_on_the_split(k, split_into, monkeypatch):
+    cases = ("prop2.3", "thm4.2", "prop5.2", "id16", "qadd")
+
+    def lines():
+        return [run_case(c, trials=75, seed=seed).to_json_line() for c in cases for seed in (1, 42)]
+
+    split_into(1)
+    want = lines()
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    split_into(k)
+    assert lines() == want
+    assert len(forks) == (k - 1) * len(cases) * 2
+    _assert_no_child_left()
+
+
+def test_run_registry_checks_every_hypothesis_before_any_trial(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(verify, "_run_trials", no_trial)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    # prop5.3 (case 19) is the first case that admits no q = 0.5
+    with pytest.raises(HypothesisError, match=r"^case prop5\.3 admits no q in \[0\.5\]"):
+        run_registry(2000, 7, q_grid=(0.5,))
+    # the arguments come before any hypothesis
+    with pytest.raises(DomainError, match=r"^need trials >= 1, got 0$"):
+        run_registry(0, 7, q_grid=(0.5,))
+
+
 def test_run_registry_gives_each_range_min_range_trials(monkeypatch):
     real_fork, forks = os.fork, []
 
@@ -565,8 +601,8 @@ def test_run_registry_raises_the_first_failure_in_serial_order(monkeypatch, spli
         with pytest.raises(DomainError, match=r"^prop2\.3 fails at q=1\.2$"):
             run_registry(30, 7, **opts)
         _assert_no_child_left()
-        # prop2.4 (case 3) admits no q above 2, but a serial run meets prop2.3's failure first
-        with pytest.raises(DomainError, match=r"^prop2\.3 fails at q=2\.5$"):
+        # prop2.4 (case 3) admits no q above 2: every hypothesis is checked before any trial
+        with pytest.raises(HypothesisError, match=r"^case prop2\.4 admits no q in \[2\.5\]"):
             run_registry(30, 7, q_grid=(2.5,))
         _assert_no_child_left()
 
