@@ -137,11 +137,7 @@ def sample_simplex(n: int, rng: np.random.Generator, min_mass: float = MIN_MASS)
     n = _index(n, "n")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    try:
-        ok = 0.0 <= min_mass < 1.0
-    except TypeError:  # a string or None is no mass
-        ok = False
-    if not ok:
+    if not (_finite_real(min_mass) and 0.0 <= min_mass < 1.0):
         raise DomainError(f"min_mass must be finite and in [0, 1), got {min_mass!r}")
     if n == 1:
         return _derived(ProbDist, np.array([1.0]))
@@ -672,17 +668,6 @@ class _Plan(NamedTuple):
     rng: np.random.Generator  # the case's stream, placed at each trial in turn
     start: dict  # its bit generator's state before any jump
 
-    def report(self, trials: int, violations: int, worst: float, witness: dict) -> VerifyReport:
-        return VerifyReport(
-            case=self.case.id,
-            trials=trials,
-            violations=violations,
-            worst_violation=worst,
-            worst_witness=witness,
-            seed=self.seed,
-            in_hypothesis=self.in_hypothesis,
-        )
-
 
 def _plans(
     cases,
@@ -725,7 +710,8 @@ def _plans(
 
     plans = []
     for case in cases:
-        qs, in_hypothesis = None, True
+        qs = None
+        in_hypothesis = True
         if case.q_range is not None:
             admitted = [qv for qv in grid if case.admits(qv)]
             if not (admitted or override_hypothesis):
@@ -826,10 +812,12 @@ def _run_forked(plans: list[_Plan], spans: list[tuple[int, int]]) -> list[list]:
     return shares
 
 
-# Fewest trials a range may have. A child's fork, pickle and reap cost the
-# caller about two trials of every case (3.6 ms against 1.8 ms on a 2-core
-# x86-64 host), so a range of 25 keeps that under a tenth of the time the
-# child saves, whatever the CPU count; 50 trials split in two ranges at most.
+# Fewest trials of every registered case a range may hold, or as much work
+# in fewer cases: 24 * 25 = 600 trials of one case. A child's fork, pickle
+# and reap cost the caller about two trials of every case (3.6 ms against
+# 1.8 ms on a 2-core x86-64 host), so such a range keeps that under a tenth
+# of the time the child saves, whatever the CPU count; the registry splits
+# from 50 trials, one case from 1200, in two ranges at most.
 _MIN_RANGE = 25
 
 
@@ -842,9 +830,13 @@ def _usable_cpus() -> int:
 
 def _run(plans: list[_Plan], trials: int) -> list[VerifyReport]:
     """The reports of trials [0, trials) of every plan, split across CPUs (run_case's docstring)."""
-    k = min(_usable_cpus(), trials // _MIN_RANGE)
-    if k > 1 and hasattr(os, "fork") and threading.active_count() == 1 and (
-        sys.gettrace() is None and sys.getprofile() is None
+    k = min(_usable_cpus(), trials * len(plans) // (_MIN_RANGE * len(REGISTRY)))
+    if (
+        k > 1
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and sys.gettrace() is None
+        and sys.getprofile() is None
     ):
         spans = [(trials * j // k, trials * (j + 1) // k) for j in range(k)]
         shares = _run_forked(plans, spans)
@@ -859,7 +851,11 @@ def _run(plans: list[_Plan], trials: int) -> list[VerifyReport]:
             violations += part[0]
             if part[1] > worst:  # ties keep the lower trial, as a serial run does
                 worst, witness = part[1], part[2]
-        reports.append(plan.report(trials, violations, worst, witness))
+        reports.append(
+            VerifyReport(
+                plan.case.id, trials, violations, worst, witness, plan.seed, plan.in_hypothesis
+            )
+        )
     return reports
 
 
@@ -885,19 +881,22 @@ def run_case(
     the trials, so no trial runs before every check has passed.
 
     The trials [0, trials) split into k contiguous ranges, one per usable
-    CPU and at least _MIN_RANGE trials each: this process runs the first
-    range of every case, and k - 1 children made with ``os.fork`` run the
-    others and send their counts and worst witnesses back through a pipe.
-    Every trial draws from its own stream (module docstring) and the ranges
-    merge as one run (counts add up, the worst of the lowest trial wins), so
-    the reports are the same bytes for every k, and a trial that raises
-    raises here what a serial run raises. The run is serial below
-    2 * _MIN_RANGE trials, on one CPU, without ``os.fork``, beside another
-    thread (a fork copies only the calling thread) and under a tracer or
-    profiler (it would not see the children's calls). A child's warnings go
-    to its stderr under the filters it inherited, once per child, and are
-    not recorded by the caller's ``warnings.catch_warnings``. Every child is
-    reaped before this returns or raises.
+    CPU, each as much work as _MIN_RANGE trials of every registered case
+    (600 trials of one case): this process runs the first range of every
+    case, and k - 1 children made with ``os.fork`` run the others and send
+    their counts and worst witnesses back through a pipe. Every trial draws
+    from its own stream (module docstring) and the ranges merge as one run
+    (counts add up, the worst of the lowest trial wins), so the reports are
+    the same bytes for every k, and a trial that raises raises here what a
+    serial run raises. The run is serial below two ranges (50 trials of
+    the registry, 1200 of one case), on one CPU, without ``os.fork``,
+    beside another thread (a fork copies only the calling thread) and under
+    a tracer or profiler (it would not see the children's calls). What a
+    child's trials do stays in the child: its warnings go to its stderr
+    under the filters it inherited, once per child, and are not recorded by
+    the caller's ``warnings.catch_warnings`` or ``pytest.warns``, and a
+    patched module attribute misses its calls. Every child is reaped before
+    this returns or raises.
     """
     return _run(_plans([case], trials, seed, n_range, q_grid, override_hypothesis), trials)[0]
 

@@ -41,7 +41,7 @@ def _start_states(seed, case_index, trials):
     """The generator state each trial of a run sees after the harness draws its n.
 
     The trials run in this process, on the plan run_case makes: a run_case
-    of 50 or more trials forks, and the probe's records of a child's range
+    of 1200 or more trials forks, and the probe's records of a child's range
     stay in the child.
     """
     seen = []

@@ -407,13 +407,14 @@ def test_identity_is_not_the_degenerate_chain_at_signed_zeros():
     assert _bits(verify._score(Eq(0.0, -0.0))) == _bits(_old_eq(0.0, -0.0)) == _bits(0.0)
 
 
-def test_witness_is_rendered_only_for_a_new_worst(monkeypatch):
+def test_witness_is_rendered_only_for_a_new_worst(monkeypatch, split_into):
     trials, seed, q = 60, 2, 0.5
     scores = [max(verify._score(c) for c in _replay("prop2.3", seed, t, q)[1][0])
               for t in range(trials)]
     new_worst = sum(1 for t, v in enumerate(scores) if v > max(scores[:t], default=-math.inf))
     rendered = []
     monkeypatch.setattr(verify, "_render", lambda x: rendered.append(x) or [])
+    split_into(1)  # a forked child's renders would not reach this process
     run_case("prop2.3", trials=trials, seed=seed, q_grid=(q,))
     assert 1 <= new_worst < trials
     assert len(rendered) == 3 * new_worst  # psi, p and r per new worst
@@ -446,7 +447,8 @@ def _no_fork():
 
 @pytest.fixture
 def split_into(monkeypatch):
-    """split_into(k): run_registry splits any run of k or more trials into k ranges."""
+    """split_into(k): a run of k or more trials of the registry, or 24k or more
+    of one case, splits into k ranges (one trial of every case per range)."""
 
     def split(k):
         monkeypatch.setattr(verify, "_usable_cpus", lambda: k)
