@@ -28,7 +28,7 @@ from .errors import (
     ConsistencyError,
     PositivityError,
 )
-from .qmath import _as_q, _finite_real, _ln_q, _require_finite_ratio, q_log
+from .qmath import _as_q, _finite_real, _require_finite_ratio, q_log
 from .quasilinear import GeneratorPsi, _as_eval, quasilinear_mean
 
 CHECK_TOL = 1e-9
@@ -166,18 +166,18 @@ def quasilinear_vs_tsallis_bounds(psi: GeneratorPsi, r: ProbDist, q) -> BoundRep
     ln_q(M_psi(1/r, uniform)) - mean_j ln_q(1/r_j), scaled by n min r_j and
     n max r_j, gives the bounds.  The whole chain is >= 0 when -ln_q is
     convexity-compatible with psi, which check_psi_convexity tests on a
-    grid the caller chooses (1/r, say).  psi(1/r) and ln_q(1/r) are
-    evaluated once; value uses the expressions of
-    tsallis_quasilinear_entropy and tsallis_entropy, so it has their bits.
+    grid the caller chooses (1/r, say).  psi(1/r) is evaluated once, and
+    1/r and ln_q(1/r) are the arrays r carries; value uses the expressions
+    of tsallis_quasilinear_entropy and tsallis_entropy, so it has their bits.
     """
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
-    inv = 1.0 / r.weights
+    inv = r._inverse()
     n = r.n
     w = r.weights
     # a validated forward may return any array-like, as np.mean accepted
     fwd = np.asarray(psi.forward(inv), dtype=float)
-    lnq_inv = _ln_q(inv, qf)
+    lnq_inv = r._surprisal(qf)
     braced = q_log(float(psi.inverse(np.asarray(_mean(fwd, r)))), qf) - _mean(lnq_inv, r)
     value = q_log(float(psi.inverse(np.asarray(w @ fwd))), qf) - float(w @ lnq_inv)
     return BoundReport(lower=n * r._lo * braced, value=value, upper=n * r._hi * braced)
@@ -188,13 +188,13 @@ def refined_maxent_bounds(r: ProbDist, q) -> BoundReport:
 
     Identical to quasilinear_vs_tsallis_bounds with the identity generator,
     since the identity mean of the inverse probabilities is exactly n.
-    1/r and ln_q(1/r) are evaluated once; H_q(r) is tsallis_entropy's
-    expression on them.
+    1/r and ln_q(1/r) are the arrays r carries, shared with every other
+    chain on r; H_q(r) is tsallis_entropy's expression on them.
     """
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
-    inv = 1.0 / r.weights
-    lnq_inv = _ln_q(inv, qf)
+    inv = r._inverse()
+    lnq_inv = r._surprisal(qf)
     n = r.n
     braced = q_log(_mean(inv, r), qf) - _mean(lnq_inv, r)
     value = q_log(float(n), qf) - float(r.weights @ lnq_inv)
@@ -439,6 +439,18 @@ def tightest_constants(p: ProbDist, r: ProbDist, q) -> SecondDerivativeRange:
     )
 
 
+def _spread_and_cross(d: ProbDist, w: np.ndarray, qf: float) -> tuple[float, float]:
+    """The spread of 1/d under w and w . ln_q(1/d), from the arrays d carries.
+
+    The thm4.2 sandwiches are built from these two numbers for d = p and
+    d = r.  The caller must already have checked that 1/d is finite
+    (``_require_finite_ratio``).  The spread, and so its errors, comes
+    first, as the sandwiches raised them before.
+    """
+    spread = _spread(d._inverse(), w, 1.0 / d._lo)
+    return spread, float(w @ d._surprisal(qf))
+
+
 def maxent_variance_bounds(p: ProbDist, q, mq: float, Mq: float) -> BoundReport:
     """Spread-weighted refinement of 0 <= ln_q(n) - H_q(p) <= ...
 
@@ -448,10 +460,8 @@ def maxent_variance_bounds(p: ProbDist, q, mq: float, Mq: float) -> BoundReport:
     """
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
-    w = p.weights
-    inv = 1.0 / w
-    spread = _spread(inv, w, 1.0 / p._lo)
-    value = q_log(float(p.n), qf) - float(w @ _ln_q(inv, qf))
+    spread, cross = _spread_and_cross(p, p.weights, qf)
+    value = q_log(float(p.n), qf) - cross
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
 
 
@@ -464,11 +474,8 @@ def cross_term_gap_sandwich(p: ProbDist, r: ProbDist, q, mq: float, Mq: float) -
     check_lengths(p, r)
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
-    inv_r = 1.0 / r.weights
-    spread = _spread(inv_r, p.weights, 1.0 / r._lo)
-    value = q_log(float((p.weights / r.weights).sum()), qf) - float(
-        p.weights @ _ln_q(inv_r, qf)
-    )
+    spread, cross = _spread_and_cross(r, p.weights, qf)
+    value = q_log(float((p.weights / r.weights).sum()), qf) - cross
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
 
 
@@ -490,14 +497,11 @@ def tsallis_cross_entropy_sandwich(
     _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
     w = p.weights
-    inv_p = 1.0 / w
-    inv_r = 1.0 / r.weights
     base = q_log(float((w / r.weights).sum()), qf) - q_log(float(p.n), qf)
-    spread_p = _spread(inv_p, w, 1.0 / p._lo)
-    spread_r = _spread(inv_r, w, 1.0 / r._lo)
-    value = float(w @ _ln_q(inv_r, qf)) - float(w @ _ln_q(inv_p, qf))
+    spread_p, cross_p = _spread_and_cross(p, w, qf)
+    spread_r, cross_r = _spread_and_cross(r, w, qf)
     return BoundReport(
         lower=base + 0.5 * mq * spread_p - 0.5 * Mq * spread_r,
-        value=value,
+        value=cross_r - cross_p,
         upper=base + 0.5 * Mq * spread_p - 0.5 * mq * spread_r,
     )

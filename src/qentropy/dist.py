@@ -31,7 +31,7 @@ from .errors import (
     PartitionError,
     PositivityError,
 )
-from .qmath import _as_q
+from .qmath import _as_q, _ln_q
 
 # Largest tolerated |sum(weights) - 1|.
 SUM_TOL = 1e-9
@@ -125,7 +125,15 @@ def _sum_text(total: float) -> str:
 
 @dataclass(frozen=True)
 class ProbDist:
-    """Strictly positive weights summing to 1 within SUM_TOL."""
+    """Strictly positive weights summing to 1 within SUM_TOL.
+
+    Besides its frozen weights a distribution carries values derived from
+    them, never part of ``==``, ``repr`` or any report: the extremes
+    ``_lo`` / ``_hi``, found at validation, and, on first use by a bound
+    chain, the inverse masses 1/w and the Tsallis surprisal ln_q(1/w) for
+    the last q asked (at most two n-vectors, frozen).  They have the bits
+    the chains computed afresh before, so report bytes do not change.
+    """
 
     weights: np.ndarray
 
@@ -150,6 +158,37 @@ class ProbDist:
     @property
     def n(self) -> int:
         return int(self.weights.size)
+
+    # The derived arrays below live in the instance __dict__, read with plain
+    # dict lookups (functools.cached_property locks per instance on 3.11).
+    # Each is stored whole, in one assignment, so a reader never sees a q
+    # paired with another q's surprisal.
+
+    def _inverse(self) -> np.ndarray:
+        """1/w, computed on first use and frozen.
+
+        The caller must already know that every 1/w_j is finite, for
+        example from ``_require_finite_ratio(1.0, 1.0, weights, _lo)``.
+        """
+        inv = self.__dict__.get("_inv")
+        if inv is None:
+            inv = 1.0 / self.weights
+            inv.flags.writeable = False
+            self.__dict__["_inv"] = inv
+        return inv
+
+    def _surprisal(self, qf: float) -> np.ndarray:
+        """ln_q(1/w) for a validated q, frozen; one slot, for the last q asked.
+
+        The caller must already know that 1/w is finite (see ``_inverse``).
+        """
+        slot = self.__dict__.get("_lnq_inv")
+        if slot is not None and slot[0] == qf:
+            return slot[1]
+        out = _ln_q(self._inverse(), qf)
+        out.flags.writeable = False
+        self.__dict__["_lnq_inv"] = (qf, out)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProbDist):

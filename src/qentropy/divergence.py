@@ -68,6 +68,8 @@ def _validate_convex(eval_fn: Callable, label: str) -> None:
             fm = np.asarray(eval_fn((a + b) / 2.0), dtype=float)
         except (FloatingPointError, DomainError) as exc:
             raise GeneratorError(f"generator {label!r} overflows on the grid: {exc}") from exc
+        except ValueError as exc:  # the grid is read-only: eval wrote into its argument
+            raise GeneratorError(f"generator {label!r} fails on the grid: {exc}") from exc
     scale = np.maximum(1.0, np.maximum(np.abs(fa), np.abs(fb)))
     excess = fm - (fa + fb) / 2.0 - 1e-12 * scale
     if np.any(excess > 0.0):
@@ -80,7 +82,12 @@ def _validate_convex(eval_fn: Callable, label: str) -> None:
 
 @dataclass(frozen=True)
 class ConvexGenerator:
-    """A convex generator on (0, inf) with f(1) = 0, validated at construction."""
+    """A convex generator on (0, inf) with f(1) = 0, validated at construction.
+
+    ``eval`` must be a numpy-vectorized callable that does not write into
+    its argument: the validation grid is read-only, and an eval that writes
+    into it is rejected with GeneratorError.
+    """
 
     eval: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"

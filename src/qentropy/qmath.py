@@ -24,8 +24,10 @@ from .errors import DomainError, UndefinedValueError
 # Distinct q values each generator factory keeps built and validated.
 _GENERATOR_CACHE_SIZE = 256
 
-# Points where a generator's construction-time self checks evaluate it.
+# Points where a generator's construction-time self checks evaluate it;
+# frozen, so a generator that writes into its argument cannot change them.
 _GENERATOR_GRID = 2.0 ** np.arange(-20, 21)
+_GENERATOR_GRID.flags.writeable = False
 
 __all__ = ["q_log", "q_exp"]
 

@@ -52,6 +52,8 @@ def _validate_generator(forward, inverse, label: str) -> None:
             y = np.asarray(forward(x), dtype=float)
         except (FloatingPointError, DomainError) as exc:
             raise GeneratorError(f"generator {label!r} overflows on the grid: {exc}") from exc
+        except ValueError as exc:  # the grid is read-only: forward wrote into its argument
+            raise GeneratorError(f"generator {label!r} fails on the grid: {exc}") from exc
     if y.shape != x.shape:
         raise GeneratorError(f"generator {label!r} must be elementwise on arrays")
     if not np.all(np.isfinite(y)):
@@ -105,10 +107,14 @@ def _validate_generator(forward, inverse, label: str) -> None:
 class GeneratorPsi:
     """A validated strictly monotonic generator on its domain.
 
-    ``forward`` and ``inverse`` must be numpy-vectorized callables.  Whether
-    the generator increases or decreases is read off ``forward`` on the
-    validation grid, not declared.  ``positive_domain`` restricts arguments
-    to x > 0 (everything except the identity).
+    ``forward`` and ``inverse`` must be numpy-vectorized callables that do
+    not write into their argument: the validation grid is read-only, and so
+    are the inverse masses a distribution carries, which the bound chains
+    hand to ``forward`` (a forward that writes into the grid is rejected
+    with GeneratorError).  Whether the generator increases or decreases is
+    read off ``forward`` on the validation grid, not declared.
+    ``positive_domain`` restricts arguments to x > 0 (everything except the
+    identity).
     """
 
     forward: Callable[[np.ndarray], np.ndarray]

@@ -501,7 +501,7 @@ class TheoremCase:
     tol: float = CHECK_TOL
 
     def __post_init__(self):  # a NaN tol would pass every trial, a negative one fail all
-        if not 0.0 <= self.tol < math.inf:
+        if not (_finite_real(self.tol) and self.tol >= 0.0):
             raise DomainError(f"tol must be finite and >= 0, got {self.tol!r}")
 
     def admits(self, q: float) -> bool:

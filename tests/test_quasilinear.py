@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qentropy import (
+    ConvexGenerator,
     DomainError,
     GeneratorError,
     GeneratorPsi,
@@ -33,6 +34,7 @@ from qentropy import (
     tsallis_quasilinear_relative,
     tsallis_relative,
 )
+from qentropy import qmath
 
 import oracle
 
@@ -220,6 +222,35 @@ def test_generator_validation_rejects_overflow():
             inverse=lambda y: np.log(y) ** 0.125,
             label="blow-up",
         )
+
+
+def _square_in_place(x):
+    x *= x
+    return np.zeros_like(x)
+
+
+# one row per generator kind; each builds lnq at a q no other test builds
+WRITERS = {
+    "psi-forward": (
+        lambda: GeneratorPsi(forward=lambda x: np.log(x, out=x), inverse=np.exp, label="writes"),
+        0.37,
+    ),
+    "convex-eval": (lambda: ConvexGenerator(eval=_square_in_place, label="writes"), 0.41),
+}
+
+
+@pytest.mark.parametrize("build, fresh_q", WRITERS.values(), ids=WRITERS.keys())
+def test_generator_that_writes_into_its_argument_is_rejected(build, fresh_q):
+    # the grid is read-only: such a generator is refused by name, with no raw
+    # warning, and leaves the grid as it was for every later generator
+    grid = qmath._GENERATOR_GRID.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GeneratorError, match=r"^generator 'writes' fails on the grid: .*read-only"):
+            build()
+    assert not qmath._GENERATOR_GRID.flags.writeable
+    assert np.array_equal(qmath._GENERATOR_GRID, grid)
+    assert lnq_generator(fresh_q).label == f"lnq[q={fresh_q:g}]"
 
 
 @pytest.mark.parametrize("factory", [lnq_generator, neg_qlog_generator])

@@ -2,12 +2,16 @@
 
 The refined max-entropy bound, the psi-mean gap bound and the thm4.2
 sandwiches all evaluate ln_q and psi at the inverse probabilities.  Each
-public bound computes 1/r, ln_q(1/r) and psi(1/r) once and derives every
-reported quantity from them, using the exact expressions of the helpers it
-used to call.  These tests pin every returned float with ``==`` against the
-composition of the public helpers (and ``np.mean`` for the braced gaps), so
-a bit that moves is a failure, not a tolerance question.
+public bound evaluates psi(1/r) once, takes 1/r and ln_q(1/r) from the
+arrays the distribution carries, and derives every reported quantity from
+them, using the exact expressions of the helpers it used to call.  These
+tests pin every returned float with ``==`` against the composition of the
+public helpers (and ``np.mean`` for the braced gaps), so a bit that moves
+is a failure, not a tolerance question, and check that the carried arrays
+give the same floats whichever chain or q filled them.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -40,7 +44,7 @@ from qentropy import (
     xlogx_generator,
 )
 from qentropy import divergence
-from qentropy.qmath import _ln_q
+from qentropy.qmath import _LNQ_DOMAIN, _ln_q
 from qentropy.verify import DEFAULT_Q_GRID
 
 SIZES = (2, 16, 1024)
@@ -116,6 +120,75 @@ def test_spread_bounds_bits(n, q):
     assert rep.value == float(w @ _ln_q(1.0 / r.weights, q)) - float(w @ _ln_q(1.0 / w, q))
     assert rep.lower == base + 0.5 * MQ * spread_p - 0.5 * BIG_MQ * spread_r
     assert rep.upper == base + 0.5 * BIG_MQ * spread_p - 0.5 * MQ * spread_r
+
+
+# the chains that take 1/w and ln_q(1/w) from the distributions they are given
+ROUTED = {
+    "refined_maxent": lambda p, r, q: refined_maxent_bounds(r, q),
+    "quasilinear_vs_tsallis": lambda p, r, q: quasilinear_vs_tsallis_bounds(
+        lnq_generator(q), r, q
+    ),
+    "maxent_variance": lambda p, r, q: maxent_variance_bounds(p, q, MQ, BIG_MQ),
+    "cross_term_gap": lambda p, r, q: cross_term_gap_sandwich(p, r, q, MQ, BIG_MQ),
+    "cross_entropy": lambda p, r, q: tsallis_cross_entropy_sandwich(p, r, q, MQ, BIG_MQ),
+}
+
+
+def _fresh(d):
+    return ProbDist(d.weights)
+
+
+def _on_fresh(p, r, q):
+    return {name: chain(_fresh(p), _fresh(r), q) for name, chain in ROUTED.items()}
+
+
+@pytest.mark.parametrize("n, q", GRID, ids=IDS)
+def test_carried_arrays_give_the_fresh_bits(n, q):
+    # the same floats on fresh distributions, after every other chain filled
+    # the arrays first (in either order), and with q alternating on one object
+    p, r = _pair(n, q)
+    fresh = _on_fresh(p, r, q)
+    for names in (list(ROUTED), list(reversed(ROUTED))):
+        p2, r2 = _fresh(p), _fresh(r)
+        for _ in range(2):
+            for name in names:
+                assert ROUTED[name](p2, r2, q) == fresh[name], name
+    other = DEFAULT_Q_GRID[(DEFAULT_Q_GRID.index(q) + 1) % len(DEFAULT_Q_GRID)]
+    fresh_other = _on_fresh(p, r, other)
+    for _ in range(2):
+        for name, chain in ROUTED.items():
+            assert chain(p, r, q) == fresh[name], name
+            assert chain(p, r, other) == fresh_other[name], name
+
+
+def test_carried_arrays_are_read_only_and_outside_eq_and_repr():
+    p, r = _pair(16, 2.0)
+    text = repr(r)
+    for chain in ROUTED.values():
+        chain(p, r, 2.0)
+    inv, (qf, lnq_inv) = vars(r)["_inv"], vars(r)["_lnq_inv"]
+    assert qf == 2.0
+    assert inv.tolist() == (1.0 / r.weights).tolist()
+    assert lnq_inv.tolist() == _ln_q(1.0 / r.weights, 2.0).tolist()
+    for arr in (inv, lnq_inv):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert repr(r) == text == repr(_fresh(r))
+    assert r == _fresh(r) and _fresh(r) == r
+    for clone in (dataclasses.replace(r), dataclasses.replace(r, weights=r.weights)):
+        assert clone == r
+        assert "_inv" not in vars(clone) and "_lnq_inv" not in vars(clone)
+
+
+@pytest.mark.parametrize("name", ROUTED)
+def test_an_overflowing_inverse_raises_again_and_is_not_carried(name):
+    # 1/5e-324 overflows a double: every call raises q_log's domain error,
+    # before anything is divided or carried
+    tiny = ProbDist([5e-324, 1.0])
+    for _ in range(2):
+        with pytest.raises(DomainError, match=f"^{_LNQ_DOMAIN}$"):
+            ROUTED[name](tiny, tiny, 2.0)
+    assert "_inv" not in vars(tiny) and "_lnq_inv" not in vars(tiny)
 
 
 def _family(q):

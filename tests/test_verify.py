@@ -271,7 +271,8 @@ def test_threshold_is_the_case_tol_alone():
     assert run_case("cor3.1", trials=40, seed=17).violations == 0
 
 
-BAD_TOLS = [math.nan, math.inf, -math.inf, -1e-12]
+# a string, None and an int past a double are rejected by type, not by a raw TypeError
+BAD_TOLS = [math.nan, math.inf, -math.inf, -1e-12, "1e-9", None, 2**1100]
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)
