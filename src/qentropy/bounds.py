@@ -439,16 +439,18 @@ def tightest_constants(p: ProbDist, r: ProbDist, q) -> SecondDerivativeRange:
     )
 
 
-def _spread_and_cross(d: ProbDist, w: np.ndarray, qf: float) -> tuple[float, float]:
-    """The spread of 1/d under w and w . ln_q(1/d), from the arrays d carries.
+def _spreads_and_crosses(
+    w: np.ndarray, qf: float, *ds: ProbDist
+) -> tuple[list[float], list[float]]:
+    """For each d in ds, the spread of 1/d under w and w . ln_q(1/d).
 
-    The thm4.2 sandwiches are built from these two numbers for d = p and
-    d = r.  The caller must already have checked that 1/d is finite
-    (``_require_finite_ratio``).  The spread, and so its errors, comes
-    first, as the sandwiches raised them before.
+    Both come from the arrays d carries; the thm4.2 sandwiches are built
+    from these numbers for d = p and d = r.  The caller must already have
+    checked that each 1/d is finite (``_require_finite_ratio``).  Every
+    spread, and so every spread error, comes before any surprisal.
     """
-    spread = _spread(d._inverse(), w, 1.0 / d._lo)
-    return spread, float(w @ d._surprisal(qf))
+    spreads = [_spread(d._inverse(), w, 1.0 / d._lo) for d in ds]
+    return spreads, [float(w @ d._surprisal(qf)) for d in ds]
 
 
 def maxent_variance_bounds(p: ProbDist, q, mq: float, Mq: float) -> BoundReport:
@@ -460,7 +462,7 @@ def maxent_variance_bounds(p: ProbDist, q, mq: float, Mq: float) -> BoundReport:
     """
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
-    spread, cross = _spread_and_cross(p, p.weights, qf)
+    [spread], [cross] = _spreads_and_crosses(p.weights, qf, p)
     value = q_log(float(p.n), qf) - cross
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
 
@@ -474,7 +476,7 @@ def cross_term_gap_sandwich(p: ProbDist, r: ProbDist, q, mq: float, Mq: float) -
     check_lengths(p, r)
     qf = _as_q(q)
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
-    spread, cross = _spread_and_cross(r, p.weights, qf)
+    [spread], [cross] = _spreads_and_crosses(p.weights, qf, r)
     value = q_log(float((p.weights / r.weights).sum()), qf) - cross
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
 
@@ -498,8 +500,7 @@ def tsallis_cross_entropy_sandwich(
     _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
     w = p.weights
     base = q_log(float((w / r.weights).sum()), qf) - q_log(float(p.n), qf)
-    spread_p, cross_p = _spread_and_cross(p, w, qf)
-    spread_r, cross_r = _spread_and_cross(r, w, qf)
+    (spread_p, spread_r), (cross_p, cross_r) = _spreads_and_crosses(w, qf, p, r)
     return BoundReport(
         lower=base + 0.5 * mq * spread_p - 0.5 * Mq * spread_r,
         value=cross_r - cross_p,

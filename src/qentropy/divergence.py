@@ -68,8 +68,11 @@ def _validate_convex(eval_fn: Callable, label: str) -> None:
             fm = np.asarray(eval_fn((a + b) / 2.0), dtype=float)
         except (FloatingPointError, DomainError) as exc:
             raise GeneratorError(f"generator {label!r} overflows on the grid: {exc}") from exc
-        except ValueError as exc:  # the grid is read-only: eval wrote into its argument
-            raise GeneratorError(f"generator {label!r} fails on the grid: {exc}") from exc
+        except ValueError as exc:
+            # the grid is read-only; any other ValueError of eval is its own
+            if "read-only" not in str(exc):
+                raise
+            raise GeneratorError(f"generator {label!r} writes into the grid: {exc}") from exc
     scale = np.maximum(1.0, np.maximum(np.abs(fa), np.abs(fb)))
     excess = fm - (fa + fb) / 2.0 - 1e-12 * scale
     if np.any(excess > 0.0):

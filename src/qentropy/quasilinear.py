@@ -52,8 +52,11 @@ def _validate_generator(forward, inverse, label: str) -> None:
             y = np.asarray(forward(x), dtype=float)
         except (FloatingPointError, DomainError) as exc:
             raise GeneratorError(f"generator {label!r} overflows on the grid: {exc}") from exc
-        except ValueError as exc:  # the grid is read-only: forward wrote into its argument
-            raise GeneratorError(f"generator {label!r} fails on the grid: {exc}") from exc
+        except ValueError as exc:
+            # the grid is read-only; any other ValueError of forward is its own
+            if "read-only" not in str(exc):
+                raise
+            raise GeneratorError(f"generator {label!r} writes into the grid: {exc}") from exc
     if y.shape != x.shape:
         raise GeneratorError(f"generator {label!r} must be elementwise on arrays")
     if not np.all(np.isfinite(y)):

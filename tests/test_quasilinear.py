@@ -246,11 +246,29 @@ def test_generator_that_writes_into_its_argument_is_rejected(build, fresh_q):
     grid = qmath._GENERATOR_GRID.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(GeneratorError, match=r"^generator 'writes' fails on the grid: .*read-only"):
+        with pytest.raises(GeneratorError, match=r"^generator 'writes' writes into the grid: .*read-only"):
             build()
     assert not qmath._GENERATOR_GRID.flags.writeable
     assert np.array_equal(qmath._GENERATOR_GRID, grid)
     assert lnq_generator(fresh_q).label == f"lnq[q={fresh_q:g}]"
+
+
+def _own_value_error(x):
+    raise ValueError("a reason of its own")
+
+
+# a ValueError that is not the read-only grid's is the generator's to report
+OWN_ERRORS = {
+    "psi-forward": lambda: GeneratorPsi(forward=_own_value_error, inverse=np.exp, label="own"),
+    "convex-eval": lambda: ConvexGenerator(eval=_own_value_error, label="own"),
+}
+
+
+@pytest.mark.parametrize("build", OWN_ERRORS.values(), ids=OWN_ERRORS.keys())
+def test_generator_value_error_of_its_own_propagates(build):
+    with pytest.raises(ValueError, match="^a reason of its own$") as info:
+        build()
+    assert not isinstance(info.value, GeneratorError)
 
 
 @pytest.mark.parametrize("factory", [lnq_generator, neg_qlog_generator])

@@ -191,6 +191,15 @@ def test_an_overflowing_inverse_raises_again_and_is_not_carried(name):
     assert "_inv" not in vars(tiny) and "_lnq_inv" not in vars(tiny)
 
 
+def test_cross_entropy_sandwich_checks_both_spreads_before_any_surprisal():
+    # 1/1e-160 is finite but its spread overflows: r's spread raises before
+    # the surprisal of p (whose spread came first) is derived
+    p, wide = _pair(2, 2.0)[0], ProbDist([1e-160, 1.0 - 1e-160])
+    with pytest.raises(DomainError, match="overflows a double"):
+        tsallis_cross_entropy_sandwich(p, wide, 2.0, MQ, BIG_MQ)
+    assert "_inv" in vars(p) and "_lnq_inv" not in vars(p)
+
+
 def _family(q):
     return (xlogx_generator(), neglog_generator(), tsallis_generator(q), neg_qlog_generator(q))
 
