@@ -28,7 +28,7 @@ from .errors import (
     ConsistencyError,
     PositivityError,
 )
-from .qmath import _as_q, _finite_real, _require_finite_ratio, q_log
+from .qmath import _as_q, _finite_real, _require_finite_ratio, _require_surprisal_fits, q_log
 from .quasilinear import GeneratorPsi, _as_eval, quasilinear_mean
 
 CHECK_TOL = 1e-9
@@ -171,7 +171,7 @@ def quasilinear_vs_tsallis_bounds(psi: GeneratorPsi, r: ProbDist, q) -> BoundRep
     of tsallis_quasilinear_entropy and tsallis_entropy, so it has their bits.
     """
     qf = _as_q(q)
-    _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
+    _require_surprisal_fits(r.weights, r._lo, r._hi, qf)
     inv = r._inverse()
     n = r.n
     w = r.weights
@@ -192,7 +192,7 @@ def refined_maxent_bounds(r: ProbDist, q) -> BoundReport:
     chain on r; H_q(r) is tsallis_entropy's expression on them.
     """
     qf = _as_q(q)
-    _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
+    _require_surprisal_fits(r.weights, r._lo, r._hi, qf)
     inv = r._inverse()
     lnq_inv = r._surprisal(qf)
     n = r.n
@@ -288,7 +288,7 @@ def pairwise_spread(xs, p: ProbDist) -> float:
     (max x - min x above about 1e154) that their squared deviations could
     overflow a double raise DomainError.  The bound chains call the kernel
     ``_spread`` directly on 1/p or 1/r, whose entries
-    ``_require_finite_ratio`` has already proven finite; a caller of
+    ``_require_surprisal_fits`` has already proven finite; a caller of
     ``_spread`` must know that its points are finite and match the weights
     in shape.
     """
@@ -446,7 +446,7 @@ def _spreads_and_crosses(
 
     Both come from the arrays d carries; the thm4.2 sandwiches are built
     from these numbers for d = p and d = r.  The caller must already have
-    checked that each 1/d is finite (``_require_finite_ratio``).  Every
+    checked that each 1/d is finite (``_require_surprisal_fits``).  Every
     spread, and so every spread error, comes before any surprisal.
     """
     spreads = [_spread(d._inverse(), w, 1.0 / d._lo) for d in ds]
@@ -461,7 +461,7 @@ def maxent_variance_bounds(p: ProbDist, q, mq: float, Mq: float) -> BoundReport:
         (mq/2) P <= ln_q(n) - H_q(p) <= (Mq/2) P.
     """
     qf = _as_q(q)
-    _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
+    _require_surprisal_fits(p.weights, p._lo, p._hi, qf)
     [spread], [cross] = _spreads_and_crosses(p.weights, qf, p)
     value = q_log(float(p.n), qf) - cross
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
@@ -475,7 +475,7 @@ def cross_term_gap_sandwich(p: ProbDist, r: ProbDist, q, mq: float, Mq: float) -
     """
     check_lengths(p, r)
     qf = _as_q(q)
-    _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
+    _require_surprisal_fits(r.weights, r._lo, r._hi, qf)
     [spread], [cross] = _spreads_and_crosses(p.weights, qf, r)
     value = q_log(float((p.weights / r.weights).sum()), qf) - cross
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
@@ -496,8 +496,8 @@ def tsallis_cross_entropy_sandwich(
     """
     check_lengths(p, r)
     qf = _as_q(q)
-    _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
-    _require_finite_ratio(1.0, 1.0, r.weights, r._lo)
+    _require_surprisal_fits(p.weights, p._lo, p._hi, qf)
+    _require_surprisal_fits(r.weights, r._lo, r._hi, qf)
     w = p.weights
     base = q_log(float((w / r.weights).sum()), qf) - q_log(float(p.n), qf)
     (spread_p, spread_r), (cross_p, cross_r) = _spreads_and_crosses(w, qf, p, r)

@@ -168,7 +168,7 @@ class ProbDist:
         """1/w, computed on first use and frozen.
 
         The caller must already know that every 1/w_j is finite, for
-        example from ``_require_finite_ratio(1.0, 1.0, weights, _lo)``.
+        example from ``_require_surprisal_fits``.
         """
         inv = self.__dict__.get("_inv")
         if inv is None:

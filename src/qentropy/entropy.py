@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .dist import ProbDist
-from .qmath import _as_q, _ln_q, _near_one, _require_finite_ratio, q_exp
+from .qmath import _as_q, _ln_q, _near_one, _require_surprisal_fits, q_exp
 
 __all__ = [
     "tsallis_entropy",
@@ -23,7 +23,7 @@ def tsallis_entropy(p: ProbDist, q) -> float:
     Value lies in [0, ln_q(n)], with the maximum at the uniform distribution.
     """
     qf = _as_q(q)
-    _require_finite_ratio(1.0, 1.0, p.weights, p._lo)
+    _require_surprisal_fits(p.weights, p._lo, p._hi, qf)
     return float(p.weights @ _ln_q(1.0 / p.weights, qf))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .bounds import BoundReport
 from .dist import _derived, _floats, _validated
 from .errors import DimensionError, HypothesisError
-from .qmath import _as_q, _ln_q, _require_finite_ratio, _require_ln_q_fits
+from .qmath import _as_q, _ln_q, _require_ln_q_fits, _require_surprisal_fits
 
 __all__ = [
     "JointDist",
@@ -98,7 +98,7 @@ def tsallis_joint_entropy(j: JointDist, q) -> float:
     """H_q of the flattened cell distribution."""
     qf = _as_q(q)
     flat = j.cells.ravel()
-    _require_finite_ratio(1.0, 1.0, flat, j._lo)
+    _require_surprisal_fits(flat, j._lo, j._hi, qf)
     return float(flat @ _ln_q(1.0 / flat, qf))
 
 

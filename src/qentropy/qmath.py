@@ -165,6 +165,22 @@ def _require_finite_ratio(num, num_max: float, den: np.ndarray, den_min: float) 
     raise DomainError(_LNQ_DOMAIN)
 
 
+def _require_surprisal_fits(w: np.ndarray, w_min: float, w_max: float, qf: float) -> None:
+    """Check that 1/w and ln_q(1/w) fit a double, before evaluating them.
+
+    ``w_min`` and ``w_max`` are the extremes a validated distribution
+    carries.  1/w is finite when 1/w_min is (``_require_finite_ratio``).
+    A validated mass may exceed 1 by up to SUM_TOL, so 1/w may fall below
+    1, where ln_q overflows at a huge q; since division rounds
+    monotonically, 1/w_max is at most every 1/w_j, so one O(1) test at it
+    decides, and an overflow raises q_log's DomainError.  Below w_max = 1
+    every 1/w is at least 1, where ln_q cannot overflow.
+    """
+    _require_finite_ratio(1.0, 1.0, w, w_min)
+    if w_max > 1.0 and not _ln_q_fits(1.0 / w_max, qf):
+        raise DomainError(_LNQ_OVERFLOW.format(qf))
+
+
 def q_log(x, q):
     """Deformed natural logarithm ln_q(x).
 

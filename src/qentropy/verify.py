@@ -1,12 +1,15 @@
 """Randomized verification harness.
 
 Every inequality and identity exposed by the library is registered here as a
-named case. A case's trial runner draws random instances and returns the
-claims it checked, with the inputs it drew. The harness scores each claim as
-a normalized violation, raw violation over (1 + scale), where scale is the
-magnitude of the quantities compared, so one threshold acts as a combined
-absolute and relative tolerance. A trial's v is the largest score of its
-claims; v > 0 means a claim fails. The claim kinds:
+named case, and a trial of a case is ``check(draw(rng, n, q), q)``.  ``draw``
+makes the trial's random draws and returns its inputs, the values its
+witness prints; ``check`` builds the rest from them (generators from their
+labels, curvature bounds from the points, partitions, joint distributions)
+and returns the claims, reading neither the stream, n nor the trial index.
+The harness scores each claim as a normalized violation, raw violation over
+(1 + scale), where scale is the magnitude of the quantities compared, so one
+threshold acts as a combined absolute and relative tolerance. A trial's v
+is the largest score of its claims; v > 0 means a claim fails. The kinds:
 
 - a ``BoundReport``, lower <= value <= upper: violation() / (1 + scale());
 - ``Le(lhs, rhs)``, lhs <= rhs: (lhs - rhs) / (1 + max(|lhs|, |rhs|));
@@ -18,22 +21,24 @@ claims; v > 0 means a claim fails. The claim kinds:
 A trial fails when v exceeds its case's ``tol``: 1e-9, or 1e-10 for the exact
 identities; ``dataclasses.replace(get_case(c), tol=...)`` runs a stricter case.
 A report's witness holds the inputs of its worst trial; it is rendered only
-when a trial sets a new worst.
+when a trial sets a new worst, and parses back into those inputs bit for bit,
+so ``rescore`` scores a report line again without the random stream.
 
 Trial t of case c under seed s draws from
 ``PCG64(SeedSequence(s, spawn_key=(index(c),))).jumped(t)``: each case is a
 spawned child of the seed, and each trial a disjoint jump along its stream
 (NumPy's guide to parallel random number generation), so results do not
-depend on execution order or batching, and a witness replays from (seed,
-case, trial) alone.  A call builds each case's generator once and places it
-at trial t by restoring the stream's start state and advancing it t jumps,
-the step ``jumped(t)`` itself takes, so a trial sits at the same place
-whatever range runs it; ``run_case`` and ``run_registry`` split the
-trials into ranges across processes, and the reports do not change.
+depend on execution order or batching.  A call builds each case's generator
+once and places it at trial t by restoring the stream's start state and
+advancing it t jumps, the step ``jumped(t)`` itself takes, so a trial sits
+at the same place whatever range runs it; ``run_case`` and ``run_registry``
+split the trials into ranges across processes, and the reports do not change.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 import os
@@ -72,7 +77,6 @@ from .divergence import (
     renyi_relative,
     renyi_tsallis_relative_bridge,
     tsallis_relative,
-    xlogx_generator,
 )
 from .entropy import renyi_entropy, renyi_tsallis_bridge, tsallis_entropy
 from .errors import DomainError, HypothesisError, UnknownCaseError
@@ -85,16 +89,9 @@ from .joint import (
     tsallis_conditional_entropy,
     tsallis_joint_entropy,
 )
-from .quasilinear import (
-    GeneratorPsi,
-    identity_generator,
-    log_generator,
-    psi_by_label,
-    tsallis_quasilinear_entropy,
-    tsallis_quasilinear_relative,
-)
+from .quasilinear import psi_by_label, tsallis_quasilinear_entropy, tsallis_quasilinear_relative
 from .qmath import _finite_real
-from .serialize import SCHEMA, dumps
+from .serialize import SCHEMA, dumps, loads, parse_witness, render
 
 __all__ = [
     "MIN_MASS",
@@ -106,6 +103,7 @@ __all__ = [
     "sample_simplex",
     "run_case",
     "run_registry",
+    "rescore",
     "has_failures",
 ]
 
@@ -123,6 +121,46 @@ def _index(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+@dataclass(frozen=True)
+class TheoremCase:
+    """One registered claim, tried as ``check(draw(rng, n, q), q)`` (module docstring);
+    ``q_range`` is its closed range of admitted q, None if q-free, and a trial
+    fails when its normalized violation exceeds ``tol``."""
+
+    id: str
+    description: str
+    draw: Callable
+    check: Callable
+    q_range: tuple[float, float] | None = (0.0, 4.0)
+    tol: float = CHECK_TOL
+
+    def __post_init__(self):  # a NaN tol would pass every trial, a negative one fail all
+        if not (_finite_real(self.tol) and self.tol >= 0.0):
+            raise DomainError(f"tol must be finite and >= 0, got {self.tol!r}")
+
+    def admits(self, q: float) -> bool:
+        if self.q_range is None:
+            return True
+        lo, hi = self.q_range
+        return lo <= q <= hi
+
+
+# Definition order is load-bearing: the position of a case in this dict is its
+# spawn key, which picks its trial streams.  Cases register in the order of
+# their checks in this file: append new cases at its end only.
+REGISTRY: dict[str, TheoremCase] = {}
+
+
+def _case(case_id: str, description: str, draw: Callable, **options) -> Callable:
+    """Register the decorated function as the check of a case drawn by ``draw``."""
+
+    def register(check: Callable) -> Callable:
+        REGISTRY[case_id] = TheoremCase(case_id, description, draw, check, **options)
+        return check
+
+    return register
 
 
 def _masses(rng: np.random.Generator, size: int, min_mass: float) -> np.ndarray:
@@ -144,36 +182,56 @@ def sample_simplex(n: int, rng: np.random.Generator, min_mass: float = MIN_MASS)
     return _derived(ProbDist, _masses(rng, n, min_mass))
 
 
-def _sample_partition(n: int, rng: np.random.Generator) -> Partition:
+def _draw_blocks(rng: np.random.Generator, n: int) -> tuple[tuple[int, ...], ...]:
+    """The blocks of a random partition of range(n): a permutation cut in 1 to n pieces."""
     k = int(rng.integers(1, n + 1))
     perm = [int(i) for i in rng.permutation(n)]
     if k == 1:
-        return Partition((tuple(perm),))
+        return (tuple(perm),)
     cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=k - 1, replace=False))
     edges = [0, *cuts, n]
-    blocks = tuple(tuple(perm[a:b]) for a, b in zip(edges[:-1], edges[1:]))
-    return Partition(blocks)
+    return tuple(tuple(perm[a:b]) for a, b in zip(edges[:-1], edges[1:]))
 
 
-def _sample_joint(rng: np.random.Generator, k: int | None = None) -> JointDist:
+def _draw_joint(rng, n, q, k: int | None = None) -> dict:
+    """A joint distribution of k axes (2 to 4 if None), 2 to 4 cells each: dims and flat cells."""
     if k is None:
         k = int(rng.integers(2, 5))
     dims = tuple(int(d) for d in rng.integers(2, 5, size=k))
-    return _derived(JointDist, _masses(rng, math.prod(dims), MIN_MASS).reshape(dims))
+    return {"dims": dims, "cells": _masses(rng, math.prod(dims), MIN_MASS)}
 
 
-def _sample_nested(rng: np.random.Generator) -> tuple[ProbDist, Partition]:
-    """A two-level refinement: cells, and a partition of them into consecutive blocks."""
+def _joint(inputs) -> JointDist:
+    return _derived(JointDist, inputs["cells"].reshape(inputs["dims"]))
+
+
+def _draw_rows(rng, n, q) -> dict:
+    """A two-level refinement, 2 to 6 blocks of 1 to 4 cells, as its blocks' rows of cells."""
     sizes = [int(s) for s in rng.integers(1, 5, size=int(rng.integers(2, 7)))]
     c = _masses(rng, sum(sizes), MIN_MASS)
-    edges = np.cumsum([0, *sizes]).tolist()
+    edges = [0, *itertools.accumulate(sizes)]
+    return {"rows": tuple(c[a:b] for a, b in zip(edges[:-1], edges[1:]))}
+
+
+def _nested(rows) -> tuple[ProbDist, Partition]:
+    """The cells of a two-level refinement and its partition into consecutive blocks."""
+    edges = [0, *itertools.accumulate(row.size for row in rows)]
     blocks = tuple(tuple(range(a, b)) for a, b in zip(edges[:-1], edges[1:]))
-    return _derived(ProbDist, c), Partition(blocks)
+    return _derived(ProbDist, np.concatenate(rows)), Partition(blocks)
 
 
-# ---------------------------------------------------------------------------
-# claims and their scores
-# ---------------------------------------------------------------------------
+def _simplexes(*keys: str) -> Callable:
+    """A draw of one point of the n-simplex per key, in order."""
+    return lambda rng, n, q: {key: sample_simplex(n, rng) for key in keys}
+
+
+def _draw_points(lo: float, hi: float) -> Callable:
+    """A draw of n points uniform on [lo, hi), then a point of the n-simplex."""
+    return lambda rng, n, q: {"xs": rng.uniform(lo, hi, n), "p": sample_simplex(n, rng)}
+
+
+_draw_p, _draw_r, _draw_pr = _simplexes("p"), _simplexes("r"), _simplexes("p", "r")
+_draw_joint2 = functools.partial(_draw_joint, k=2)
 
 
 class Le(NamedTuple):
@@ -211,35 +269,77 @@ def _score(claim) -> float:
     return claim
 
 
-def _render(x):
-    """A witness input as JSON data: arrays flattened, tuples as lists."""
-    if isinstance(x, np.ndarray):
-        return x.ravel().tolist()
-    return [_render(e) for e in x] if isinstance(x, tuple) else x
+def _quartic(x):
+    return np.asarray(x) ** 4
 
 
-# The generator factories memoize on q, so a trial that draws a generator
-# gets the instance whose construction-time self checks already ran.
-def _pick_psi(rng, q, kinds=("identity", "log", "lnq")) -> GeneratorPsi:
-    return psi_by_label(kinds[int(rng.integers(len(kinds)))], q)
+# A witness prints each generator it drew as a label, and the label's base,
+# its text before "[", names the generator; q is the witness's own "q", never
+# the label's text, which prints q to 6 significant digits.  prop3.1 prints
+# -ln_q as neg_qlog.  The factories memoize on q, so every trial shares the
+# instance whose construction-time self checks already ran.
+_GENERATORS = {
+    "identity": lambda q: psi_by_label("identity", q),
+    "log": lambda q: psi_by_label("log", q),
+    "lnq": lambda q: psi_by_label("lnq", q),
+    "tsallis": lambda q: f_by_label("tsallis", q),
+    "xlogx": lambda q: f_by_label("xlogx", q),
+    "neglog": lambda q: f_by_label("neglog", q),
+    "neg_lnq": lambda q: neg_qlog_generator(q),
+    "neg_qlog": lambda q: neg_qlog_generator(q),
+    "square": lambda q: np.square,
+    "exp": lambda q: np.exp,
+    "quartic": lambda q: _quartic,
+}
+_PSI = ("identity", "log", "lnq")
+_F = ("tsallis", "xlogx", "neglog")
+_SMOOTH_F = ("square", "exp", "quartic", "neg_lnq")
+# (f, psi) with f convex and f(psi^{-1}) convex; psi=log only pairs with
+# the deformed log generator when q >= 1, where exp stays convex under it
+_SANDWICH_PAIRS = (
+    ("square", "identity"), ("neg_qlog", "identity"), ("xlogx", "identity"), ("neg_qlog", "log")
+)
 
 
-# ---------------------------------------------------------------------------
-# trial runners
-# ---------------------------------------------------------------------------
+def _draw_label(rng, q, kinds: tuple[str, ...]) -> str:
+    """One of ``kinds``, picked by one draw, as a witness prints it."""
+    kind = kinds[int(rng.integers(len(kinds)))]
+    return getattr(_GENERATORS[kind](q), "label", kind)
 
 
-def _trial_entropy_nonneg(rng, n, q):
-    p = sample_simplex(n, rng)
-    psi = _pick_psi(rng, q)
-    val = tsallis_quasilinear_entropy(psi, p, q)
-    return [Le(-0.0, val)], {"psi": psi.label, "p": p.weights}
+def _labelled(key: str, kinds: tuple[str, ...], draw: Callable) -> Callable:
+    """``draw``, then one of ``kinds`` under ``key``: drawn after the rest, printed first."""
+
+    def labelled(rng, n, q):
+        inputs = draw(rng, n, q)
+        return {key: _draw_label(rng, q, kinds), **inputs}
+
+    return labelled
 
 
-def _trial_coarsen_entropy(rng, n, q):
-    p = sample_simplex(n, rng)
-    part = _sample_partition(n, rng)
-    c = coarsen(p, part)
+_draw_smooth_f = _labelled("f", _SMOOTH_F, _draw_points(0.1, 10.0))
+
+
+def _generator(label: str, q, kinds: tuple[str, ...]):
+    """The generator a witness label names, at the witness's q; its base must be in ``kinds``."""
+    base = label.partition("[")[0]
+    if base not in kinds:
+        raise DomainError(f"unknown generator label {label!r} (use {', '.join(kinds)})")
+    return _GENERATORS[base](q)
+
+
+# The cases, in registry order: each check registers with its draw.
+@_case("prop2.1", "generator entropy is nonnegative", _labelled("psi", _PSI, _draw_p))
+def _check_entropy_nonneg(inputs, q):
+    psi = _generator(inputs["psi"], q, _PSI)
+    return [Le(-0.0, tsallis_quasilinear_entropy(psi, inputs["p"], q))]
+
+
+@_case("prop2.2", "coarsening pulls power sums toward 1 and never raises entropy",
+       lambda rng, n, q: {**_draw_p(rng, n, q), "blocks": _draw_blocks(rng, n)})
+def _check_coarsen_entropy(inputs, q):
+    p = inputs["p"]
+    c = coarsen(p, Partition(inputs["blocks"]))
     s_fine = power_sum(p, q)
     s_coarse = power_sum(c, q)
     # coarsening pushes the power sum toward 1 from either side
@@ -253,75 +353,71 @@ def _trial_coarsen_entropy(rng, n, q):
         toward_one,
         Le(tsallis_entropy(c, q), tsallis_entropy(p, q)),
         Le(renyi_entropy(c, q), renyi_entropy(p, q)),
-    ], {"p": p.weights, "blocks": part.blocks}
+    ]
 
 
-def _trial_relative_nonneg(rng, n, q):
-    p = sample_simplex(n, rng)
-    r = sample_simplex(n, rng)
-    psi = _pick_psi(rng, q)
-    val = tsallis_quasilinear_relative(psi, p, r, q)
-    return [Le(-0.0, val)], {"psi": psi.label, "p": p.weights, "r": r.weights}
+@_case("prop2.3", "generator relative entropy is nonnegative for compatible generators",
+       _labelled("psi", _PSI, _draw_pr))
+def _check_relative_nonneg(inputs, q):
+    psi = _generator(inputs["psi"], q, _PSI)
+    return [Le(-0.0, tsallis_quasilinear_relative(psi, inputs["p"], inputs["r"], q))]
 
 
-def _trial_coarsen_relative(rng, n, q):
-    p = sample_simplex(n, rng)
-    r = sample_simplex(n, rng)
-    part = _sample_partition(n, rng)
+@_case("prop2.4", "coarsening never raises relative entropies",
+       lambda rng, n, q: {**_draw_pr(rng, n, q), "blocks": _draw_blocks(rng, n)},
+       q_range=(0.0, 2.0))
+def _check_coarsen_relative(inputs, q):
+    p, r = inputs["p"], inputs["r"]
+    part = Partition(inputs["blocks"])
     cp, cr = coarsen(p, part), coarsen(r, part)
     return [
         Le(renyi_relative(cp, cr, q), renyi_relative(p, r, q)),
         Le(tsallis_relative(cp, cr, q), tsallis_relative(p, r, q)),
-    ], {"p": p.weights, "r": r.weights, "blocks": part.blocks}
+    ]
 
 
-def _pick_sandwich_pair(rng, q):
-    # (f, psi) with f convex and f(psi^{-1}) convex; psi=log only pairs with
-    # the deformed log generator when q >= 1, where exp stays convex under it
-    n_opts = 4 if q >= 1.0 else 3
-    k = int(rng.integers(n_opts))
-    if k == 0:
-        return np.square, "square", identity_generator()
-    if k == 1:
-        return neg_qlog_generator(q), "neg_qlog", identity_generator()
-    if k == 2:
-        return xlogx_generator(), "xlogx", identity_generator()
-    return neg_qlog_generator(q), "neg_qlog", log_generator()
-
-
-def _trial_ratio_sandwich(rng, n, q):
+def _draw_ratio_sandwich(rng, n, q):
     xs = rng.uniform(0.1, 10.0, n)
-    p = sample_simplex(n, rng)
+    p, r = sample_simplex(n, rng), sample_simplex(n, rng)
+    f, psi = _SANDWICH_PAIRS[int(rng.integers(4 if q >= 1.0 else 3))]
+    return {"f": f, "psi": psi, "xs": xs, "p": p, "r": r}
+
+
+@_case("prop3.1", "weighted Jensen gaps obey the ratio sandwich", _draw_ratio_sandwich)
+def _check_ratio_sandwich(inputs, q):
+    f = _generator(inputs["f"], q, ("square", "neg_qlog", "xlogx"))
+    psi = _generator(inputs["psi"], q, ("identity", "log"))
+    return [ratio_sandwich(f, psi, inputs["xs"], inputs["p"], inputs["r"])]
+
+
+def _draw_quasilinear_gap(rng, n, q):
     r = sample_simplex(n, rng)
-    f, f_label, psi = _pick_sandwich_pair(rng, q)
-    rep = ratio_sandwich(f, psi, xs, p, r)
-    return [rep], {"f": f_label, "psi": psi.label, "xs": xs, "p": p.weights, "r": r.weights}
+    kinds = ("identity", "lnq", "log") if q >= 1.0 else ("identity", "lnq")
+    return {"psi": _draw_label(rng, q, kinds), "r": r}
 
 
-def _trial_quasilinear_gap(rng, n, q):
-    r = sample_simplex(n, rng)
-    psi = _pick_psi(rng, q, ("identity", "lnq", "log") if q >= 1.0 else ("identity", "lnq"))
-    rep = quasilinear_vs_tsallis_bounds(psi, r, q)
-    return [FromZero(rep)], {"psi": psi.label, "r": r.weights}
+@_case("thm3.1", "generator-mean entropy gap obeys scaled uniform-gap bounds",
+       _draw_quasilinear_gap)
+def _check_quasilinear_gap(inputs, q):
+    psi = _generator(inputs["psi"], q, _PSI)
+    return [FromZero(quasilinear_vs_tsallis_bounds(psi, inputs["r"], q))]
 
 
-def _trial_refined_maxent(rng, n, q):
-    r = sample_simplex(n, rng)
-    return [FromZero(refined_maxent_bounds(r, q))], {"r": r.weights}
+@_case("cor3.1", "refined two-sided bounds on the max-entropy gap", _draw_r)
+def _check_refined_maxent(inputs, q):
+    return [FromZero(refined_maxent_bounds(inputs["r"], q))]
 
 
-def _trial_fdiv_sandwich(rng, n, q):
-    p = sample_simplex(n, rng)
-    r = sample_simplex(n, rng)
-    kind = ("tsallis", "xlogx", "neglog")[int(rng.integers(3))]
-    f = f_by_label(kind, q)
-    rep = f_divergence_sandwich(f, p, r)
-    return [FromZero(rep)], {"f": f.label, "p": p.weights, "r": r.weights}
+@_case("thm3.2", "f-divergence obeys the dual-generator ratio sandwich",
+       _labelled("f", _F, _draw_pr))
+def _check_fdiv_sandwich(inputs, q):
+    f = _generator(inputs["f"], q, _F)
+    return [FromZero(f_divergence_sandwich(f, inputs["p"], inputs["r"]))]
 
 
-def _trial_reversed_kl(rng, n, q):
-    p = sample_simplex(n, rng)
-    r = sample_simplex(n, rng)
+@_case("cor_dra", "reversed KL sandwich from the negative-log generator", _draw_pr, q_range=None)
+def _check_reversed_kl(inputs, q):
+    p, r = inputs["p"], inputs["r"]
     rep = f_divergence_sandwich(neglog_generator(), p, r)
     # independent route to the same chain
     t = p.weights**2 / r.weights
@@ -334,296 +430,163 @@ def _trial_reversed_kl(rng, n, q):
         Eq(rep.lower, float(ratios.min()) * factor),
         Eq(rep.upper, float(ratios.max()) * factor),
         Le(-0.0, factor),
-    ], {"p": p.weights, "r": r.weights}
+    ]
 
 
-def _trial_lagrange(rng, n, q):
-    a = rng.normal(0.0, 1.0, n)
-    b = rng.normal(0.0, 1.0, n)
+@_case("lem4.1", "Lagrange identity on random vectors",
+       lambda rng, n, q: {"a": rng.normal(0.0, 1.0, n), "b": rng.normal(0.0, 1.0, n)},
+       q_range=None)
+def _check_lagrange(inputs, q):
+    a, b = inputs["a"], inputs["b"]
     lhs, rhs = lagrange_identity(a, b)
     # the identity as the paper states it: the literal double sum over i < j
     cross = a[:, None] * b[None, :] - a[None, :] * b[:, None]
     literal = 0.5 * float((cross**2).sum())
-    return [Eq(lhs, literal), Eq(rhs, literal)], {"a": a, "b": b}
+    return [Eq(lhs, literal), Eq(rhs, literal)]
 
 
-def _quartic(x):
-    return np.asarray(x) ** 4
-
-
-def _pick_smooth_f(rng, q, lo, hi):
-    k = int(rng.integers(4))
-    if k == 0:
-        return np.square, "square", 2.0, 2.0
-    if k == 1:
-        return np.exp, "exp", math.exp(lo), math.exp(hi)
-    if k == 2:
-        return _quartic, "quartic", 12.0 * lo * lo, 12.0 * hi * hi
-    f = neg_qlog_generator(q)
-    return f, f.label, q * hi ** (-q - 1.0), q * lo ** (-q - 1.0)
-
-
-def _trial_smooth_jensen(rng, n, q):
-    xs = rng.uniform(0.1, 10.0, n)
-    p = sample_simplex(n, rng)
+def _smooth_f(inputs, q):
+    """(f, lo, hi, m, M) of a smooth-f witness: m <= f'' <= M on [lo, hi], the hull of xs."""
+    f = _generator(inputs["f"], q, _SMOOTH_F)
+    xs = inputs["xs"]
     lo, hi = float(xs.min()), float(xs.max())
-    f, label, m, big_m = _pick_smooth_f(rng, q, lo, hi)
-    rep = smooth_jensen_sandwich(f, SecondDerivativeRange(m, big_m, (lo, hi)), xs, p)
-    return [rep], {"f": label, "xs": xs, "p": p.weights}
+    if f is np.square:
+        return f, lo, hi, 2.0, 2.0
+    if f is np.exp:
+        return f, lo, hi, math.exp(lo), math.exp(hi)
+    if f is _quartic:
+        return f, lo, hi, 12.0 * lo * lo, 12.0 * hi * hi
+    return f, lo, hi, q * hi ** (-q - 1.0), q * lo ** (-q - 1.0)
 
 
-def _trial_spread_identity(rng, n, q):
-    xs = rng.uniform(-5.0, 5.0, n)
-    p = sample_simplex(n, rng)
+@_case("thm4.1", "smooth Jensen gap bounded by curvature times half the spread", _draw_smooth_f)
+def _check_smooth_jensen(inputs, q):
+    f, lo, hi, m, big_m = _smooth_f(inputs, q)
+    curvature = SecondDerivativeRange(m, big_m, (lo, hi))
+    return [smooth_jensen_sandwich(f, curvature, inputs["xs"], inputs["p"])]
+
+
+@_case("lem4.2", "pairwise spread equals weighted variance", _draw_points(-5.0, 5.0), q_range=None)
+def _check_spread_identity(inputs, q):
+    xs, p = inputs["xs"], inputs["p"]
     w = p.weights
     s_var = pairwise_spread(xs, p)
     diffs = xs[None, :] - xs[:, None]
     s_pair = 0.5 * float((w[:, None] * w[None, :] * diffs * diffs).sum())
-    return [Eq(s_pair, s_var)], {"xs": xs, "p": w}
+    return [Eq(s_pair, s_var)]
 
 
-def _trial_variance_jensen(rng, n, q):
-    xs = rng.uniform(0.1, 10.0, n)
-    p = sample_simplex(n, rng)
-    lo, hi = float(xs.min()), float(xs.max())
-    f, label, m, big_m = _pick_smooth_f(rng, q, lo, hi)
+@_case("cor4.1", "variance form of the smooth Jensen sandwich", _draw_smooth_f)
+def _check_variance_jensen(inputs, q):
+    f, _, _, m, big_m = _smooth_f(inputs, q)
+    xs = inputs["xs"]
     fe = getattr(f, "eval", f)
-    w = p.weights
+    w = inputs["p"].weights
     mean = float(w @ xs)
     gap = float(w @ np.asarray(fe(xs), dtype=float)) - float(np.asarray(fe(mean), dtype=float))
     spread = float(w @ (xs - mean) ** 2)
-    rep = BoundReport(0.5 * m * spread, gap, 0.5 * big_m * spread)
-    return [rep], {"f": label, "xs": xs, "p": w}
+    return [BoundReport(0.5 * m * spread, gap, 0.5 * big_m * spread)]
 
 
-def _trial_am_gm(rng, n, q):
-    xs = rng.uniform(0.1, 10.0, n)
-    p = sample_simplex(n, rng)
-    return [cartwright_field(xs, p)], {"xs": xs, "p": p.weights}
+@_case("cf", "variance bounds on the arithmetic-geometric mean gap",
+       _draw_points(0.1, 10.0), q_range=None)
+def _check_am_gm(inputs, q):
+    return [cartwright_field(inputs["xs"], inputs["p"])]
 
 
-def _trial_cross_entropy_chain(rng, n, q):
-    p = sample_simplex(n, rng)
-    r = sample_simplex(n, rng)
+# q > 0: no double lies strictly between 0 and the smallest positive one
+@_case("thm4.2", "deformed cross-entropy gap two-sided chain",
+       _draw_pr, q_range=(math.nextafter(0.0, 1.0), 4.0))
+def _check_cross_entropy_chain(inputs, q):
+    p, r = inputs["p"], inputs["r"]
     dr = tightest_constants(p, r, q)
     return [
         tsallis_cross_entropy_sandwich(p, r, q, dr.m, dr.M),
         cross_term_gap_sandwich(p, r, q, dr.m, dr.M),
         maxent_variance_bounds(p, q, dr.m, dr.M),
-    ], {"p": p.weights, "r": r.weights}
+    ]
 
 
-def _trial_cross_entropy_chain_q1(rng, n, q):
-    return _trial_cross_entropy_chain(rng, n, 1.0)
+@_case("cor4", "cross-entropy gap chain at the undeformed point", _draw_pr, q_range=None)
+def _check_cross_entropy_chain_q1(inputs, q):
+    return _check_cross_entropy_chain(inputs, 1.0)
 
 
-def _trial_complement(rng, n, q):
-    n = max(n, 2)  # components must stay below 1
-    p = sample_simplex(n, rng)
-    r = sample_simplex(n, rng)
-    return [Le(*complement_cross_entropy(p, r))], {"p": p.weights, "r": r.weights}
+# n >= 2, so that every mass stays below 1
+@_case("prop4.1", "complement self term is bounded by the complement cross term",
+       lambda rng, n, q: _draw_pr(rng, max(n, 2), q), q_range=None)
+def _check_complement(inputs, q):
+    return [Le(*complement_cross_entropy(inputs["p"], inputs["r"]))]
 
 
-def _trial_chain_rule_pair(rng, n, q):
-    j = _sample_joint(rng, k=2)
+@_case("prop5.1", "two-axis chain rule is exact", _draw_joint2)
+def _check_chain_rule_pair(inputs, q):
+    j = _joint(inputs)
     h_joint = tsallis_joint_entropy(j, q)
     h_first = tsallis_joint_entropy(marginal(j, (0,)), q)
     h_cond = tsallis_conditional_entropy(j, (1,), (0,), q)
-    return [Eq(h_joint, h_first + h_cond)], {"dims": j.dims, "cells": j.cells}
+    return [Eq(h_joint, h_first + h_cond)]
 
 
-def _trial_chain_rule_multi(rng, n, q):
-    j = _sample_joint(rng)
-    order = tuple(int(a) for a in rng.permutation(j.ndim))
-    terms = chain_rule_decomposition(j, order, q)
-    claim = Eq(tsallis_joint_entropy(j, q), math.fsum(terms))
-    return [claim], {"dims": j.dims, "order": order, "cells": j.cells}
+def _draw_chain_rule_multi(rng, n, q):
+    joint = _draw_joint(rng, n, q)
+    order = tuple(int(a) for a in rng.permutation(len(joint["dims"])))
+    return {"dims": joint["dims"], "order": order, "cells": joint["cells"]}
 
 
-def _trial_conditioning(rng, n, q):
-    j = _sample_joint(rng, k=2)
-    return [Le(*conditioning_reduces_entropy_check(j, q))], {"dims": j.dims, "cells": j.cells}
+@_case("prop5.2", "multi-axis chain rule is exact", _draw_chain_rule_multi)
+def _check_chain_rule_multi(inputs, q):
+    j = _joint(inputs)
+    terms = chain_rule_decomposition(j, inputs["order"], q)
+    return [Eq(tsallis_joint_entropy(j, q), math.fsum(terms))]
 
 
-def _trial_han(rng, n, q):
-    j = _sample_joint(rng)
+@_case("prop5.3", "conditioning does not raise entropy above the undeformed point",
+       _draw_joint2, q_range=(1.0, 4.0))
+def _check_conditioning(inputs, q):
+    return [Le(*conditioning_reduces_entropy_check(_joint(inputs), q))]
+
+
+@_case("thm5.1", "joint entropy bounded by scaled leave-one-out sum",
+       _draw_joint, q_range=(1.0, 4.0))
+def _check_han(inputs, q):
+    j = _joint(inputs)
     if q >= 1.0:
-        rep = han_sandwich(j, q)
-    else:
-        # only reachable when probing outside the hypothesis: build the same
-        # chain without the library's q guard so the violation is measurable
-        k = j.ndim
-        loo = math.fsum(
-            tsallis_joint_entropy(marginal(j, tuple(a for a in range(k) if a != i)), q)
-            for i in range(k)
-        )
-        rep = BoundReport(0.0, tsallis_joint_entropy(j, q), loo / (k - 1))
-    return [rep], {"dims": j.dims, "cells": j.cells}
+        return [han_sandwich(j, q)]
+    # only reachable when probing outside the hypothesis: build the same
+    # chain without the library's q guard so the violation is measurable
+    k = j.ndim
+    loo = math.fsum(
+        tsallis_joint_entropy(marginal(j, tuple(a for a in range(k) if a != i)), q)
+        for i in range(k)
+    )
+    return [BoundReport(0.0, tsallis_joint_entropy(j, q), loo / (k - 1))]
 
 
-def _trial_entropy_bridge(rng, n, q):
-    p = sample_simplex(n, rng)
-    return [Eq(*renyi_tsallis_bridge(p, q))], {"p": p.weights}
+@_case("id14", "exp of collision-family entropy equals deformed exp of its power mate",
+       _draw_p, tol=IDENTITY_TOL)
+def _check_entropy_bridge(inputs, q):
+    return [Eq(*renyi_tsallis_bridge(inputs["p"], q))]
 
 
-def _trial_relative_bridge(rng, n, q):
-    p = sample_simplex(n, rng)
-    r = sample_simplex(n, rng)
-    return [Eq(*renyi_tsallis_relative_bridge(p, r, q))], {"p": p.weights, "r": r.weights}
+@_case("id16", "exp of relative collision-family divergence equals dual-deformed exp",
+       _draw_pr, q_range=(0.0, 2.0), tol=IDENTITY_TOL)
+def _check_relative_bridge(inputs, q):
+    return [Eq(*renyi_tsallis_relative_bridge(inputs["p"], inputs["r"], q))]
 
 
-def _trial_deformed_additivity(rng, n, q):
-    p, part = _sample_nested(rng)
+@_case("qadd", "two-level refinement additivity is exact", _draw_rows, tol=IDENTITY_TOL)
+def _check_deformed_additivity(inputs, q):
+    rows = inputs["rows"]
+    p, part = _nested(rows)
     coarse = coarsen(p, part)
-    rows = tuple(p.weights[list(block)] for block in part.blocks)
     inner = math.fsum(
         float(s) ** q * tsallis_entropy(_derived(ProbDist, row / s), q)
         for s, row in zip(coarse.weights, rows)
     )
     # absolute residual: the identity is exact, scales here are O(ln_q n)
-    return [abs(tsallis_entropy(p, q) - (tsallis_entropy(coarse, q) + inner))], {"rows": rows}
+    return [abs(tsallis_entropy(p, q) - (tsallis_entropy(coarse, q) + inner))]
 
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TheoremCase:
-    """One registered claim; ``q_range`` is its closed range of admitted q, None if q-free,
-    and a trial fails when its normalized violation exceeds ``tol``."""
-
-    id: str
-    description: str
-    trial: Callable
-    q_range: tuple[float, float] | None = (0.0, 4.0)
-    tol: float = CHECK_TOL
-
-    def __post_init__(self):  # a NaN tol would pass every trial, a negative one fail all
-        if not (_finite_real(self.tol) and self.tol >= 0.0):
-            raise DomainError(f"tol must be finite and >= 0, got {self.tol!r}")
-
-    def admits(self, q: float) -> bool:
-        if self.q_range is None:
-            return True
-        lo, hi = self.q_range
-        return lo <= q <= hi
-
-
-def _case(*args, **kwargs) -> tuple[str, TheoremCase]:
-    c = TheoremCase(*args, **kwargs)
-    return c.id, c
-
-
-# Definition order is load-bearing: the position of a case in this dict is its
-# spawn key, which picks its trial streams. Append new cases at the end only.
-REGISTRY: dict[str, TheoremCase] = dict(
-    [
-        _case("prop2.1", "generator entropy is nonnegative", _trial_entropy_nonneg),
-        _case(
-            "prop2.2",
-            "coarsening pulls power sums toward 1 and never raises entropy",
-            _trial_coarsen_entropy,
-        ),
-        _case(
-            "prop2.3",
-            "generator relative entropy is nonnegative for compatible generators",
-            _trial_relative_nonneg,
-        ),
-        _case(
-            "prop2.4",
-            "coarsening never raises relative entropies",
-            _trial_coarsen_relative,
-            q_range=(0.0, 2.0),
-        ),
-        _case("prop3.1", "weighted Jensen gaps obey the ratio sandwich", _trial_ratio_sandwich),
-        _case(
-            "thm3.1",
-            "generator-mean entropy gap obeys scaled uniform-gap bounds",
-            _trial_quasilinear_gap,
-        ),
-        _case("cor3.1", "refined two-sided bounds on the max-entropy gap", _trial_refined_maxent),
-        _case("thm3.2", "f-divergence obeys the dual-generator ratio sandwich", _trial_fdiv_sandwich),
-        _case(
-            "cor_dra",
-            "reversed KL sandwich from the negative-log generator",
-            _trial_reversed_kl,
-            q_range=None,
-        ),
-        _case("lem4.1", "Lagrange identity on random vectors", _trial_lagrange, q_range=None),
-        _case(
-            "thm4.1",
-            "smooth Jensen gap bounded by curvature times half the spread",
-            _trial_smooth_jensen,
-        ),
-        _case(
-            "lem4.2",
-            "pairwise spread equals weighted variance",
-            _trial_spread_identity,
-            q_range=None,
-        ),
-        _case("cor4.1", "variance form of the smooth Jensen sandwich", _trial_variance_jensen),
-        _case(
-            "cf",
-            "variance bounds on the arithmetic-geometric mean gap",
-            _trial_am_gm,
-            q_range=None,
-        ),
-        _case(
-            "thm4.2",
-            "deformed cross-entropy gap two-sided chain",
-            _trial_cross_entropy_chain,
-            # q > 0: no double lies strictly between 0 and the smallest positive one
-            q_range=(math.nextafter(0.0, 1.0), 4.0),
-        ),
-        _case(
-            "cor4",
-            "cross-entropy gap chain at the undeformed point",
-            _trial_cross_entropy_chain_q1,
-            q_range=None,
-        ),
-        _case(
-            "prop4.1",
-            "complement self term is bounded by the complement cross term",
-            _trial_complement,
-            q_range=None,
-        ),
-        _case("prop5.1", "two-axis chain rule is exact", _trial_chain_rule_pair),
-        _case("prop5.2", "multi-axis chain rule is exact", _trial_chain_rule_multi),
-        _case(
-            "prop5.3",
-            "conditioning does not raise entropy above the undeformed point",
-            _trial_conditioning,
-            q_range=(1.0, 4.0),
-        ),
-        _case(
-            "thm5.1",
-            "joint entropy bounded by scaled leave-one-out sum",
-            _trial_han,
-            q_range=(1.0, 4.0),
-        ),
-        _case(
-            "id14",
-            "exp of collision-family entropy equals deformed exp of its power mate",
-            _trial_entropy_bridge,
-            tol=IDENTITY_TOL,
-        ),
-        _case(
-            "id16",
-            "exp of relative collision-family divergence equals dual-deformed exp",
-            _trial_relative_bridge,
-            q_range=(0.0, 2.0),
-            tol=IDENTITY_TOL,
-        ),
-        _case(
-            "qadd",
-            "two-level refinement additivity is exact",
-            _trial_deformed_additivity,
-            tol=IDENTITY_TOL,
-        ),
-    ]
-)
 
 _CASE_INDEX = {cid: i for i, cid in enumerate(REGISTRY)}
 
@@ -730,8 +693,8 @@ def _plans(
 
 def _run_trials(plan: _Plan, t0: int, t1: int) -> tuple[int, float, dict]:
     """(violations, worst violation, its witness) over trials [t0, t1) of a planned case."""
-    case, lo, hi, qs, rng = plan.case, plan.lo, plan.hi, plan.qs, plan.rng
-    tol = case.tol
+    lo, hi, qs, rng = plan.lo, plan.hi, plan.qs, plan.rng
+    draw, check, tol = plan.case.draw, plan.case.check, plan.case.tol
     bit_generator = rng.bit_generator
     violations = 0
     worst = -math.inf
@@ -742,14 +705,14 @@ def _run_trials(plan: _Plan, t0: int, t1: int) -> tuple[int, float, dict]:
         bit_generator.advance(t * _JUMP)
         n = int(rng.integers(lo, hi + 1))
         qv = qs[t % len(qs)] if qs is not None else None
-        claims, inputs = case.trial(rng, n, qv)
-        v = float(max(_score(c) for c in claims))
+        inputs = draw(rng, n, qv)
+        v = float(max(_score(c) for c in check(inputs, qv)))
         if v > worst:
             worst = v
             worst_witness = {"trial": t, "n": n}
             if qv is not None:
                 worst_witness["q"] = qv
-            worst_witness.update((k, _render(x)) for k, x in inputs.items())
+            worst_witness.update((k, render(x)) for k, x in inputs.items())
         if v > tol:
             violations += 1
     return violations, worst, worst_witness
@@ -870,11 +833,10 @@ def run_case(
 ) -> VerifyReport:
     """Run one case and count normalized violations above the case's ``tol``.
 
-    That is 1e-9, or 1e-10 for the exact identities; a stricter run passes
-    ``dataclasses.replace(case, tol=...)``.  A q-free case ignores the values
-    of a valid ``q_grid``.  q values outside the case hypothesis raise
-    HypothesisError unless ``override_hypothesis`` is set, in which case the
-    report is flagged ``in_hypothesis: false`` and its violations are not failures.
+    A q-free case ignores the values of a valid ``q_grid``.  q values outside
+    the case hypothesis raise HypothesisError unless ``override_hypothesis``
+    is set, in which case the report is flagged ``in_hypothesis: false`` and
+    its violations are not failures.
 
     Errors come in one order: the arguments (the case, ``trials``,
     ``seed``, ``n_range``, ``q_grid``), then each case's hypothesis, then
@@ -908,6 +870,38 @@ def run_registry(trials: int = 1000, seed: int = 42, **options) -> list[VerifyRe
     order before any trial runs; the trials then split as run_case's do.
     """
     return _run(_plans(REGISTRY.values(), trials, seed, **options), trials)
+
+
+def rescore(line: str) -> float:
+    """The worst violation of a ``verify`` report line, scored again from its witness alone.
+
+    The witness parses back into the inputs its case's draw returned, bit
+    for bit (``serialize.parse_witness``), and the case's check scores them:
+    no random stream, n or trial index is read.  On the NumPy build and CPU
+    dispatch level that wrote the line, the result is the line's
+    ``worst_violation`` bit for bit, the sign of zero included.  A line
+    that is not JSON, of another schema or of an unknown case, or whose
+    witness lacks a key, holds one its check does not read, names an
+    unknown generator, or holds a value that does not parse or that
+    overflows its check, raises a QEntropyError.
+    """
+    try:
+        doc = loads(line)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"not a JSON report line: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        raise DomainError(f"not a report line of schema {SCHEMA!r}")
+    case = get_case(str(doc.get("case")))
+    inputs = parse_witness(doc.get("worst_witness"))
+    q = inputs["q"] if case.q_range is not None else None
+    try:
+        with np.errstate(over="raise"):
+            claims = case.check(inputs, q)
+    except (OverflowError, FloatingPointError) as exc:  # on points or a q no draw makes
+        raise DomainError(f"the {case.id} witness overflows a double: {exc}") from None
+    if inputs.unread != {"trial", "n"}:  # trial and n, which no check reads, and nothing else
+        raise DomainError(f"a {case.id} witness holds trial, n and its check's keys: {list(inputs)}")
+    return float(max(_score(c) for c in claims))
 
 
 def has_failures(reports) -> bool:

@@ -47,6 +47,10 @@ def _assert_as_public(got, cls):
     assert got._hi.hex() == public._hi.hex()
 
 
+def _rows(seed):
+    return verify._draw_rows(np.random.default_rng(seed), None, None)["rows"]
+
+
 def _derived_results():
     rng = np.random.default_rng(11)
     w = rng.exponential(size=9)
@@ -59,11 +63,11 @@ def _derived_results():
         (lambda: marginal(j, (1,)), JointDist),
         (lambda: sample_simplex(7, np.random.default_rng(3)), ProbDist),
         (lambda: sample_simplex(1, np.random.default_rng(3)), ProbDist),
-        (lambda: verify._sample_joint(np.random.default_rng(4)), JointDist),
-        (lambda: verify._sample_joint(np.random.default_rng(5), k=2), JointDist),
+        (lambda: verify._joint(verify._draw_joint(np.random.default_rng(4), None, None)), JointDist),
+        (lambda: verify._joint(verify._draw_joint2(np.random.default_rng(5), None, None)), JointDist),
         # a two-level refinement: the cells, and their sums over its blocks
-        (lambda: verify._sample_nested(np.random.default_rng(6))[0], ProbDist),
-        (lambda: coarsen(*verify._sample_nested(np.random.default_rng(6))), ProbDist),
+        (lambda: verify._nested(_rows(6))[0], ProbDist),
+        (lambda: coarsen(*verify._nested(_rows(6))), ProbDist),
     ]
 
 

@@ -3,7 +3,8 @@
 Every row runs with RuntimeWarning raised as an error, so a raw numpy
 "overflow encountered in ..." fails the row.  Covered: ln_q and x^(1-q)
 results too large for a double (q > 1 at tiny x), ln_q at a q so large that
-(1-q) log x overflows although ln_q(x) tends to 1/(q-1), the public ratio kernels
+(1-q) log x overflows although ln_q(x) tends to 1/(q-1), ln_q(1/w) at a huge
+q on a legal mass w just above 1, the public ratio kernels
 on a mass whose ratio overflows, a mean of inverse probabilities whose sum
 would overflow although the mean is finite, an exp R_q(p||r) past the
 float maximum, the f-divergence sandwich's dual-generator factor,
@@ -47,6 +48,7 @@ from qentropy import (
     tsallis_entropy,
     tsallis_cross_entropy_sandwich,
     tsallis_generator,
+    tsallis_joint_entropy,
     tsallis_quasilinear_relative,
     tsallis_relative,
     xlogx_generator,
@@ -56,6 +58,7 @@ SUBNORMAL = 5e-324
 TINY = ProbDist([1e-310, 1.0])
 HALF = ProbDist([0.5, 0.5])
 FAR_APART = ProbDist([1e-160, 1.0])
+ABOVE_ONE = ProbDist([1.0 + 1e-10])  # legal: |sum - 1| <= SUM_TOL
 QLOG_MSG = "q_log is defined only for finite x > 0"
 SANDWICH_MSG = "the f-divergence sandwich's dual-generator factor overflows a double"
 WEIGHTS_MSG = "the f-divergence sandwich's weights p^2/r underflow to 0 or overflow a double"
@@ -113,6 +116,28 @@ CASES = [
     *[
         (f"tsallis_entropy-q{q:g}", lambda q=q: tsallis_entropy(ProbDist([1 / 8] * 8), q), None)
         for q in (1e308, sys.float_info.max)
+    ],
+    # a mass may exceed 1 by up to SUM_TOL, so 1/w < 1, where ln_q overflows at a huge q
+    *[
+        (f"{name}-mass-above-one", call, _over(1e300))
+        for name, call in (
+            ("tsallis_entropy", lambda: tsallis_entropy(ABOVE_ONE, 1e300)),
+            ("refined_maxent_bounds", lambda: refined_maxent_bounds(ABOVE_ONE, 1e300)),
+            (
+                "quasilinear_vs_tsallis_bounds",
+                lambda: quasilinear_vs_tsallis_bounds(identity_generator(), ABOVE_ONE, 1e300),
+            ),
+            ("maxent_variance_bounds", lambda: maxent_variance_bounds(ABOVE_ONE, 1e300, 0.0, 1.0)),
+            (
+                "cross_term_gap_sandwich",
+                lambda: cross_term_gap_sandwich(ABOVE_ONE, ABOVE_ONE, 1e300, 0.0, 1.0),
+            ),
+            (
+                "tsallis_cross_entropy_sandwich",
+                lambda: tsallis_cross_entropy_sandwich(ABOVE_ONE, ABOVE_ONE, 1e300, 0.0, 1.0),
+            ),
+            ("tsallis_joint_entropy", lambda: tsallis_joint_entropy(JointDist([[1.0 + 1e-10]]), 1e300)),
+        )
     ],
     (
         "tsallis_conditional_entropy",

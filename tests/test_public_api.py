@@ -58,6 +58,7 @@ REACH_ALLOWLIST = {
     "make_dist": "the one-call constructor the demos and the benchmark build inputs with",
     "check_psi_convexity": "tests three bounds' convexity hypothesis on a grid the caller chooses",
     "CompatibleConvexity": "what check_psi_convexity returns",
+    "rescore": "re-scores a report line without the RNG; used by tests and CI",
 }
 PSI_LABELS = ("identity", "log", "lnq")
 F_LABELS = ("tsallis", "xlogx", "neglog")

@@ -30,11 +30,14 @@ def _probe(case_index, seen):
     """A case under a registered id, on that case's streams, that records
     the generator state each trial sees after the harness draws its n."""
 
-    def trial(rng, n, q):
+    def draw(rng, n, q):
         seen.append(rng.bit_generator.state)
-        return [0.0], {}
+        return {}
 
-    return verify.TheoremCase(list(verify.REGISTRY)[case_index], "probe", trial, q_range=None)
+    def check(inputs, q):
+        return [0.0]
+
+    return verify.TheoremCase(list(verify.REGISTRY)[case_index], "probe", draw, check, q_range=None)
 
 
 def _start_states(seed, case_index, trials):

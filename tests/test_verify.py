@@ -25,7 +25,7 @@ from qentropy import (
 )
 from qentropy import verify
 from qentropy.bounds import BoundReport
-from qentropy.serialize import dumps
+from qentropy.serialize import dumps, loads, parse_witness, render
 from qentropy.verify import Eq, FromZero, Le, get_case
 from test_registry_pinned import REGISTRY_DIGEST
 
@@ -78,8 +78,8 @@ def test_sample_simplex_respects_profile_floor():
 
 
 @pytest.mark.parametrize("draw", [
-    lambda rng: verify._sample_joint(rng).cells.ravel(),
-    lambda rng: verify._sample_nested(rng)[0].weights,
+    lambda rng: verify._draw_joint(rng, None, None)["cells"],
+    lambda rng: np.concatenate(verify._draw_rows(rng, None, None)["rows"]),
 ], ids=["joint", "nested"])
 def test_joint_and_nested_samplers_floor_at_min_mass(monkeypatch, draw):
     # a floor far above float noise shows itself: every floored cell is the
@@ -132,7 +132,9 @@ def test_unknown_case_rejected():
     with pytest.raises(UnknownCaseError):
         get_case("prop9.9")
     # a case's streams are keyed by its position in REGISTRY: an unregistered id has none
-    mine = verify.TheoremCase("mine", "custom", lambda rng, n, q: ([0.0], {}), q_range=None)
+    mine = verify.TheoremCase(
+        "mine", "custom", lambda rng, n, q: {}, lambda inputs, q: [0.0], q_range=None
+    )
     with pytest.raises(UnknownCaseError, match="'mine' is not registered.*position in REGISTRY"):
         run_case(mine, trials=3)
     # a registered id keeps its streams under dataclasses.replace
@@ -309,54 +311,28 @@ def test_psi_cases_clean_near_one(cid):
 
 
 # ---------------------------------------------------------------------------
-# trials return their claims; the harness scores them
+# checks return their claims; the harness scores them
 # ---------------------------------------------------------------------------
 
 
-def _trial_rng(cid, seed, t):
-    """Trial t's generator: the case's spawned stream, jumped t times."""
-    key = (list(REGISTRY).index(cid),)
-    stream = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
-    return np.random.Generator(stream.jumped(t))
-
-
-def _replay(cid, seed, t, q):
-    """Trial t of run_case(cid, seed=seed, q_grid=(q,)), with the default n_range."""
-    rng = _trial_rng(cid, seed, t)
-    n = int(rng.integers(2, 17))
-    case = REGISTRY[cid]
-    return n, case.trial(rng, n, q if case.q_range is not None else None)
-
-
 @pytest.mark.parametrize("cid", list(REGISTRY))
-def test_trial_returns_claims_and_inputs(cid):
+def test_check_returns_the_claims_of_the_drawn_inputs(cid):
     # 1.5 lies inside every case's hypothesis
-    n, (claims, inputs) = _replay(cid, 5, 0, 1.5)
+    rep = run_case(cid, trials=1, seed=5, q_grid=(1.5,))
+    q = 1.5 if REGISTRY[cid].q_range is not None else None
+    inputs = parse_witness(loads(dumps(rep.worst_witness)))
+    claims = REGISTRY[cid].check(inputs, q)
     assert isinstance(claims, list) and claims
     for c in claims:
         assert isinstance(c, (BoundReport, Le, Eq, FromZero, float)), type(c)
-    assert isinstance(inputs, dict) and inputs
-    witness = {k: verify._render(x) for k, x in inputs.items()}
-    json.loads(dumps(witness))
-    # the report of that one trial is its top score and its rendered inputs
-    rep = run_case(cid, trials=1, seed=5, q_grid=(1.5,))
+    # the report of that one trial is its top score and its drawn inputs;
+    # trial 0 draws from the stream's start, after the harness's draw of n
     assert rep.worst_violation == max(verify._score(c) for c in claims)
-    head = {"trial": 0, "n": n, **({"q": 1.5} if REGISTRY[cid].q_range is not None else {})}
-    assert rep.worst_witness == {**head, **witness}
-
-
-@pytest.mark.parametrize("cid", ["thm4.2", "id14"])
-def test_witness_trial_alone_replays_the_worst_violation(cid):
-    # a chain case and an identity case: only the witness trial is re-run,
-    # from (seed, case, trial), and gives the report's worst bit for bit
-    rep = run_case(cid, trials=200, seed=42)
-    witness = dict(rep.worst_witness)
-    t, n, q = witness.pop("trial"), witness.pop("n"), witness.pop("q")
-    assert t > 0
-    n_replayed, (claims, inputs) = _replay(cid, 42, t, q)
-    assert n_replayed == n
-    assert {k: verify._render(x) for k, x in inputs.items()} == witness
-    assert _bits(max(verify._score(c) for c in claims)) == _bits(rep.worst_violation)
+    (plan,) = verify._plans([cid], 1, 5, q_grid=(1.5,))
+    n = int(plan.rng.integers(2, 17))
+    drawn = REGISTRY[cid].draw(plan.rng, n, q)
+    head = {"trial": 0, "n": n, **({} if q is None else {"q": q})}
+    assert rep.worst_witness == {**head, **{k: render(x) for k, x in drawn.items()}}
 
 
 def _bits(x) -> bytes:
@@ -410,11 +386,11 @@ def test_identity_is_not_the_degenerate_chain_at_signed_zeros():
 
 def test_witness_is_rendered_only_for_a_new_worst(monkeypatch, split_into):
     trials, seed, q = 60, 2, 0.5
-    scores = [max(verify._score(c) for c in _replay("prop2.3", seed, t, q)[1][0])
-              for t in range(trials)]
+    (plan,) = verify._plans(["prop2.3"], trials, seed, q_grid=(q,))
+    scores = [verify._run_trials(plan, t, t + 1)[1] for t in range(trials)]
     new_worst = sum(1 for t, v in enumerate(scores) if v > max(scores[:t], default=-math.inf))
     rendered = []
-    monkeypatch.setattr(verify, "_render", lambda x: rendered.append(x) or [])
+    monkeypatch.setattr(verify, "render", lambda x: rendered.append(x) or [])
     split_into(1)  # a forked child's renders would not reach this process
     run_case("prop2.3", trials=trials, seed=seed, q_grid=(q,))
     assert 1 <= new_worst < trials
@@ -583,12 +559,12 @@ def test_run_registry_raises_what_a_serial_run_raises(opts, error, split_into):
 
 
 def _failing_at(real: verify.TheoremCase, bad_qs) -> verify.TheoremCase:
-    def trial(rng, n, q):
+    def check(inputs, q):
         if q in bad_qs:
             raise DomainError(f"{real.id} fails at q={q}")
-        return real.trial(rng, n, q)
+        return real.check(inputs, q)
 
-    return dataclasses.replace(real, trial=trial)
+    return dataclasses.replace(real, check=check)
 
 
 def test_run_registry_raises_the_first_failure_in_serial_order(monkeypatch, split_into):
@@ -614,10 +590,10 @@ def test_run_registry_runs_a_range_no_child_delivered(monkeypatch, split_into):
     parent = os.getpid()
     real = REGISTRY["prop2.2"]
 
-    def trial(rng, n, q):
+    def check(inputs, q):
         if os.getpid() != parent:
             os._exit(3)
-        return real.trial(rng, n, q)
+        return real.check(inputs, q)
 
     def lines():
         return [r.to_json_line() for r in run_registry(12, 5)]
@@ -626,7 +602,7 @@ def test_run_registry_runs_a_range_no_child_delivered(monkeypatch, split_into):
     want = lines()
     split_into(3)
     with monkeypatch.context() as m:
-        m.setitem(REGISTRY, "prop2.2", dataclasses.replace(real, trial=trial))
+        m.setitem(REGISTRY, "prop2.2", dataclasses.replace(real, check=check))
         assert lines() == want
     _assert_no_child_left()
 
