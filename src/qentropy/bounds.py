@@ -136,14 +136,13 @@ def ratio_sandwich(f, psi: GeneratorPsi, xs, p: ProbDist, r: ProbDist) -> BoundR
     """Sandwich T(f, x, r) between min and max of r_i/p_i times T(f, x, p)."""
     check_lengths(p, r)
     _require_finite_ratio(r.weights, r._hi, p.weights, p._lo)
-    t_p = jensen_gap(f, psi, xs, p)
-    t_r = jensen_gap(f, psi, xs, r)
+    return _ratio_scaled(p, r, jensen_gap(f, psi, xs, p), jensen_gap(f, psi, xs, r))
+
+
+def _ratio_scaled(p: ProbDist, r: ProbDist, factor: float, value: float) -> BoundReport:
+    """min_i(r_i/p_i) factor <= value <= max_i(r_i/p_i) factor, the ratios' chain."""
     ratios = r.weights / p.weights
-    return BoundReport(
-        lower=float(ratios.min()) * t_p,
-        value=t_r,
-        upper=float(ratios.max()) * t_p,
-    )
+    return BoundReport(float(ratios.min()) * factor, value, float(ratios.max()) * factor)
 
 
 def _mean(v: np.ndarray, r: ProbDist) -> float:
@@ -166,39 +165,38 @@ def quasilinear_vs_tsallis_bounds(psi: GeneratorPsi, r: ProbDist, q) -> BoundRep
     ln_q(M_psi(1/r, uniform)) - mean_j ln_q(1/r_j), scaled by n min r_j and
     n max r_j, gives the bounds.  The whole chain is >= 0 when -ln_q is
     convexity-compatible with psi, which check_psi_convexity tests on a
-    grid the caller chooses (1/r, say).  psi(1/r) is evaluated once, and
-    1/r and ln_q(1/r) are the arrays r carries; value uses the expressions
-    of tsallis_quasilinear_entropy and tsallis_entropy, so it has their bits.
+    grid the caller chooses (1/r, say).  refined_maxent_bounds is this
+    chain at the identity generator.  psi(1/r) is evaluated once, and 1/r
+    and ln_q(1/r) are the arrays r carries; value uses the expressions of
+    tsallis_quasilinear_entropy and tsallis_entropy, so it has their bits.
     """
     qf = _as_q(q)
     _require_surprisal_fits(r.weights, r._lo, r._hi, qf)
-    inv = r._inverse()
-    n = r.n
-    w = r.weights
     # a validated forward may return any array-like, as np.mean accepted
-    fwd = np.asarray(psi.forward(inv), dtype=float)
-    lnq_inv = r._surprisal(qf)
-    braced = q_log(float(psi.inverse(np.asarray(_mean(fwd, r)))), qf) - _mean(lnq_inv, r)
-    value = q_log(float(psi.inverse(np.asarray(w @ fwd))), qf) - float(w @ lnq_inv)
-    return BoundReport(lower=n * r._lo * braced, value=value, upper=n * r._hi * braced)
+    fwd = np.asarray(psi.forward(r._inverse()), dtype=float)
+    uniform = float(psi.inverse(np.asarray(_mean(fwd, r))))
+    return _gap_chain(r, qf, uniform, float(psi.inverse(np.asarray(r.weights @ fwd))))
 
 
 def refined_maxent_bounds(r: ProbDist, q) -> BoundReport:
     """Two-sided refinement of 0 <= ln_q(n) - H_q(r).
 
-    Identical to quasilinear_vs_tsallis_bounds with the identity generator,
-    since the identity mean of the inverse probabilities is exactly n.
-    1/r and ln_q(1/r) are the arrays r carries, shared with every other
-    chain on r; H_q(r) is tsallis_entropy's expression on them.
+    quasilinear_vs_tsallis_bounds at the identity generator, with the same
+    lower and upper bits: the identity mean of the inverse probabilities
+    under r is exactly n, so the chain takes n as the r-weighted mean.
     """
     qf = _as_q(q)
     _require_surprisal_fits(r.weights, r._lo, r._hi, qf)
-    inv = r._inverse()
+    return _gap_chain(r, qf, _mean(r._inverse(), r), float(r.n))
+
+
+def _gap_chain(r: ProbDist, qf: float, uniform: float, weighted: float) -> BoundReport:
+    """n min r B <= ln_q(weighted) - H_q(r) <= n max r B, B = ln_q(uniform) - mean ln_q(1/r),
+    for the psi-means of 1/r under uniform weights and under r; the caller checks ln_q(1/r)."""
     lnq_inv = r._surprisal(qf)
-    n = r.n
-    braced = q_log(_mean(inv, r), qf) - _mean(lnq_inv, r)
-    value = q_log(float(n), qf) - float(r.weights @ lnq_inv)
-    return BoundReport(lower=n * r._lo * braced, value=value, upper=n * r._hi * braced)
+    braced = q_log(uniform, qf) - _mean(lnq_inv, r)
+    value = q_log(weighted, qf) - float(r.weights @ lnq_inv)
+    return BoundReport(lower=r.n * r._lo * braced, value=value, upper=r.n * r._hi * braced)
 
 
 def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> BoundReport:
@@ -235,12 +233,7 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
     factor = float(t @ np.asarray(dual, dtype=float)) - float(
         np.asarray(_eval_within(f, np.asarray(s), s, s))
     )
-    ratios = r.weights / p.weights
-    return BoundReport(
-        lower=float(ratios.min()) * factor,
-        value=value,
-        upper=float(ratios.max()) * factor,
-    )
+    return _ratio_scaled(p, r, factor, value)
 
 
 def _require_factor_fits(f_star: ConvexGenerator, p: ProbDist, r: ProbDist) -> None:
@@ -459,12 +452,11 @@ def maxent_variance_bounds(p: ProbDist, q, mq: float, Mq: float) -> BoundReport:
     With P = pairwise spread of the inverse probabilities under p and
     mq <= -ln_q'' <= Mq on their hull:
         (mq/2) P <= ln_q(n) - H_q(p) <= (Mq/2) P.
+    cross_term_gap_sandwich at r = p, bit for bit: each p_j/p_j is 1.
     """
     qf = _as_q(q)
     _require_surprisal_fits(p.weights, p._lo, p._hi, qf)
-    [spread], [cross] = _spreads_and_crosses(p.weights, qf, p)
-    value = q_log(float(p.n), qf) - cross
-    return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
+    return _variance_chain(p.weights, p, qf, float(p.n), mq, Mq)
 
 
 def cross_term_gap_sandwich(p: ProbDist, r: ProbDist, q, mq: float, Mq: float) -> BoundReport:
@@ -472,12 +464,19 @@ def cross_term_gap_sandwich(p: ProbDist, r: ProbDist, q, mq: float, Mq: float) -
 
     With R = pairwise spread of 1/r under p:
         (mq/2) R <= ln_q(sum_j p_j/r_j) - sum_j p_j ln_q(1/r_j) <= (Mq/2) R.
+    maxent_variance_bounds is this chain at r = p.
     """
     check_lengths(p, r)
     qf = _as_q(q)
     _require_surprisal_fits(r.weights, r._lo, r._hi, qf)
-    [spread], [cross] = _spreads_and_crosses(p.weights, qf, r)
-    value = q_log(float((p.weights / r.weights).sum()), qf) - cross
+    return _variance_chain(p.weights, r, qf, float((p.weights / r.weights).sum()), mq, Mq)
+
+
+def _variance_chain(w, d: ProbDist, qf: float, x: float, mq: float, Mq: float) -> BoundReport:
+    """(mq/2) R <= ln_q(x) - w . ln_q(1/d) <= (Mq/2) R, R the spread of 1/d under w and x the
+    w-mean of 1/d; the caller checks ln_q(1/d)."""
+    [spread], [cross] = _spreads_and_crosses(w, qf, d)
+    value = q_log(x, qf) - cross
     return BoundReport(lower=0.5 * mq * spread, value=value, upper=0.5 * Mq * spread)
 
 

@@ -25,11 +25,13 @@ from .dist import ProbDist, check_lengths
 from .errors import DomainError, GeneratorError, HypothesisError
 from .qmath import (
     _GENERATOR_GRID,
+    _LNQ_HUGE_SLOPE,
     _as_q,
     _cached_by_q,
     _ln_q,
     _ln_q_fits,
     _near_one,
+    _on_grid,
     _require_finite_ratio,
     _require_ln_q_fits,
     q_exp,
@@ -55,24 +57,16 @@ __all__ = [
 def _validate_convex(eval_fn: Callable, label: str) -> None:
     # f(1) = 0 and sampled midpoint convexity; sampled means a pass is
     # evidence, not proof.
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            at_one = float(np.asarray(eval_fn(np.asarray(1.0))))
-            if abs(at_one) > 1e-12:
-                raise GeneratorError(f"generator {label!r}: eval(1) = {at_one!r}, must be 0")
-            g = _GENERATOR_GRID
-            a = g[:, None]
-            b = g[None, :]
-            fa = np.asarray(eval_fn(a), dtype=float)
-            fb = np.asarray(eval_fn(b), dtype=float)
-            fm = np.asarray(eval_fn((a + b) / 2.0), dtype=float)
-        except (FloatingPointError, DomainError) as exc:
-            raise GeneratorError(f"generator {label!r} overflows on the grid: {exc}") from exc
-        except ValueError as exc:
-            # the grid is read-only; any other ValueError of eval is its own
-            if "read-only" not in str(exc):
-                raise
-            raise GeneratorError(f"generator {label!r} writes into the grid: {exc}") from exc
+    with _on_grid(label):
+        at_one = float(np.asarray(eval_fn(np.asarray(1.0))))
+        if abs(at_one) > 1e-12:
+            raise GeneratorError(f"generator {label!r}: eval(1) = {at_one!r}, must be 0")
+        g = _GENERATOR_GRID
+        a = g[:, None]
+        b = g[None, :]
+        fa = np.asarray(eval_fn(a), dtype=float)
+        fb = np.asarray(eval_fn(b), dtype=float)
+        fm = np.asarray(eval_fn((a + b) / 2.0), dtype=float)
     scale = np.maximum(1.0, np.maximum(np.abs(fa), np.abs(fb)))
     excess = fm - (fa + fb) / 2.0 - 1e-12 * scale
     if np.any(excess > 0.0):
@@ -231,7 +225,8 @@ def renyi_relative(p: ProbDist, r: ProbDist, q) -> float:
     away.  Elsewhere, and where s <= -1/2 (log1p would lose it, as for
     near-disjoint supports), the sum is taken in log space with its
     largest term factored out, so no factor can overflow and the sum
-    cannot underflow.
+    cannot underflow.  Where a term q log p_j + (1-q) log r_j overflows, at
+    a huge q, L = max_j log(p_j/r_j) is factored out instead: R_q tends to L.
     """
     check_lengths(p, r)
     qf = _as_q(q)
@@ -242,7 +237,16 @@ def renyi_relative(p: ProbDist, r: ProbDist, q) -> float:
         s = float(p.weights @ np.expm1(a * np.log(r.weights / p.weights)))
         if s > -0.5:
             return math.log1p(s) / (qf - 1.0)
-    t = qf * np.log(p.weights) + a * np.log(r.weights)
+    lp, lr = np.log(p.weights), np.log(r.weights)
+    if qf - 1.0 <= _LNQ_HUGE_SLOPE:
+        t = qf * lp + a * lr
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = qf * lp + a * lr
+            if not np.isfinite(t).all():
+                # R_q = L + log(sum_j r_j e^(q (log(p_j/r_j) - L)))/(q-1): q/(q-1) rounds to 1
+                top = float(np.maximum.reduce(lp - lr))
+                return top + math.log(float(r.weights @ np.exp(qf * (lp - lr - top)))) / (qf - 1.0)
     m = float(np.maximum.reduce(t))
     return (m + math.log(float(np.exp(t - m).sum()))) / (qf - 1.0)
 

@@ -12,6 +12,7 @@ every other q the deformed form, which stays accurate for any nonzero
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, UndefinedValueError
+from .errors import DomainError, GeneratorError, UndefinedValueError
 
 # Distinct q values each generator factory keeps built and validated.
 _GENERATOR_CACHE_SIZE = 256
@@ -30,6 +31,20 @@ _GENERATOR_GRID = 2.0 ** np.arange(-20, 21)
 _GENERATOR_GRID.flags.writeable = False
 
 __all__ = ["q_log", "q_exp"]
+
+
+@contextlib.contextmanager
+def _on_grid(label: str):
+    """A generator's grid checks, whose overflows and writes into the grid raise GeneratorError."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except (FloatingPointError, DomainError) as exc:
+            raise GeneratorError(f"generator {label!r} overflows on the grid: {exc}") from exc
+        except ValueError as exc:
+            if "read-only" not in str(exc):
+                raise  # any other ValueError is the generator's own
+            raise GeneratorError(f"generator {label!r} writes into the grid: {exc}") from exc
 
 
 def _finite_real(v) -> bool:

@@ -17,7 +17,8 @@ import numpy as np
 from .dist import ProbDist, _floats, _points, check_lengths
 from .errors import DomainError, GeneratorError
 from .qmath import (
-    _GENERATOR_GRID, _cached_by_q, _ln_q_fits, _near_one, _require_finite_ratio, q_exp, q_log,
+    _GENERATOR_GRID, _cached_by_q, _ln_q_fits, _near_one, _on_grid, _require_finite_ratio,
+    q_exp, q_log,
 )
 
 __all__ = [
@@ -47,16 +48,8 @@ def _validate_generator(forward, inverse, label: str) -> None:
     plateaus but never a step against the direction.
     """
     x = _GENERATOR_GRID
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            y = np.asarray(forward(x), dtype=float)
-        except (FloatingPointError, DomainError) as exc:
-            raise GeneratorError(f"generator {label!r} overflows on the grid: {exc}") from exc
-        except ValueError as exc:
-            # the grid is read-only; any other ValueError of forward is its own
-            if "read-only" not in str(exc):
-                raise
-            raise GeneratorError(f"generator {label!r} writes into the grid: {exc}") from exc
+    with _on_grid(label):
+        y = np.asarray(forward(x), dtype=float)
     if y.shape != x.shape:
         raise GeneratorError(f"generator {label!r} must be elementwise on arrays")
     if not np.all(np.isfinite(y)):

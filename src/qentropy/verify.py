@@ -445,25 +445,21 @@ def _check_lagrange(inputs, q):
     return [Eq(lhs, literal), Eq(rhs, literal)]
 
 
-def _smooth_f(inputs, q):
-    """(f, lo, hi, m, M) of a smooth-f witness: m <= f'' <= M on [lo, hi], the hull of xs."""
-    f = _generator(inputs["f"], q, _SMOOTH_F)
-    xs = inputs["xs"]
-    lo, hi = float(xs.min()), float(xs.max())
-    if f is np.square:
-        return f, lo, hi, 2.0, 2.0
-    if f is np.exp:
-        return f, lo, hi, math.exp(lo), math.exp(hi)
-    if f is _quartic:
-        return f, lo, hi, 12.0 * lo * lo, 12.0 * hi * hi
-    return f, lo, hi, q * hi ** (-q - 1.0), q * lo ** (-q - 1.0)
-
-
 @_case("thm4.1", "smooth Jensen gap bounded by curvature times half the spread", _draw_smooth_f)
 def _check_smooth_jensen(inputs, q):
-    f, lo, hi, m, big_m = _smooth_f(inputs, q)
-    curvature = SecondDerivativeRange(m, big_m, (lo, hi))
-    return [smooth_jensen_sandwich(f, curvature, inputs["xs"], inputs["p"])]
+    f = _generator(inputs["f"], q, _SMOOTH_F)
+    xs = inputs["xs"]
+    # m <= f'' <= M on [lo, hi], the hull of xs
+    lo, hi = float(xs.min()), float(xs.max())
+    if f is np.square:
+        m, big_m = 2.0, 2.0
+    elif f is np.exp:
+        m, big_m = math.exp(lo), math.exp(hi)
+    elif f is _quartic:
+        m, big_m = 12.0 * lo * lo, 12.0 * hi * hi
+    else:
+        m, big_m = q * hi ** (-q - 1.0), q * lo ** (-q - 1.0)
+    return [smooth_jensen_sandwich(f, SecondDerivativeRange(m, big_m, (lo, hi)), xs, inputs["p"])]
 
 
 @_case("lem4.2", "pairwise spread equals weighted variance", _draw_points(-5.0, 5.0), q_range=None)
@@ -476,16 +472,8 @@ def _check_spread_identity(inputs, q):
     return [Eq(s_pair, s_var)]
 
 
-@_case("cor4.1", "variance form of the smooth Jensen sandwich", _draw_smooth_f)
-def _check_variance_jensen(inputs, q):
-    f, _, _, m, big_m = _smooth_f(inputs, q)
-    xs = inputs["xs"]
-    fe = getattr(f, "eval", f)
-    w = inputs["p"].weights
-    mean = float(w @ xs)
-    gap = float(w @ np.asarray(fe(xs), dtype=float)) - float(np.asarray(fe(mean), dtype=float))
-    spread = float(w @ (xs - mean) ** 2)
-    return [BoundReport(0.5 * m * spread, gap, 0.5 * big_m * spread)]
+# the spread is the weighted variance (lem4.2): cor4.1's variance form is thm4.1's chain
+_case("cor4.1", "variance form of the smooth Jensen sandwich", _draw_smooth_f)(_check_smooth_jensen)
 
 
 @_case("cf", "variance bounds on the arithmetic-geometric mean gap",

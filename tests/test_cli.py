@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import qentropy as qe
-from qentropy.cli import main
+from qentropy.cli import _BOUND_SPECS, main
 from qentropy.dist import ProbDist
-from qentropy.serialize import SCHEMA, dumps, format_float
+from qentropy.serialize import SCHEMA, dumps, format_float, loads
+from qentropy.verify import REGISTRY
 
 
 @pytest.fixture
@@ -744,3 +745,37 @@ def test_argparse_error_names_the_argument(capsys, workdir, line, usage, names):
         found = message.find(name, at)
         assert found >= 0, f"{name!r} missing after position {at} in {message!r}"
         at = found + len(name)
+
+
+# Each bound case the CLI prints is the first claim of the registry case of
+# the same id, on the inputs that case draws; a FromZero chain prints its report.
+AGREE_ROWS = [
+    (case, n, q)
+    for case, spec in _BOUND_SPECS.items()
+    for n in (1, 3, 40)
+    for q in ((None,) if spec.q_policy == "rejects" else (0.25, 1.0, 2.5))
+]
+
+
+@pytest.mark.parametrize("case, n, q", AGREE_ROWS, ids=[f"{c}-n{n}-q{q}" for c, n, q in AGREE_ROWS])
+def test_bounds_report_is_the_registry_cases_first_claim(capsys, tmp_path, case, n, q):
+    registered = REGISTRY[case]
+    inputs = registered.draw(np.random.default_rng([n, int(1000 * (q or 0))]), n, q)
+    argv = ["bounds", "--case", case] + ([] if q is None else ["--q", repr(q)])
+    for flag in ("psi", "f"):
+        if flag in inputs:
+            argv += [f"--{flag}", inputs[flag].partition("[")[0]]
+    # cf reads its points, then its weights
+    for key in ("xs", "p", "r"):
+        if key in inputs:
+            path = tmp_path / f"{key}.json"
+            v = inputs[key]
+            doc = {"values": v.tolist()} if key == "xs" else {"weights": v.weights.tolist()}
+            path.write_text(json.dumps(doc))
+            argv.append(str(path))
+    status, out, err = _run(capsys, argv)
+    assert (status, err) == (0, "")
+    claim = registered.check(inputs, q)[0]
+    want = getattr(claim, "report", claim).as_dict()
+    got = loads(out)["report"]
+    assert {k: float(v).hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}

@@ -3,8 +3,9 @@
 Every row runs with RuntimeWarning raised as an error, so a raw numpy
 "overflow encountered in ..." fails the row.  Covered: ln_q and x^(1-q)
 results too large for a double (q > 1 at tiny x), ln_q at a q so large that
-(1-q) log x overflows although ln_q(x) tends to 1/(q-1), ln_q(1/w) at a huge
-q on a legal mass w just above 1, the public ratio kernels
+(1-q) log x overflows although ln_q(x) tends to 1/(q-1), R_q(p||r) at a q so
+large that q log p_j overflows although R_q tends to max log(p/r), ln_q(1/w)
+at a huge q on a legal mass w just above 1, the public ratio kernels
 on a mass whose ratio overflows, a mean of inverse probabilities whose sum
 would overflow although the mean is finite, an exp R_q(p||r) past the
 float maximum, the f-divergence sandwich's dual-generator factor,
@@ -43,6 +44,7 @@ from qentropy import (
     quasilinear_vs_tsallis_bounds,
     ratio_sandwich,
     refined_maxent_bounds,
+    renyi_relative,
     renyi_tsallis_relative_bridge,
     tsallis_conditional_entropy,
     tsallis_entropy,
@@ -116,6 +118,11 @@ CASES = [
     *[
         (f"tsallis_entropy-q{q:g}", lambda q=q: tsallis_entropy(ProbDist([1 / 8] * 8), q), None)
         for q in (1e308, sys.float_info.max)
+    ],
+    # q log p_j past the float maximum: R_q(p||r) tends to max log(p/r)
+    *[
+        (f"renyi_relative-q{q:g}", lambda q=q: renyi_relative(ProbDist([0.1, 0.9]), HALF, q), None)
+        for q in (1e306, 1e308, sys.float_info.max)
     ],
     # a mass may exceed 1 by up to SUM_TOL, so 1/w < 1, where ln_q overflows at a huge q
     *[
@@ -254,6 +261,27 @@ def test_ln_q_at_a_huge_q_is_its_limit():
         assert q_log(8.0, 1e308) == 1.0 / (1e308 - 1.0)
         assert q_log(1.0, 1e308) == 0.0
         assert tsallis_entropy(ProbDist([1 / 8] * 8), 1e308) == pytest.approx(1e-308, rel=1e-14)
+
+
+@pytest.mark.parametrize("q", [1e306, 1e308, sys.float_info.max])
+def test_renyi_relative_at_a_huge_q_is_near_its_limit(q):
+    # R_q(p||r) -> log max(p/r) as q grows: log 1.8 here, and log 5 reversed
+    p = ProbDist([0.1, 0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        forward, reverse = renyi_relative(p, HALF, q), renyi_relative(HALF, p, q)
+        assert renyi_relative(p, p, q) == pytest.approx(0.0, abs=1e-300)
+    assert forward == pytest.approx(math.log(1.8), rel=1e-15)
+    assert reverse == pytest.approx(math.log(5.0), rel=1e-15)
+
+
+def test_renyi_relative_keeps_its_log_space_sum_where_every_term_fits():
+    # at q = 1e306, q log 0.1 still fits: the value is the log-space sum's, as at q = 1e300
+    p = ProbDist([0.1, 0.9])
+    for q in (1e300, 1e306):
+        t = q * np.log(p.weights) + (1.0 - q) * np.log(HALF.weights)
+        m = float(t.max())
+        assert renyi_relative(p, HALF, q) == (m + math.log(float(np.exp(t - m).sum()))) / (q - 1.0)
 
 
 def _exact_double_sum(a, b):

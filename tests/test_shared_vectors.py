@@ -8,15 +8,19 @@ them, using the exact expressions of the helpers it used to call.  These
 tests pin every returned float with ``==`` against the composition of the
 public helpers (and ``np.mean`` for the braced gaps), so a bit that moves
 is a failure, not a tolerance question, and check that the carried arrays
-give the same floats whichever chain or q filled them.
+give the same floats whichever chain or q filled them.  A chain that is a
+special case of another (cor3.1 of thm3.1, the max-entropy variance bounds
+of the cross-term chain, cor4.1 of thm4.1) gives that chain's bits.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from qentropy import (
+    BoundReport,
     DomainError,
     GeneratorPsi,
     ProbDist,
@@ -45,7 +49,7 @@ from qentropy import (
 )
 from qentropy import divergence
 from qentropy.qmath import _LNQ_DOMAIN, _ln_q
-from qentropy.verify import DEFAULT_Q_GRID
+from qentropy.verify import DEFAULT_Q_GRID, REGISTRY
 
 SIZES = (2, 16, 1024)
 MQ, BIG_MQ = 0.25, 3.0
@@ -120,6 +124,51 @@ def test_spread_bounds_bits(n, q):
     assert rep.value == float(w @ _ln_q(1.0 / r.weights, q)) - float(w @ _ln_q(1.0 / w, q))
     assert rep.lower == base + 0.5 * MQ * spread_p - 0.5 * BIG_MQ * spread_r
     assert rep.upper == base + 0.5 * BIG_MQ * spread_p - 0.5 * MQ * spread_r
+
+
+def _bits(*xs):
+    return [float(x).hex() for x in xs]
+
+
+@pytest.mark.parametrize("n, q", GRID, ids=IDS)
+def test_special_cases_are_their_general_chains(n, q):
+    # the refined max-entropy bounds are the psi-gap chain at the identity
+    # generator, and the max-entropy variance bounds the cross-term chain at r = p
+    p, r = _pair(n, q)
+    refined = refined_maxent_bounds(r, q)
+    general = quasilinear_vs_tsallis_bounds(identity_generator(), r, q)
+    assert _bits(refined.lower, refined.upper) == _bits(general.lower, general.upper)
+    assert _bits(refined.value) == _bits(q_log(float(n), q) - tsallis_entropy(r, q))
+    maxent = maxent_variance_bounds(p, q, MQ, BIG_MQ)
+    cross = cross_term_gap_sandwich(p, p, q, MQ, BIG_MQ)
+    assert _bits(*dataclasses.astuple(maxent)) == _bits(*dataclasses.astuple(cross))
+
+
+def _variance_form(inputs, q):
+    """cor4.1 as the paper states it: curvature times half the p-weighted variance of xs."""
+    xs, w = inputs["xs"], inputs["p"].weights
+    lo, hi = float(xs.min()), float(xs.max())
+    f, m, big_m = {
+        "square": (np.square, 2.0, 2.0),
+        "exp": (np.exp, math.exp(lo), math.exp(hi)),
+        "quartic": (lambda x: np.asarray(x) ** 4, 12.0 * lo * lo, 12.0 * hi * hi),
+        "neg_lnq": (neg_qlog_generator(q).eval, q * hi ** (-q - 1.0), q * lo ** (-q - 1.0)),
+    }[inputs["f"].partition("[")[0]]
+    mean = float(w @ xs)
+    gap = float(w @ np.asarray(f(xs), dtype=float)) - float(np.asarray(f(mean), dtype=float))
+    spread = float(w @ (xs - mean) ** 2)
+    return BoundReport(0.5 * m * spread, gap, 0.5 * big_m * spread)
+
+
+@pytest.mark.parametrize("n, q", GRID, ids=IDS)
+def test_cor41_claims_are_thm41s_and_its_variance_form(n, q):
+    rng = np.random.default_rng([n, int(q * 1000)])
+    for _ in range(8):
+        inputs = REGISTRY["cor4.1"].draw(rng, n, q)
+        [claim] = REGISTRY["cor4.1"].check(inputs, q)
+        assert REGISTRY["thm4.1"].check(inputs, q) == [claim]
+        want = _variance_form(inputs, q)
+        assert _bits(*dataclasses.astuple(claim)) == _bits(*dataclasses.astuple(want))
 
 
 # the chains that take 1/w and ln_q(1/w) from the distributions they are given
