@@ -142,7 +142,9 @@ def ratio_sandwich(f, psi: GeneratorPsi, xs, p: ProbDist, r: ProbDist) -> BoundR
 def _ratio_scaled(p: ProbDist, r: ProbDist, factor: float, value: float) -> BoundReport:
     """min_i(r_i/p_i) factor <= value <= max_i(r_i/p_i) factor, the ratios' chain."""
     ratios = r.weights / p.weights
-    return BoundReport(float(ratios.min()) * factor, value, float(ratios.max()) * factor)
+    return BoundReport(
+        float(np.minimum.reduce(ratios)) * factor, value, float(np.maximum.reduce(ratios)) * factor
+    )
 
 
 def _mean(v: np.ndarray, r: ProbDist) -> float:
@@ -229,7 +231,7 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
         )
     t = p.weights**2 / r.weights
     dual = _eval_within(f_star, p.weights / t, p._lo / t_hi, p._hi / t_lo)
-    s = float(t.sum())
+    s = float(np.add.reduce(t))
     factor = float(t @ np.asarray(dual, dtype=float)) - float(
         np.asarray(_eval_within(f, np.asarray(s), s, s))
     )
@@ -469,7 +471,7 @@ def cross_term_gap_sandwich(p: ProbDist, r: ProbDist, q, mq: float, Mq: float) -
     check_lengths(p, r)
     qf = _as_q(q)
     _require_surprisal_fits(r.weights, r._lo, r._hi, qf)
-    return _variance_chain(p.weights, r, qf, float((p.weights / r.weights).sum()), mq, Mq)
+    return _variance_chain(p.weights, r, qf, float(np.add.reduce(p.weights / r.weights)), mq, Mq)
 
 
 def _variance_chain(w, d: ProbDist, qf: float, x: float, mq: float, Mq: float) -> BoundReport:
@@ -498,7 +500,7 @@ def tsallis_cross_entropy_sandwich(
     _require_surprisal_fits(p.weights, p._lo, p._hi, qf)
     _require_surprisal_fits(r.weights, r._lo, r._hi, qf)
     w = p.weights
-    base = q_log(float((w / r.weights).sum()), qf) - q_log(float(p.n), qf)
+    base = q_log(float(np.add.reduce(w / r.weights)), qf) - q_log(float(p.n), qf)
     (spread_p, spread_r), (cross_p, cross_r) = _spreads_and_crosses(w, qf, p, r)
     return BoundReport(
         lower=base + 0.5 * mq * spread_p - 0.5 * Mq * spread_r,

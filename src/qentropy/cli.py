@@ -7,11 +7,13 @@ Three subcommands:
 * ``verify``   -- the randomized verification harness, as JSON lines
 
 Each compute functional and each bound case is one ``_Spec`` in
-``_ENTROPY_SPECS``, ``_DIVERGENCE_SPECS`` or ``_BOUND_SPECS``: the files it
-reads, whether it needs, rejects or optionally takes ``--q``, which
-generator flag (``--psi`` or ``--f``) it takes, the name it reports, and the
-callable that computes it.  Argparse choices, the cross-flag checks and
-dispatch all read those tables.
+``_ENTROPY_SPECS``, ``_DIVERGENCE_SPECS`` or ``_BOUND_SPECS``: the draw keys
+its files fill (``p`` and ``r`` distributions, ``xs`` points), whether it
+needs, rejects or optionally takes ``--q``, which generator flag (``--psi``
+or ``--f``) it takes, the name it reports, and the callable that returns a
+functional's value or a bound case's constants.  A bound case's report is
+the first claim of the registered check of the same id, on those inputs.
+Argparse choices, the cross-flag checks and dispatch all read those tables.
 
 Distribution files are either a JSON document ``{"weights": [...]}`` or a
 single-column CSV (one weight per line, optional ``weight`` header). Joint
@@ -32,24 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (
-    cartwright_field,
-    f_divergence_sandwich,
-    pairwise_spread,
-    quasilinear_vs_tsallis_bounds,
-    refined_maxent_bounds,
-    tightest_constants,
-    tsallis_cross_entropy_sandwich,
-)
+from .bounds import pairwise_spread, tightest_constants
 from .dist import ProbDist
-from .divergence import (
-    f_by_label,
-    f_divergence,
-    kl_divergence,
-    neglog_generator,
-    renyi_relative,
-    tsallis_relative,
-)
+from .divergence import f_by_label, f_divergence, kl_divergence, renyi_relative, tsallis_relative
 from .entropy import renyi_entropy, shannon_entropy, tsallis_entropy
 from .errors import QEntropyError
 from .quasilinear import psi_by_label, tsallis_quasilinear_entropy, tsallis_quasilinear_relative
@@ -157,95 +144,89 @@ _NEEDS, _REJECTS, _OPTIONAL = "needs", "rejects", "optional"
 class _Spec:
     """One compute functional or bound case.
 
-    ``run(q, label, *inputs)`` gets ``--q``, the label passed to the ``gen``
-    flag and one input per reader, and returns a functional's value or a
-    bound case's ``(report, constants)``.  Its body names the library
-    functions, so they are looked up when it runs.  A case stated at one q
-    rejects ``--q`` and is computed and reported at ``fixed_q``.
+    ``reads`` names the draw keys its files fill, in order.  ``run(q, label,
+    *inputs)`` gets ``--q``, the label passed to the ``gen`` flag and one
+    input per key, and returns a functional's value or a bound case's
+    constants.  Its body names the library functions, so they are looked up
+    when it runs.  A case stated at one q rejects ``--q`` and is computed
+    and reported at ``fixed_q``.
     """
 
     name: str
-    reads: tuple[Callable, ...]
+    reads: tuple[str, ...]
     q_policy: str
     gen: str | None
     run: Callable
     fixed_q: float | None = None
 
 
-_ONE = (_load_dist,)
-_TWO = (_load_dist, _load_dist)
+_READERS = {"p": _load_dist, "r": _load_dist, "xs": _load_points}
+_P, _R, _PR = ("p",), ("r",), ("p", "r")
+_LABELS = {"psi": psi_by_label, "f": f_by_label}
 
 
-def _r_extremes(r: ProbDist) -> dict:
+def _r_extremes(q, _label, r: ProbDist) -> dict:
     return {"n_min_r": r.n * r._lo, "n_max_r": r.n * r._hi}
 
 
-def _sandwich(gen, p: ProbDist, r: ProbDist, **extra) -> tuple:
-    rep = f_divergence_sandwich(gen, p, r)
+def _ratios(q, _label, p: ProbDist, r: ProbDist) -> dict:
     ratios = r.weights / p.weights
-    return rep, {
-        "min_ratio": float(ratios.min()),
-        "max_ratio": float(ratios.max()),
-        "sum_t": float((p.weights**2 / r.weights).sum()),
-        **extra,
+    return {
+        "min_ratio": float(np.minimum.reduce(ratios)),
+        "max_ratio": float(np.maximum.reduce(ratios)),
+        "sum_t": float(np.add.reduce(p.weights**2 / r.weights)),
     }
 
 
-def _cross_entropy(q, _label, p: ProbDist, r: ProbDist) -> tuple:
+def _cross_constants(q, _label, p: ProbDist, r: ProbDist) -> dict:
     dr = tightest_constants(p, r, q)
-    rep = tsallis_cross_entropy_sandwich(p, r, q, dr.m, dr.M)
     lo, hi = dr.interval
-    return rep, {"m_q": dr.m, "M_q": dr.M, "interval_lo": lo, "interval_hi": hi}
+    return {"m_q": dr.m, "M_q": dr.M, "interval_lo": lo, "interval_hi": hi}
 
 
 _ENTROPY_SPECS = {
-    "tsallis": _Spec("tsallis_entropy", _ONE, _NEEDS, None, lambda q, _, p: tsallis_entropy(p, q)),
-    "shannon": _Spec("shannon_entropy", _ONE, _REJECTS, None, lambda q, _, p: shannon_entropy(p)),
-    "renyi": _Spec("renyi_entropy", _ONE, _NEEDS, None, lambda q, _, p: renyi_entropy(p, q)),
+    "tsallis": _Spec("tsallis_entropy", _P, _NEEDS, None, lambda q, _, p: tsallis_entropy(p, q)),
+    "shannon": _Spec("shannon_entropy", _P, _REJECTS, None, lambda q, _, p: shannon_entropy(p)),
+    "renyi": _Spec("renyi_entropy", _P, _NEEDS, None, lambda q, _, p: renyi_entropy(p, q)),
     "quasilinear": _Spec(
-        "quasilinear_entropy", _ONE, _NEEDS, "psi",
+        "quasilinear_entropy", _P, _NEEDS, "psi",
         lambda q, psi, p: tsallis_quasilinear_entropy(psi_by_label(psi, q), p, q),
     ),
 }
 
 _DIVERGENCE_SPECS = {
     "tsallis": _Spec(
-        "tsallis_divergence", _TWO, _NEEDS, None, lambda q, _, p, r: tsallis_relative(p, r, q)
+        "tsallis_divergence", _PR, _NEEDS, None, lambda q, _, p, r: tsallis_relative(p, r, q)
     ),
-    "kl": _Spec("kl_divergence", _TWO, _REJECTS, None, lambda q, _, p, r: kl_divergence(p, r)),
+    "kl": _Spec("kl_divergence", _PR, _REJECTS, None, lambda q, _, p, r: kl_divergence(p, r)),
     "renyi": _Spec(
-        "renyi_divergence", _TWO, _NEEDS, None, lambda q, _, p, r: renyi_relative(p, r, q)
+        "renyi_divergence", _PR, _NEEDS, None, lambda q, _, p, r: renyi_relative(p, r, q)
     ),
     "f": _Spec(
-        "f_divergence", _TWO, _OPTIONAL, "f",
+        "f_divergence", _PR, _OPTIONAL, "f",
         lambda q, f, p, r: f_divergence(f_by_label(f, q), p, r),
     ),
     "quasilinear": _Spec(
-        "quasilinear_divergence", _TWO, _NEEDS, "psi",
+        "quasilinear_divergence", _PR, _NEEDS, "psi",
         lambda q, psi, p, r: tsallis_quasilinear_relative(psi_by_label(psi, q), p, r, q),
     ),
 }
 
 _BOUND_SPECS = {
-    "thm3.1": _Spec("thm3.1", _ONE, _NEEDS, "psi", lambda q, psi, r: (
-        quasilinear_vs_tsallis_bounds(psi_by_label(psi, q), r, q), _r_extremes(r)
-    )),
-    "cor3.1": _Spec(
-        "cor3.1", _ONE, _NEEDS, None, lambda q, _, r: (refined_maxent_bounds(r, q), _r_extremes(r))
-    ),
+    "thm3.1": _Spec("thm3.1", _R, _NEEDS, "psi", _r_extremes),
+    "cor3.1": _Spec("cor3.1", _R, _NEEDS, None, _r_extremes),
     "thm3.2": _Spec(
-        "thm3.2", _TWO, _OPTIONAL, "f", lambda q, f, p, r: _sandwich(f_by_label(f, q), p, r, f=f)
+        "thm3.2", _PR, _OPTIONAL, "f", lambda q, f, p, r: {**_ratios(q, f, p, r), "f": f}
     ),
-    "cor_dra": _Spec(
-        "cor_dra", _TWO, _REJECTS, None, lambda q, _, p, r: _sandwich(neglog_generator(), p, r)
-    ),
-    "thm4.2": _Spec("thm4.2", _TWO, _NEEDS, None, _cross_entropy),
-    "cor4": _Spec("cor4", _TWO, _REJECTS, None, _cross_entropy, fixed_q=1.0),
+    "cor_dra": _Spec("cor_dra", _PR, _REJECTS, None, _ratios),
+    "thm4.2": _Spec("thm4.2", _PR, _NEEDS, None, _cross_constants),
+    "cor4": _Spec("cor4", _PR, _REJECTS, None, _cross_constants, fixed_q=1.0),
     # cf reads a point file, then a weight file
-    "cf": _Spec("cf", (_load_points, _load_dist), _REJECTS, None, lambda q, _, xs, p: (
-        cartwright_field(xs, p),
-        {"min_x": float(xs.min()), "max_x": float(xs.max()), "spread": pairwise_spread(xs, p)},
-    )),
+    "cf": _Spec("cf", ("xs", "p"), _REJECTS, None, lambda q, _, xs, p: {
+        "min_x": float(np.minimum.reduce(xs)),
+        "max_x": float(np.maximum.reduce(xs)),
+        "spread": pairwise_spread(xs, p),
+    }),
 }
 
 
@@ -302,17 +283,21 @@ def _run_spec(args) -> dict:
         doc = {"schema": SCHEMA, "command": "bounds", "case": args.case}
     _check_q(args.q)
     q = args.q if spec.fixed_q is None else spec.fixed_q
-    inputs = [read(path) for read, path in zip(spec.reads, args.inputs)]
+    files = [_READERS[key](path) for key, path in zip(spec.reads, args.inputs)]
     label = None if spec.gen is None else getattr(args, spec.gen)
-    result = spec.run(q, label, *inputs)
     if q is not None:
         doc["q"] = float(q)
     doc["inputs"] = list(args.inputs)
     if args.command == "compute":
-        doc["value"] = float(result)
-    else:
-        doc["report"] = result[0].as_dict()
-        doc["constants"] = result[1]
+        doc["value"] = float(spec.run(q, label, *files))
+        return doc
+    inputs = dict(zip(spec.reads, files))
+    if label is not None:
+        _LABELS[spec.gen](label, q)  # a check reads only a label's base: vet the whole label
+        inputs[spec.gen] = label
+    claim = REGISTRY[args.case].check(inputs, q)[0]
+    doc["report"] = getattr(claim, "report", claim).as_dict()
+    doc["constants"] = spec.run(q, label, *files)
     return doc
 
 

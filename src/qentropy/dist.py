@@ -244,14 +244,14 @@ def coarsen(p: ProbDist, partition: Partition) -> ProbDist:
         raise PartitionError(
             f"blocks must cover exactly the indices 0..{p.n - 1}"
         )
-    sums = np.array([float(p.weights[list(block)].sum()) for block in partition.blocks])
+    sums = np.array([float(np.add.reduce(p.weights[list(block)])) for block in partition.blocks])
     return _derived(ProbDist, sums)
 
 
 def power_sum(p: ProbDist, q) -> float:
     """sum_j p_j^q for q >= 0."""
     qf = _as_q(q)
-    return float((p.weights**qf).sum())
+    return float(np.add.reduce(p.weights**qf))
 
 
 def check_lengths(p: ProbDist, r: ProbDist) -> None:

@@ -248,7 +248,7 @@ def renyi_relative(p: ProbDist, r: ProbDist, q) -> float:
                 top = float(np.maximum.reduce(lp - lr))
                 return top + math.log(float(r.weights @ np.exp(qf * (lp - lr - top)))) / (qf - 1.0)
     m = float(np.maximum.reduce(t))
-    return (m + math.log(float(np.exp(t - m).sum()))) / (qf - 1.0)
+    return (m + math.log(float(np.add.reduce(np.exp(t - m))))) / (qf - 1.0)
 
 
 def f_divergence(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> float:

@@ -42,7 +42,8 @@ def renyi_entropy(p: ProbDist, q) -> float:
     away.  Elsewhere, and where s <= -1/2 (log1p would lose it), the
     largest mass m is factored out: log(sum_j p_j^q) = q log m +
     log(sum_j (p_j/m)^q), where the last sum is at least 1, so it can
-    neither underflow nor overflow.
+    neither underflow nor overflow.  Where q log m overflows, at a huge q,
+    q/(1-q) multiplies log m instead: R_q tends to -log m.
     """
     qf = _as_q(q)
     if qf == 1.0:
@@ -52,8 +53,11 @@ def renyi_entropy(p: ProbDist, q) -> float:
         if s > -0.5:
             return math.log1p(s) / (1.0 - qf)
     m = p._hi
-    rest = float(((p.weights / m) ** qf).sum())
-    return (qf * math.log(m) + math.log(rest)) / (1.0 - qf)
+    rest = float(np.add.reduce((p.weights / m) ** qf))
+    top = qf * math.log(m)
+    if not math.isfinite(top):
+        return qf / (1.0 - qf) * math.log(m) + math.log(rest) / (1.0 - qf)
+    return (top + math.log(rest)) / (1.0 - qf)
 
 
 def renyi_tsallis_bridge(p: ProbDist, q) -> tuple[float, float]:

@@ -91,7 +91,7 @@ def marginal(j: JointDist, axes) -> JointDist:
     drop = tuple(a for a in range(j.ndim) if a not in keep)
     if not drop:
         return j
-    return _derived(JointDist, j.cells.sum(axis=drop))
+    return _derived(JointDist, np.add.reduce(j.cells, axis=drop))
 
 
 def tsallis_joint_entropy(j: JointDist, q) -> float:
@@ -120,12 +120,12 @@ def tsallis_conditional_entropy(j: JointDist, target_axes, given_axes, q) -> flo
         return tsallis_joint_entropy(sub, qf)
     kept = sorted(target + given)
     target_pos = tuple(kept.index(a) for a in target)
-    p_given = sub.cells.sum(axis=target_pos, keepdims=True)
+    p_given = np.add.reduce(sub.cells, axis=target_pos, keepdims=True)
     # each cell is a term of its p_given, so cond lies in (0, 1]; every
     # p_given is below 2, so min cell / 2 is a lower bound on every cond
     cond = sub.cells / p_given
     _require_ln_q_fits(cond, sub._lo / 2.0, qf)
-    return float(-(sub.cells**qf * _ln_q(cond, qf)).sum())
+    return float(-np.add.reduce(sub.cells**qf * _ln_q(cond, qf), axis=None))
 
 
 def chain_rule_decomposition(j: JointDist, order, q) -> tuple[float, ...]:

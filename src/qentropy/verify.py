@@ -166,8 +166,8 @@ def _case(case_id: str, description: str, draw: Callable, **options) -> Callable
 def _masses(rng: np.random.Generator, size: int, min_mass: float) -> np.ndarray:
     """Normalized exponential draws, floored at min_mass and renormalized."""
     g = rng.exponential(size=size)
-    w = np.maximum(g / g.sum(), min_mass)
-    return w / w.sum()
+    w = np.maximum(g / np.add.reduce(g), min_mass)
+    return w / np.add.reduce(w)
 
 
 def sample_simplex(n: int, rng: np.random.Generator, min_mass: float = MIN_MASS) -> ProbDist:
@@ -421,14 +421,14 @@ def _check_reversed_kl(inputs, q):
     rep = f_divergence_sandwich(neglog_generator(), p, r)
     # independent route to the same chain
     t = p.weights**2 / r.weights
-    factor = float(np.log(t.sum())) - kl_divergence(p, r)
+    factor = float(np.log(np.add.reduce(t))) - kl_divergence(p, r)
     ratios = r.weights / p.weights
     rev = kl_divergence(r, p)
     return [
         rep,
         Eq(rep.value, rev),
-        Eq(rep.lower, float(ratios.min()) * factor),
-        Eq(rep.upper, float(ratios.max()) * factor),
+        Eq(rep.lower, float(np.minimum.reduce(ratios)) * factor),
+        Eq(rep.upper, float(np.maximum.reduce(ratios)) * factor),
         Le(-0.0, factor),
     ]
 
@@ -441,7 +441,7 @@ def _check_lagrange(inputs, q):
     lhs, rhs = lagrange_identity(a, b)
     # the identity as the paper states it: the literal double sum over i < j
     cross = a[:, None] * b[None, :] - a[None, :] * b[:, None]
-    literal = 0.5 * float((cross**2).sum())
+    literal = 0.5 * float(np.add.reduce(cross**2, axis=None))
     return [Eq(lhs, literal), Eq(rhs, literal)]
 
 
@@ -450,7 +450,7 @@ def _check_smooth_jensen(inputs, q):
     f = _generator(inputs["f"], q, _SMOOTH_F)
     xs = inputs["xs"]
     # m <= f'' <= M on [lo, hi], the hull of xs
-    lo, hi = float(xs.min()), float(xs.max())
+    lo, hi = float(np.minimum.reduce(xs)), float(np.maximum.reduce(xs))
     if f is np.square:
         m, big_m = 2.0, 2.0
     elif f is np.exp:
@@ -468,7 +468,7 @@ def _check_spread_identity(inputs, q):
     w = p.weights
     s_var = pairwise_spread(xs, p)
     diffs = xs[None, :] - xs[:, None]
-    s_pair = 0.5 * float((w[:, None] * w[None, :] * diffs * diffs).sum())
+    s_pair = 0.5 * float(np.add.reduce(w[:, None] * w[None, :] * diffs * diffs, axis=None))
     return [Eq(s_pair, s_var)]
 
 

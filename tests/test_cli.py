@@ -643,6 +643,11 @@ ERROR_ROWS = [
      "error: unknown generator label 'power' (use identity, log, lnq)"),
     ("bounds --case thm3.1 --psi power --q 2 p.json",
      "error: unknown generator label 'power' (use identity, log, lnq)"),
+    # a witness label such as lnq[q=3] names its q in its text; the CLI takes q from --q only
+    ("bounds --case thm3.1 --psi lnq[q=3] --q 3 r.json",
+     "error: unknown generator label 'lnq[q=3]' (use identity, log, lnq)"),
+    ("bounds --case thm3.2 --f tsallis[q=9] --q 2 p.json r.json",
+     "error: unknown generator label 'tsallis[q=9]' (use tsallis, xlogx, neglog)"),
     ("compute --entropy quasilinear --psi bogus --q 2 missing.json", _NO_FILE),
     ("compute --divergence f --f bogus --q 2 p.json bad.json", _BAD_SUM),
     ("compute --divergence quasilinear --psi lnq --q 2 p.json three.json",
@@ -777,5 +782,73 @@ def test_bounds_report_is_the_registry_cases_first_claim(capsys, tmp_path, case,
     assert (status, err) == (0, "")
     claim = registered.check(inputs, q)[0]
     want = getattr(claim, "report", claim).as_dict()
+    got = loads(out)["report"]
+    assert {k: float(v).hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+# Every bound case on extreme inputs prints the chain a direct library call
+# gives: the other claims a registered check builds (thm4.2's two intermediate
+# sandwiches, cor_dra's independent KL route) never turn a printable chain into
+# an error.  "tiny" has masses of 1e-150 in p and r; "n4096" is a 4096-mass pair.
+def _cross_chain(q, p, r):
+    dr = qe.tightest_constants(p, r, q)
+    return qe.tsallis_cross_entropy_sandwich(p, r, q, dr.m, dr.M)
+
+
+# case: (the draw keys its files fill, in order, and the chain it prints)
+DIRECT = {
+    "thm3.1": (("r",), lambda q, psi, r: qe.quasilinear_vs_tsallis_bounds(
+        qe.psi_by_label(psi, q), r, q)),
+    "cor3.1": (("r",), lambda q, _, r: qe.refined_maxent_bounds(r, q)),
+    "thm3.2": (("p", "r"), lambda q, f, p, r: qe.f_divergence_sandwich(qe.f_by_label(f, q), p, r)),
+    "cor_dra": (("p", "r"), lambda q, _, p, r: qe.f_divergence_sandwich(qe.neglog_generator(), p, r)),
+    "thm4.2": (("p", "r"), lambda q, _, p, r: _cross_chain(q, p, r)),
+    "cor4": (("p", "r"), lambda q, _, p, r: _cross_chain(1.0, p, r)),
+    "cf": (("xs", "p"), lambda q, _, xs, p: qe.cartwright_field(xs, p)),
+}
+
+
+def _extreme_inputs(name):
+    """(points, p, r) as lists of floats."""
+    if name == "tiny":
+        return [0.5, 2.0, 7.0], [1e-150, 0.25, 0.75 - 1e-150], [0.2, 1e-150, 0.8 - 1e-150]
+    rng = np.random.default_rng(4096)
+    p, r = (w / w.sum() for w in rng.exponential(size=(2, 4096)) + 1e-3)
+    return rng.uniform(0.1, 10.0, 4096).tolist(), p.tolist(), r.tolist()
+
+
+# thm3.2's upper bound max(r/p) * factor on "tiny" at q = 2 is 2e149 * 3e148: the
+# library returns it as inf, which the document cannot hold, and main raises
+_UPPER_OVERFLOWS = pytest.mark.xfail(
+    raises=ValueError, strict=True, reason="f_divergence_sandwich's upper bound overflows to inf"
+)
+EXTREME_ROWS = [
+    pytest.param(
+        inputs, case, label, q, id="-".join(str(v) for v in (inputs, case, label, q)),
+        marks=_UPPER_OVERFLOWS if (inputs, label, q) == ("tiny", "tsallis", 2.0) else (),
+    )
+    for inputs in ("tiny", "n4096")
+    for case, spec in _BOUND_SPECS.items()
+    for label in {"psi": PSI_LABELS, "f": ("tsallis", "xlogx", "neglog")}.get(spec.gen, (None,))
+    for q in ((None,) if spec.q_policy == "rejects" else (0.5, 2.0))
+]
+
+
+@pytest.mark.parametrize("inputs, case, label, q", EXTREME_ROWS)
+def test_every_bound_case_prints_its_chain_on_extreme_inputs(capsys, tmp_path, inputs, case, label, q):
+    xs, p, r = _extreme_inputs(inputs)
+    docs = {"xs": {"values": xs}, "p": {"weights": p}, "r": {"weights": r}}
+    values = {"xs": np.asarray(xs), "p": ProbDist(p), "r": ProbDist(r)}
+    keys, chain = DIRECT[case]
+    argv = ["bounds", "--case", case] + ([] if q is None else ["--q", repr(q)])
+    if label is not None:
+        argv += [f"--{_BOUND_SPECS[case].gen}", label]
+    for key in keys:
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(docs[key]))
+        argv.append(str(path))
+    status, out, err = _run(capsys, argv)
+    assert (status, err) == (0, "")
+    want = chain(q, label, *(values[key] for key in keys)).as_dict()
     got = loads(out)["report"]
     assert {k: float(v).hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}

@@ -44,6 +44,7 @@ from qentropy import (
     quasilinear_vs_tsallis_bounds,
     ratio_sandwich,
     refined_maxent_bounds,
+    renyi_entropy,
     renyi_relative,
     renyi_tsallis_relative_bridge,
     tsallis_conditional_entropy,
@@ -81,6 +82,12 @@ def _spread_over(width):
 
 def _sq(x):
     return np.asarray(x) ** 2
+
+
+def _finite(value):
+    """value itself; an AssertionError where it is not finite, since no warning would say so."""
+    assert math.isfinite(value), value
+    return value
 
 
 # (id, call, expected): expected is None for an accepted input, else the
@@ -123,6 +130,11 @@ CASES = [
     *[
         (f"renyi_relative-q{q:g}", lambda q=q: renyi_relative(ProbDist([0.1, 0.9]), HALF, q), None)
         for q in (1e306, 1e308, sys.float_info.max)
+    ],
+    # q log max p past the float maximum: R_q(p) tends to -log max p
+    *[
+        (f"renyi_entropy-q{q:g}", lambda q=q: _finite(renyi_entropy(ProbDist([0.1] * 10), q)), None)
+        for q in (1e307, 1e308, sys.float_info.max)
     ],
     # a mass may exceed 1 by up to SUM_TOL, so 1/w < 1, where ln_q overflows at a huge q
     *[
@@ -282,6 +294,25 @@ def test_renyi_relative_keeps_its_log_space_sum_where_every_term_fits():
         t = q * np.log(p.weights) + (1.0 - q) * np.log(HALF.weights)
         m = float(t.max())
         assert renyi_relative(p, HALF, q) == (m + math.log(float(np.exp(t - m).sum()))) / (q - 1.0)
+
+
+@pytest.mark.parametrize("q", [1e306, 1e308, sys.float_info.max])
+def test_renyi_entropy_at_a_huge_q_is_near_its_limit(q):
+    # R_q(p) -> -log max p as q grows: log 10 here, and -log 0.6 for the skewed p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        uniform = renyi_entropy(ProbDist([0.1] * 10), q)
+        skewed = renyi_entropy(ProbDist([0.1, 0.3, 0.6]), q)
+    assert uniform == pytest.approx(math.log(10.0), rel=1e-15)
+    assert skewed == pytest.approx(-math.log(0.6), rel=1e-15)
+
+
+def test_renyi_entropy_keeps_its_factored_sum_where_q_log_m_fits():
+    # at q = 1e307, q log 0.6 still fits: the value is the factored sum's, as at q = 3
+    p = ProbDist([0.1, 0.3, 0.6])
+    for q in (3.0, 1e300, 1e307):
+        rest = float(np.sum((p.weights / 0.6) ** q))
+        assert renyi_entropy(p, q) == (q * math.log(0.6) + math.log(rest)) / (1.0 - q)
 
 
 def _exact_double_sum(a, b):

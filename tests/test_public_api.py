@@ -130,8 +130,8 @@ def _cli_argvs():
     for flags, table in tables:
         for key, spec in table.items():
             inputs = [
-                "xs.json" if read is cli._load_points else name
-                for read, name in zip(spec.reads, ("p.json", "r.json"))
+                "xs.json" if key == "xs" else name
+                for key, name in zip(spec.reads, ("p.json", "r.json"))
             ]
             q = [] if spec.q_policy == "rejects" else ["--q", "2"]
             labels = {"psi": PSI_LABELS, "f": F_LABELS}.get(spec.gen, (None,))
