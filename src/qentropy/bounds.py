@@ -140,11 +140,17 @@ def ratio_sandwich(f, psi: GeneratorPsi, xs, p: ProbDist, r: ProbDist) -> BoundR
 
 
 def _ratio_scaled(p: ProbDist, r: ProbDist, factor: float, value: float) -> BoundReport:
-    """min_i(r_i/p_i) factor <= value <= max_i(r_i/p_i) factor, the ratios' chain."""
+    """min_i(r_i/p_i) factor <= value <= max_i(r_i/p_i) factor, the ratios' chain.
+
+    A finite factor times max(r/p) may still overflow: a bound that is not
+    finite raises DomainError, where it would otherwise print as inf.
+    """
     ratios = r.weights / p.weights
-    return BoundReport(
-        float(np.minimum.reduce(ratios)) * factor, value, float(np.maximum.reduce(ratios)) * factor
-    )
+    lower = float(np.minimum.reduce(ratios)) * factor
+    upper = float(np.maximum.reduce(ratios)) * factor
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise DomainError("the ratio chain's bound max(r/p) * factor overflows a double")
+    return BoundReport(lower, value, upper)
 
 
 def _mean(v: np.ndarray, r: ProbDist) -> float:

@@ -19,6 +19,10 @@ Distribution files are either a JSON document ``{"weights": [...]}`` or a
 single-column CSV (one weight per line, optional ``weight`` header). Joint
 distributions use ``{"dims": [...], "cells": [...]}`` with cells flattened in
 row-major (C) order; scalar functionals treat the cells as one distribution.
+``serialize`` reads every number from outside the library, so a file's
+numbers follow the report format's rules: finite doubles only, ``-0`` kept,
+and an integer whose float is finite.  A file error prints as its path (and
+line), then serialize's or the constructor's message.
 
 Exit status: 0 clean, 1 usage or input error, 2 verification violations.
 """
@@ -40,7 +44,7 @@ from .divergence import f_by_label, f_divergence, kl_divergence, renyi_relative,
 from .entropy import renyi_entropy, shannon_entropy, tsallis_entropy
 from .errors import QEntropyError
 from .quasilinear import psi_by_label, tsallis_quasilinear_entropy, tsallis_quasilinear_relative
-from .serialize import SCHEMA, dumps, format_float
+from .serialize import SCHEMA, _counts, _finite, _fit, _vector, dumps, format_float, loads
 from .verify import DEFAULT_Q_GRID, REGISTRY, has_failures, run_case, run_registry
 
 __all__ = ["main", "entrypoint"]
@@ -63,59 +67,33 @@ def _read_text(path: str) -> str:
         raise _CliError(f"{path}: cannot read: {exc}") from None
 
 
-def _parse_number_list(doc_value, path: str, key: str) -> list[float]:
-    if (
-        not isinstance(doc_value, list)
-        or not doc_value
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in doc_value)
-    ):
-        raise _CliError(f"{path}:1: {key!r} must be a non-empty array of numbers")
-    return [float(x) for x in doc_value]
-
-
 def _parse_vector_file(path: str, keys: tuple[str, ...]) -> np.ndarray:
-    """Read a JSON or single-column CSV file into a raw float vector."""
+    """Read a JSON or single-column CSV file into a raw float vector, by serialize's rules."""
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = loads(text)
+            if "dims" in doc or "cells" in doc:
+                if not ("dims" in doc and "cells" in doc):
+                    raise _CliError(f"{path}:1: joint document needs both 'dims' and 'cells'")
+                return _fit(_counts(doc["dims"], "'dims'"), _vector(doc["cells"], "'cells'"))
+            for key in keys:
+                if key in doc:
+                    return _vector(doc[key], repr(key))
         except json.JSONDecodeError as exc:
             raise _CliError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-        if not isinstance(doc, dict):
-            raise _CliError(f"{path}:1: expected a JSON object")
-        if "dims" in doc or "cells" in doc:
-            for key in ("dims", "cells"):
-                if key not in doc:
-                    raise _CliError(f"{path}:1: joint document needs both 'dims' and 'cells'")
-            dims = doc["dims"]
-            if (
-                not isinstance(dims, list)
-                or not dims
-                or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
-            ):
-                raise _CliError(f"{path}:1: 'dims' must be a non-empty array of integers >= 1")
-            cells = _parse_number_list(doc["cells"], path, "cells")
-            if len(cells) != math.prod(dims):
-                raise _CliError(
-                    f"{path}:1: 'cells' has {len(cells)} entries, dims {dims} need "
-                    f"{math.prod(dims)}"
-                )
-            return np.asarray(cells)
-        for key in keys:
-            if key in doc:
-                return np.asarray(_parse_number_list(doc[key], path, key))
+        except ValueError as exc:  # a number or a list that serialize rejects
+            raise _CliError(f"{path}:1: {exc}") from None
         raise _CliError(f"{path}:1: expected a JSON object with one of {list(keys)}")
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
-        if not s:
+        if not s or (lineno == 1 and s.lower() in ("weight", "value")):
             continue
         try:
-            values.append(float(s))
-        except ValueError:
-            if lineno == 1 and s.lower() in ("weight", "value"):
-                continue
-            raise _CliError(f"{path}:{lineno}: not a number: {s!r}") from None
+            values.append(_finite(s))
+        except ValueError as exc:
+            raise _CliError(f"{path}:{lineno}: {exc}") from None
     if not values:
         raise _CliError(f"{path}: no values found")
     return np.asarray(values)

@@ -6,6 +6,12 @@ dict keys keep their insertion order.  ``loads`` reads every number back
 as the value it printed, and ``parse_witness`` turns a verify report's
 witness back into the inputs its case drew, through the validating
 constructors.
+
+This module reads every number from outside the library, by one rule: a
+report line, and the CLI's JSON and CSV input files.  A number is a
+finite double: NaN, an infinity and a literal past the double range are
+rejected, "-0" is -0.0, and an integer is a number when its float is
+finite.
 """
 
 from __future__ import annotations
@@ -68,7 +74,11 @@ def _int(text: str):
 
 
 def _finite(text: str) -> float:
-    x = float(text)
+    """A number's text, a JSON literal or a CSV token, as a finite double; else ValueError."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {text}")
     return x
@@ -107,9 +117,14 @@ def _json(x, kind: type, what: str):
 
 
 def _number(x, what: str) -> float:
-    # a whole float prints as an int of at most 17 digits, exactly
-    if type(x) is float or (type(x) is int and abs(x) < 10**17):
-        return float(x)
+    # a whole float prints as an int; an int is a number when its float is finite
+    if type(x) is float:
+        return x
+    if type(x) is int:
+        try:
+            return float(x)
+        except OverflowError:
+            pass
     raise DomainError(f"{what} must be a number, got {x!r}")
 
 
@@ -133,6 +148,13 @@ def _label(x, what: str) -> str:
 
 def _dist(x, what: str) -> ProbDist:
     return ProbDist(_vector(x, what))
+
+
+def _fit(dims: tuple[int, ...], cells: np.ndarray) -> np.ndarray:
+    """cells, if their count is the exact product of dims; else a DimensionError."""
+    if math.prod(dims) != cells.size:
+        raise DimensionError(f"{cells.size} cells do not fit dims {list(dims)}")
+    return cells
 
 
 # How each witness key parses back: numbers that stand for floats as floats,
@@ -175,10 +197,8 @@ def parse_witness(raw) -> _Witness:
     if len(lengths) > 1:
         raise LengthMismatchError(f"the witness's vectors have lengths {sorted(lengths)}")
     if "cells" in fields:
-        dims, cells = fields.get("dims", ()), fields["cells"]
-        if math.prod(dims) != cells.size:
-            raise DimensionError(f"{cells.size} cells do not fit dims {list(dims)}")
-        JointDist(cells.reshape(dims))
+        dims = fields.get("dims", ())
+        JointDist(_fit(dims, fields["cells"]).reshape(dims))
     if "rows" in fields:
         ProbDist(np.concatenate(fields["rows"]))
     return _Witness(fields)

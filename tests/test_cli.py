@@ -173,7 +173,8 @@ def test_joint_file_dims_mismatch(capsys, tmp_path):
     assert status == 1 and "cells" in err
 
 
-# dims whose product wraps in int64: to 4, the number of cells, and to 0
+# dims whose product wraps in int64: to 4, the number of cells, and to 0; the
+# exact product needs more cells than the file has, so the file is rejected
 @pytest.mark.parametrize("dims, need", [
     ([4611686018427387905, 4], 18446744073709551620),
     ([4294967296, 4294967296], 18446744073709551616),
@@ -181,10 +182,49 @@ def test_joint_file_dims_mismatch(capsys, tmp_path):
 def test_joint_file_dims_product_is_exact(capsys, tmp_path, dims, need):
     src = tmp_path / "j.json"
     cells = [0.25] * 4 if dims[1] == 4 else [1.0]
+    assert math.prod(dims) == need and need % 2**64 in (len(cells), 0)
     src.write_text(json.dumps({"dims": dims, "cells": cells}))
     status, out, err = _run(capsys, ["compute", "--entropy", "tsallis", "--q", "2", str(src)])
     assert (status, out) == (1, "")
-    assert err == f"{src}:1: 'cells' has {len(cells)} entries, dims {dims} need {need}\n"
+    assert err == f"{src}:1: {len(cells)} cells do not fit dims {dims}\n"
+
+
+_BIG_INT = "1" + "0" * 399
+
+# serialize reads every number in a file: finite doubles only, and an int
+# whose float is finite.  (file, its text, the whole of stderr without its
+# final newline): the path (and line) prefix, then serialize's message
+NUMBER_ROWS = [
+    ("nan.json", '{"weights": [NaN, 1.0]}', "nan.json:1: non-finite number NaN"),
+    ("inf.json", '{"weights": [Infinity, 1.0]}', "inf.json:1: non-finite number Infinity"),
+    ("past-max.json", '{"weights": [1e400, 1.0]}', "past-max.json:1: non-finite number 1e400"),
+    ("int400.json", f'{{"weights": [{_BIG_INT}, 1.0]}}',
+     f"int400.json:1: 'weights' must be a number, got {_BIG_INT}"),
+    ("bool.json", '{"weights": [true]}', "bool.json:1: 'weights' must be a number, got True"),
+    ("empty.json", '{"weights": []}', "empty.json:1: 'weights' must be a non-empty list in JSON"),
+    ("nan.csv", "weight\n0.5\nnan\n", "nan.csv:3: non-finite number nan"),
+    ("inf.csv", "0.5\ninf\n", "inf.csv:2: non-finite number inf"),
+    ("dims.json", '{"dims": [2, 0], "cells": [0.5, 0.5]}', "dims.json:1: 2 cells do not fit dims [2, 0]"),
+]
+
+
+@pytest.mark.parametrize("name, text, stderr", NUMBER_ROWS, ids=[r[0] for r in NUMBER_ROWS])
+def test_a_file_number_follows_the_report_formats_rules(capsys, tmp_path, monkeypatch, name, text, stderr):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert _run(capsys, ["compute", "--entropy", "shannon", name]) == (1, "", stderr + "\n")
+
+
+def test_an_int_point_past_17_digits_is_its_float(capsys, tmp_path, monkeypatch):
+    # 10**17 prints as 18 digits; its float is finite, so it is a number
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "xs.json").write_text('{"values": [100000000000000000, 1.0]}')
+    (tmp_path / "p.json").write_text('{"weights": [0.5, 0.5]}')
+    xs, p = np.array([1e17, 1.0]), ProbDist([0.5, 0.5])
+    doc = {"schema": SCHEMA, "command": "bounds", "case": "cf", "inputs": ["xs.json", "p.json"],
+           "report": qe.cartwright_field(xs, p).as_dict(),
+           "constants": {"min_x": 1.0, "max_x": 1e17, "spread": qe.pairwise_spread(xs, p)}}
+    assert _run(capsys, ["bounds", "--case", "cf", "xs.json", "p.json"]) == (0, dumps(doc) + "\n", "")
 
 
 def test_bounds_cor31_gold(capsys, dist_json):
@@ -817,16 +857,11 @@ def _extreme_inputs(name):
     return rng.uniform(0.1, 10.0, 4096).tolist(), p.tolist(), r.tolist()
 
 
-# thm3.2's upper bound max(r/p) * factor on "tiny" at q = 2 is 2e149 * 3e148: the
-# library returns it as inf, which the document cannot hold, and main raises
-_UPPER_OVERFLOWS = pytest.mark.xfail(
-    raises=ValueError, strict=True, reason="f_divergence_sandwich's upper bound overflows to inf"
-)
+# thm3.2's upper bound max(r/p) * factor on "tiny" at q = 2 is 2e149 * 3e148, past
+# the float maximum: the library raises DomainError, and main prints it on one line
+_UPPER_OVERFLOWS = ("tiny", "thm3.2", "tsallis", 2.0)
 EXTREME_ROWS = [
-    pytest.param(
-        inputs, case, label, q, id="-".join(str(v) for v in (inputs, case, label, q)),
-        marks=_UPPER_OVERFLOWS if (inputs, label, q) == ("tiny", "tsallis", 2.0) else (),
-    )
+    pytest.param(inputs, case, label, q, id="-".join(str(v) for v in (inputs, case, label, q)))
     for inputs in ("tiny", "n4096")
     for case, spec in _BOUND_SPECS.items()
     for label in {"psi": PSI_LABELS, "f": ("tsallis", "xlogx", "neglog")}.get(spec.gen, (None,))
@@ -848,6 +883,11 @@ def test_every_bound_case_prints_its_chain_on_extreme_inputs(capsys, tmp_path, i
         path.write_text(json.dumps(docs[key]))
         argv.append(str(path))
     status, out, err = _run(capsys, argv)
+    if (inputs, case, label, q) == _UPPER_OVERFLOWS:
+        with pytest.raises(qe.DomainError) as info:
+            chain(q, label, *(values[key] for key in keys))
+        assert (status, out, err) == (1, "", f"error: {info.value}\n")
+        return
     assert (status, err) == (0, "")
     want = chain(q, label, *(values[key] for key in keys)).as_dict()
     got = loads(out)["report"]

@@ -8,10 +8,11 @@ large that q log p_j overflows although R_q tends to max log(p/r), ln_q(1/w)
 at a huge q on a legal mass w just above 1, the public ratio kernels
 on a mass whose ratio overflows, a mean of inverse probabilities whose sum
 would overflow although the mean is finite, an exp R_q(p||r) past the
-float maximum, the f-divergence sandwich's dual-generator factor,
-spreads of points so far apart that their squared deviations overflow, and
-Lagrange's identity on vectors whose squared norms' product passes half the
-float maximum or is not finite, or whose a . a is subnormal.
+float maximum, the f-divergence sandwich's dual-generator factor, a ratio
+chain's bound max(r/p) * factor, spreads of points so far apart that their
+squared deviations overflow, and Lagrange's identity on vectors whose
+squared norms' product passes half the float maximum or is not finite, or
+whose a . a is subnormal.
 """
 
 import math
@@ -65,6 +66,7 @@ ABOVE_ONE = ProbDist([1.0 + 1e-10])  # legal: |sum - 1| <= SUM_TOL
 QLOG_MSG = "q_log is defined only for finite x > 0"
 SANDWICH_MSG = "the f-divergence sandwich's dual-generator factor overflows a double"
 WEIGHTS_MSG = "the f-divergence sandwich's weights p^2/r underflow to 0 or overflow a double"
+RATIO_MSG = "the ratio chain's bound max(r/p) * factor overflows a double"
 LAGRANGE_MSG = "a and b must be finite, with (a . a)(b . b) <= half the float maximum"
 
 
@@ -192,12 +194,27 @@ CASES = [
         (PositivityError, WEIGHTS_MSG),
     ),
     ("f_divergence_sandwich-fits", lambda: f_divergence_sandwich(tsallis_generator(2.0), HALF, ProbDist([1e-150, 1.0])), None),
+    # the factor fits, but max(r/p) * factor = 2e149 * 3e148 does not
+    (
+        "f_divergence_sandwich-upper-overflows",
+        lambda: f_divergence_sandwich(
+            tsallis_generator(2.0), ProbDist([1e-150, 0.25, 0.75]), ProbDist([0.2, 1e-150, 0.8])
+        ),
+        (DomainError, RATIO_MSG),
+    ),
     (
         "ratio_sandwich",
         lambda: ratio_sandwich(_sq, identity_generator(), [1.0, 2.0], TINY, HALF),
         (DomainError, QLOG_MSG),
     ),
     ("ratio_sandwich-fits", lambda: ratio_sandwich(_sq, identity_generator(), [1.0, 2.0], HALF, TINY), None),
+    # max(r/p) = 3.3e299 times the Jensen gap 2.5e9 (at 1e4 apart, 2.5e7: it fits)
+    *[
+        (f"ratio_sandwich-upper-{x:g}", lambda x=x: ratio_sandwich(
+            _sq, identity_generator(), [0.0, 0.0, x], ProbDist([1e-300, 0.5, 0.5]), ProbDist([1 / 3] * 3)
+        ), exp)
+        for x, exp in ((1e5, (DomainError, RATIO_MSG)), (1e4, None))
+    ],
     # beyond |1-q| < 1/2 the ln_q family's forward is x^(1-q)
     *[
         (f"lnq-forward-{x:g}-q{q:g}", lambda x=x, q=q: lnq_generator(q).forward(np.array([x, 0.5])), exp)

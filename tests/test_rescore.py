@@ -12,6 +12,7 @@ import inspect
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from qentropy import (
     rescore,
     run_registry,
 )
-from qentropy.serialize import dumps, loads, parse_witness, render
+from qentropy.serialize import SCHEMA, dumps, loads, parse_witness, render
 from qentropy.verify import _score
 
 
@@ -154,10 +155,20 @@ MALFORMED = {
     "negative-block-index": (_edit("prop2.2", lambda d: _with(d, blocks=[[-1]])), DomainError),
     "rows-not-summing-to-one": (_edit("qadd", lambda d: _with(d, rows=[[0.5], [0.6]])), NormalizationError),
     "int-past-a-double": (_edit("thm4.2", lambda d: _with(d, q=10**400)), DomainError),
+    "int-just-past-a-double": (_edit("thm4.2", lambda d: _with(d, q=2**1024)), DomainError),
     "curvature-overflows": (_edit("thm4.1", lambda d: _with(d, f="exp", xs=[800.0] * len(d["worst_witness"]["xs"]))), DomainError),
     "generator-overflows": (_edit("thm4.1", lambda d: _with(d, f="square", xs=[1e200] * len(d["worst_witness"]["xs"]))), DomainError),
     "q-overflows-a-check": (_edit("prop2.4", lambda d: _with(d, q=1e308)), DomainError),
 }
+
+
+def test_an_int_is_a_number_when_its_float_is_finite():
+    big = int(sys.float_info.max)  # 309 digits
+    assert _bits(parse_witness({"q": big})["q"]) == _bits(sys.float_info.max)
+    assert _bits(parse_witness({"q": 10**17})["q"]) == _bits(1e17)
+    for x in (2**1024, 10**400):
+        with pytest.raises(DomainError):
+            parse_witness({"q": x})
 
 
 @pytest.mark.parametrize("make, error", MALFORMED.values(), ids=list(MALFORMED))
@@ -167,9 +178,19 @@ def test_a_malformed_line_raises_a_typed_error(lines, make, error):
     assert isinstance(info.value, QEntropyError)
 
 
-def test_a_label_takes_q_from_the_witness_not_from_its_text(lines):
-    # thm3.1's worst witness prints lnq[q=0.25]; only the base of a label
-    # names the generator, so a label whose text says another q scores the same
-    doc = _line(lines, "thm3.1")
-    assert doc["worst_witness"]["psi"] == "lnq[q=0.25]"
-    assert _bits(rescore(_with(doc, psi="lnq[q=9]"))) == _bits(doc["worst_violation"])
+def test_a_label_takes_q_from_the_witness_not_from_its_text():
+    # only the base of a label names the generator: a thm3.1 witness drawn
+    # with lnq[q=0.25] scores the same bits when its label's text says q=9
+    case, rng, n, q = REGISTRY["thm3.1"], np.random.default_rng(31), 5, 0.25
+    inputs = case.draw(rng, n, q)
+    while not inputs["psi"].startswith("lnq"):
+        inputs = case.draw(rng, n, q)
+    assert inputs["psi"] == "lnq[q=0.25]"
+
+    def line(psi):
+        witness = {"trial": 0, "n": n, "q": q, **{k: render(x) for k, x in inputs.items()}}
+        return dumps({"schema": SCHEMA, "case": case.id, "worst_witness": {**witness, "psi": psi}})
+
+    want = _bits(max(map(_score, case.check(inputs, q))))
+    assert _bits(rescore(line(inputs["psi"]))) == want
+    assert _bits(rescore(line("lnq[q=9]"))) == want
