@@ -163,12 +163,10 @@ MALFORMED = {
 
 
 def test_an_int_is_a_number_when_its_float_is_finite():
+    # the MALFORMED rows int-past-a-double and int-just-past-a-double reject the rest
     big = int(sys.float_info.max)  # 309 digits
     assert _bits(parse_witness({"q": big})["q"]) == _bits(sys.float_info.max)
     assert _bits(parse_witness({"q": 10**17})["q"]) == _bits(1e17)
-    for x in (2**1024, 10**400):
-        with pytest.raises(DomainError):
-            parse_witness({"q": x})
 
 
 @pytest.mark.parametrize("make, error", MALFORMED.values(), ids=list(MALFORMED))
