@@ -289,9 +289,10 @@ def pairwise_spread(xs, p: ProbDist) -> float:
     (max x - min x above about 1e154) that their squared deviations could
     overflow a double raise DomainError.  The bound chains call the kernel
     ``_spread`` directly on 1/p or 1/r, whose entries
-    ``_require_surprisal_fits`` has already proven finite; a caller of
-    ``_spread`` must know that its points are finite and match the weights
-    in shape.
+    ``_require_surprisal_fits`` has already proven finite, with their hull
+    [1/max mass, 1/min mass]; a caller of ``_spread`` must know that its
+    points are finite, match the weights in shape and lie in the hull it
+    passes.
     """
     arr = _points(xs, p)
     lo = float(np.minimum.reduce(arr))
@@ -299,24 +300,28 @@ def pairwise_spread(xs, p: ProbDist) -> float:
     # a NaN makes the minimum NaN, which fails the comparison too
     if not (-math.inf < lo and hi < math.inf):
         raise DomainError("xs must be finite")
-    return _spread(arr, p.weights, hi - lo)
+    return _spread(arr, p.weights, lo, hi)
 
 
 def _require_spread_fits(width: float) -> None:
     """Check in O(1) that squared deviations of points ``width`` apart fit a double.
 
-    ``width`` bounds every |x_j - xbar|: max x - min x, or 1/min mass for
-    the inverse masses of the chains, which lie in [1, 1/min mass] with
-    their mean.
+    ``width`` is max x - min x, which bounds every |x_j - xbar| since
+    ``_spread`` keeps its centre xbar inside the points' hull.
     """
     if width > _SPREAD_WIDTH_MAX:
         raise DomainError(f"the spread of points up to {width:.6g} apart overflows a double")
 
 
-def _spread(arr: np.ndarray, w: np.ndarray, width: float) -> float:
-    """pairwise_spread's cross-checked kernel; ``width`` bounds |x_j - xbar|."""
-    _require_spread_fits(width)
-    xbar = float(w @ arr)
+def _spread(arr: np.ndarray, w: np.ndarray, lo: float, hi: float) -> float:
+    """pairwise_spread's cross-checked kernel, for points in their hull [lo, hi].
+
+    The weights may sum to 1 only within ProbDist's tolerance, so w . x can
+    leave the hull; the centre is clamped back into it, which changes
+    nothing inside it.
+    """
+    _require_spread_fits(hi - lo)
+    xbar = min(max(float(w @ arr), lo), hi)
     d = arr - xbar
     s_var = float(w @ d**2)
     c = float(w @ d)
@@ -411,11 +416,10 @@ def cartwright_field(xs, p: ProbDist) -> BoundReport:
     # a NaN makes the minimum NaN, which fails the comparison too
     if not (lo > 0.0 and hi < math.inf):
         raise DomainError("the arithmetic-geometric gap needs strictly positive xs")
-    _require_spread_fits(hi - lo)
     w = p.weights
+    v = _spread(arr, w, lo, hi)
     am = float(w @ arr)
     gm = float(np.exp(w @ np.log(arr)))
-    v = float(w @ (arr - am) ** 2)
     return BoundReport(lower=v / (2.0 * hi), value=am - gm, upper=v / (2.0 * lo))
 
 
@@ -450,7 +454,7 @@ def _spreads_and_crosses(
     checked that each 1/d is finite (``_require_surprisal_fits``).  Every
     spread, and so every spread error, comes before any surprisal.
     """
-    spreads = [_spread(d._inverse(), w, 1.0 / d._lo) for d in ds]
+    spreads = [_spread(d._inverse(), w, 1.0 / d._hi, 1.0 / d._lo) for d in ds]
     return spreads, [float(w @ d._surprisal(qf)) for d in ds]
 
 

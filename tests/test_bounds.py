@@ -473,10 +473,15 @@ def test_pairwise_spread_consistency_guard():
         pairwise_spread([1e16, 1e16 + 2.0], make_dist([1 / 3, 2 / 3]))
 
 
+def _centre(xs, w) -> float:
+    return min(max(float(w @ xs), xs.min()), xs.max())
+
+
 def _fsum_guard_fires(xs, w) -> bool:
     # The earlier guard, kept as a reference: the corrected two-pass form
-    # with both sums correctly rounded by math.fsum.
-    d = xs - float(w @ xs)
+    # with both sums correctly rounded by math.fsum, around the centre the
+    # kernel takes, the weighted mean clamped into the points' hull.
+    d = xs - _centre(xs, w)
     s_var = float(w @ d**2)
     wd = w * d
     s_two = math.fsum((wd * d).tolist()) - math.fsum(wd.tolist()) ** 2
@@ -501,10 +506,20 @@ def test_pairwise_spread_guard_matches_fsum_reference():
                         pairwise_spread(xs, p)
                 else:
                     kept += 1
-                    want = float(p.weights @ (xs - float(p.weights @ xs)) ** 2)
+                    want = float(p.weights @ (xs - _centre(xs, p.weights)) ** 2)
                     assert pairwise_spread(xs, p) == want
     # the grid exercises both sides of the guard
     assert fired > 100 and kept > 100
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [1e200, 1e160])
+def test_spread_of_equal_points_is_zero_when_the_weights_sum_past_one(x):
+    # the weights sum to 1 + 4e-10, inside ProbDist's tolerance, so the
+    # weighted mean lies past the hull; an unclamped centre overflows the
+    # squares at 1e200 and trips the two-pass cross-check at 1e160
+    p = ProbDist([0.5 + 4e-10, 0.5])
+    assert pairwise_spread([x, x], p) == 0.0
 
 
 def test_spread_kernels_run_in_linear_memory():
