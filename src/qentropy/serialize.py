@@ -25,7 +25,7 @@ from .dist import ProbDist
 from .errors import DimensionError, DomainError, LengthMismatchError
 from .joint import JointDist
 
-SCHEMA = "qentropy/6"
+SCHEMA = "qentropy/7"
 
 __all__ = ["SCHEMA", "dumps", "format_float", "render", "loads", "parse_witness"]
 

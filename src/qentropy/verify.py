@@ -273,11 +273,10 @@ def _quartic(x):
     return np.asarray(x) ** 4
 
 
-# A witness prints each generator it drew as a label, and the label's base,
-# its text before "[", names the generator; q is the witness's own "q", never
-# the label's text, which prints q to 6 significant digits.  prop3.1 prints
-# -ln_q as neg_qlog.  The factories memoize on q, so every trial shares the
-# instance whose construction-time self checks already ran.
+# A witness prints each generator it drew by the label the CLI takes, and
+# the witness's own "q" is the generator's q: one reading serves a witness
+# and the --psi and --f flags.  The factories memoize on q, so every trial
+# shares the instance whose construction-time self checks already ran.
 _GENERATORS = {
     "identity": lambda q: psi_by_label("identity", q),
     "log": lambda q: psi_by_label("log", q),
@@ -286,7 +285,6 @@ _GENERATORS = {
     "xlogx": lambda q: f_by_label("xlogx", q),
     "neglog": lambda q: f_by_label("neglog", q),
     "neg_lnq": lambda q: neg_qlog_generator(q),
-    "neg_qlog": lambda q: neg_qlog_generator(q),
     "square": lambda q: np.square,
     "exp": lambda q: np.exp,
     "quartic": lambda q: _quartic,
@@ -297,14 +295,13 @@ _SMOOTH_F = ("square", "exp", "quartic", "neg_lnq")
 # (f, psi) with f convex and f(psi^{-1}) convex; psi=log only pairs with
 # the deformed log generator when q >= 1, where exp stays convex under it
 _SANDWICH_PAIRS = (
-    ("square", "identity"), ("neg_qlog", "identity"), ("xlogx", "identity"), ("neg_qlog", "log")
+    ("square", "identity"), ("neg_lnq", "identity"), ("xlogx", "identity"), ("neg_lnq", "log")
 )
 
 
-def _draw_label(rng, q, kinds: tuple[str, ...]) -> str:
-    """One of ``kinds``, picked by one draw, as a witness prints it."""
-    kind = kinds[int(rng.integers(len(kinds)))]
-    return getattr(_GENERATORS[kind](q), "label", kind)
+def _draw_label(rng, kinds: tuple[str, ...]) -> str:
+    """One of ``kinds``, picked by one draw."""
+    return kinds[int(rng.integers(len(kinds)))]
 
 
 def _labelled(key: str, kinds: tuple[str, ...], draw: Callable) -> Callable:
@@ -312,7 +309,7 @@ def _labelled(key: str, kinds: tuple[str, ...], draw: Callable) -> Callable:
 
     def labelled(rng, n, q):
         inputs = draw(rng, n, q)
-        return {key: _draw_label(rng, q, kinds), **inputs}
+        return {key: _draw_label(rng, kinds), **inputs}
 
     return labelled
 
@@ -321,11 +318,10 @@ _draw_smooth_f = _labelled("f", _SMOOTH_F, _draw_points(0.1, 10.0))
 
 
 def _generator(label: str, q, kinds: tuple[str, ...]):
-    """The generator a witness label names, at the witness's q; its base must be in ``kinds``."""
-    base = label.partition("[")[0]
-    if base not in kinds:
+    """The generator ``label`` names, one of ``kinds``, at q: a witness's or the CLI's."""
+    if label not in kinds:
         raise DomainError(f"unknown generator label {label!r} (use {', '.join(kinds)})")
-    return _GENERATORS[base](q)
+    return _GENERATORS[label](q)
 
 
 # The cases, in registry order: each check registers with its draw.
@@ -385,7 +381,7 @@ def _draw_ratio_sandwich(rng, n, q):
 
 @_case("prop3.1", "weighted Jensen gaps obey the ratio sandwich", _draw_ratio_sandwich)
 def _check_ratio_sandwich(inputs, q):
-    f = _generator(inputs["f"], q, ("square", "neg_qlog", "xlogx"))
+    f = _generator(inputs["f"], q, ("square", "neg_lnq", "xlogx"))
     psi = _generator(inputs["psi"], q, ("identity", "log"))
     return [ratio_sandwich(f, psi, inputs["xs"], inputs["p"], inputs["r"])]
 
@@ -393,7 +389,7 @@ def _check_ratio_sandwich(inputs, q):
 def _draw_quasilinear_gap(rng, n, q):
     r = sample_simplex(n, rng)
     kinds = ("identity", "lnq", "log") if q >= 1.0 else ("identity", "lnq")
-    return {"psi": _draw_label(rng, q, kinds), "r": r}
+    return {"psi": _draw_label(rng, kinds), "r": r}
 
 
 @_case("thm3.1", "generator-mean entropy gap obeys scaled uniform-gap bounds",

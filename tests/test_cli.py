@@ -43,7 +43,7 @@ def test_compute_tsallis_gold(capsys, dist_json):
     status, out, err = _run(capsys, ["compute", "--entropy", "tsallis", "--q", "2", dist_json])
     assert status == 0 and not err
     doc = json.loads(out)
-    assert doc["schema"] == "qentropy/6"
+    assert doc["schema"] == "qentropy/7"
     assert doc["functional"] == "tsallis_entropy"
     assert doc["value"] == pytest.approx(0.375, abs=1e-12)
 
@@ -683,7 +683,7 @@ ERROR_ROWS = [
      "error: unknown generator label 'power' (use identity, log, lnq)"),
     ("bounds --case thm3.1 --psi power --q 2 p.json",
      "error: unknown generator label 'power' (use identity, log, lnq)"),
-    # a witness label such as lnq[q=3] names its q in its text; the CLI takes q from --q only
+    # a label names no q: --q alone sets it, as a witness's "q" does
     ("bounds --case thm3.1 --psi lnq[q=3] --q 3 r.json",
      "error: unknown generator label 'lnq[q=3]' (use identity, log, lnq)"),
     ("bounds --case thm3.2 --f tsallis[q=9] --q 2 p.json r.json",

@@ -30,6 +30,7 @@ from qentropy import (
     rescore,
     run_registry,
 )
+from qentropy.cli import main
 from qentropy.serialize import SCHEMA, dumps, loads, parse_witness, render
 from qentropy.verify import _score
 
@@ -176,19 +177,59 @@ def test_a_malformed_line_raises_a_typed_error(lines, make, error):
     assert isinstance(info.value, QEntropyError)
 
 
-def test_a_label_takes_q_from_the_witness_not_from_its_text():
-    # only the base of a label names the generator: a thm3.1 witness drawn
-    # with lnq[q=0.25] scores the same bits when its label's text says q=9
-    case, rng, n, q = REGISTRY["thm3.1"], np.random.default_rng(31), 5, 0.25
-    inputs = case.draw(rng, n, q)
-    while not inputs["psi"].startswith("lnq"):
-        inputs = case.draw(rng, n, q)
-    assert inputs["psi"] == "lnq[q=0.25]"
+# The generator labels each labelled case draws, as the CLI's --psi and --f take them.
+DRAWN_LABELS = {
+    "prop2.1": {"psi": {"identity", "log", "lnq"}},
+    "prop2.3": {"psi": {"identity", "log", "lnq"}},
+    "prop3.1": {"f": {"square", "neg_lnq", "xlogx"}, "psi": {"identity", "log"}},
+    "thm3.1": {"psi": {"identity", "log", "lnq"}},
+    "thm3.2": {"f": {"tsallis", "xlogx", "neglog"}},
+    "thm4.1": {"f": {"square", "exp", "quartic", "neg_lnq"}},
+    "cor4.1": {"f": {"square", "exp", "quartic", "neg_lnq"}},
+}
 
-    def line(psi):
-        witness = {"trial": 0, "n": n, "q": q, **{k: render(x) for k, x in inputs.items()}}
-        return dumps({"schema": SCHEMA, "case": case.id, "worst_witness": {**witness, "psi": psi}})
 
-    want = _bits(max(map(_score, case.check(inputs, q))))
-    assert _bits(rescore(line(inputs["psi"]))) == want
-    assert _bits(rescore(line("lnq[q=9]"))) == want
+@pytest.mark.parametrize("cid", list(DRAWN_LABELS))
+def test_a_witness_prints_each_generator_by_its_plain_label(cid):
+    case, kinds = REGISTRY[cid], DRAWN_LABELS[cid]
+    rng = np.random.default_rng(23)
+    seen = {key: set() for key in kinds}
+    for t in range(200):
+        q = case.q_range[0] + 0.25 * (t % 17)
+        inputs = case.draw(rng, 2 + t % 7, q)
+        for key, labels in kinds.items():
+            assert inputs[key] in labels, (cid, key, inputs[key])
+            seen[key].add(inputs[key])
+    # 200 draws reach every label, over q on both sides of 1
+    assert seen == kinds
+
+
+def _r_line(psi: str) -> str:
+    case, q = REGISTRY["thm3.1"], 0.25
+    inputs = case.draw(np.random.default_rng(31), 5, q)
+    witness = {"trial": 0, "n": 5, "q": q, **{k: render(x) for k, x in inputs.items()}}
+    return dumps({"schema": SCHEMA, "case": case.id, "worst_witness": {**witness, "psi": psi}})
+
+
+def test_a_label_with_its_q_in_brackets_is_unknown_as_on_the_cli(tmp_path, capsys):
+    # a witness states q once, as its "q"; lnq[q=0.25] is no label, there or on the CLI
+    with pytest.raises(DomainError) as info:
+        rescore(_r_line("lnq[q=0.25]"))
+    assert str(info.value) == "unknown generator label 'lnq[q=0.25]' (use identity, log, lnq)"
+    r_file = tmp_path / "r.json"
+    r_file.write_text('{"weights": [0.25, 0.75]}')
+    argv = ["bounds", "--case", "thm3.1", "--psi", "lnq[q=0.25]", "--q", "0.25", str(r_file)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    # the plain label reads its q from the witness
+    line = _r_line("lnq")
+    inputs = parse_witness(loads(line)["worst_witness"])
+    want = max(map(_score, REGISTRY["thm3.1"].check(inputs, 0.25)))
+    assert _bits(rescore(line)) == _bits(want)
+
+
+def test_neg_qlog_is_an_unknown_label_to_the_ratio_sandwich():
+    case = REGISTRY["prop3.1"]
+    inputs = case.draw(np.random.default_rng(5), 4, 2.0)
+    with pytest.raises(DomainError, match=r"^unknown generator label 'neg_qlog' \(use square, neg_lnq, xlogx\)$"):
+        case.check({**inputs, "f": "neg_qlog"}, 2.0)

@@ -119,7 +119,7 @@ def test_report_json_shape():
         "schema", "case", "trials", "violations", "worst_violation",
         "worst_witness", "seed", "in_hypothesis",
     ]
-    assert doc["schema"] == "qentropy/6"
+    assert doc["schema"] == "qentropy/7"
     assert doc["case"] == "qadd"
     assert doc["trials"] == 10
     assert doc["in_hypothesis"] is True
