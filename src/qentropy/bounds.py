@@ -1,7 +1,8 @@
 """Computable two-sided bounds for entropy gaps, divergences, and Jensen gaps.
 
-Every operation returns a BoundReport carrying (lower, value, upper) plus the
-slacks, so a caller can see not only that a chain holds but by how much.
+Every chain returns a BoundReport carrying (lower, value, upper) plus the
+slacks, so a caller can see not only that a chain holds but by how much,
+and the constants its bounds are built from (n min r, m_q, M_q, ...).
 Chains are checked elsewhere at CHECK_TOL: absolute CHECK_TOL plus CHECK_TOL
 relative to the largest magnitude in the report.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +65,8 @@ class BoundReport:
     lower: float
     value: float
     upper: float
+    # the numbers the bounds are built from, where the chain names them
+    constants: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def lower_slack(self) -> float:
@@ -139,18 +142,22 @@ def ratio_sandwich(f, psi: GeneratorPsi, xs, p: ProbDist, r: ProbDist) -> BoundR
     return _ratio_scaled(p, r, jensen_gap(f, psi, xs, p), jensen_gap(f, psi, xs, r))
 
 
-def _ratio_scaled(p: ProbDist, r: ProbDist, factor: float, value: float) -> BoundReport:
+def _ratio_scaled(
+    p: ProbDist, r: ProbDist, factor: float, value: float, **constants: float
+) -> BoundReport:
     """min_i(r_i/p_i) factor <= value <= max_i(r_i/p_i) factor, the ratios' chain.
 
-    A finite factor times max(r/p) may still overflow: a bound that is not
+    Its constants are min_ratio and max_ratio, then the caller's own.  A
+    finite factor times max(r/p) may still overflow: a bound that is not
     finite raises DomainError, where it would otherwise print as inf.
     """
     ratios = r.weights / p.weights
-    lower = float(np.minimum.reduce(ratios)) * factor
-    upper = float(np.maximum.reduce(ratios)) * factor
+    lo = float(np.minimum.reduce(ratios))
+    hi = float(np.maximum.reduce(ratios))
+    lower, upper = lo * factor, hi * factor
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise DomainError("the ratio chain's bound max(r/p) * factor overflows a double")
-    return BoundReport(lower, value, upper)
+    return BoundReport(lower, value, upper, {"min_ratio": lo, "max_ratio": hi, **constants})
 
 
 def _mean(v: np.ndarray, r: ProbDist) -> float:
@@ -204,7 +211,8 @@ def _gap_chain(r: ProbDist, qf: float, uniform: float, weighted: float) -> Bound
     lnq_inv = r._surprisal(qf)
     braced = q_log(uniform, qf) - _mean(lnq_inv, r)
     value = q_log(weighted, qf) - float(r.weights @ lnq_inv)
-    return BoundReport(lower=r.n * r._lo * braced, value=value, upper=r.n * r._hi * braced)
+    lo, hi = r.n * r._lo, r.n * r._hi
+    return BoundReport(lo * braced, value, hi * braced, {"n_min_r": lo, "n_max_r": hi})
 
 
 def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> BoundReport:
@@ -241,7 +249,7 @@ def f_divergence_sandwich(f: ConvexGenerator, p: ProbDist, r: ProbDist) -> Bound
     factor = float(t @ np.asarray(dual, dtype=float)) - float(
         np.asarray(_eval_within(f, np.asarray(s), s, s))
     )
-    return _ratio_scaled(p, r, factor, value)
+    return _ratio_scaled(p, r, factor, value, sum_t=s)
 
 
 def _require_factor_fits(f_star: ConvexGenerator, p: ProbDist, r: ProbDist) -> None:
@@ -407,7 +415,7 @@ def smooth_jensen_sandwich(f, drange: SecondDerivativeRange, xs, p: ProbDist) ->
 def cartwright_field(xs, p: ProbDist) -> BoundReport:
     """Variance bounds on the arithmetic-geometric mean gap.
 
-    With m' = min x, M' = max x and V = sum_j p_j (x_j - xbar)^2:
+    With constants min_x = m', max_x = M' and spread V = sum_j p_j (x_j - xbar)^2:
         V/(2 M') <= xbar - prod_j x_j^{p_j} <= V/(2 m').
     """
     arr = _points(xs, p)
@@ -420,7 +428,8 @@ def cartwright_field(xs, p: ProbDist) -> BoundReport:
     v = _spread(arr, w, lo, hi)
     am = float(w @ arr)
     gm = float(np.exp(w @ np.log(arr)))
-    return BoundReport(lower=v / (2.0 * hi), value=am - gm, upper=v / (2.0 * lo))
+    constants = {"min_x": lo, "max_x": hi, "spread": v}
+    return BoundReport(v / (2.0 * hi), am - gm, v / (2.0 * lo), constants)
 
 
 def tightest_constants(p: ProbDist, r: ProbDist, q) -> SecondDerivativeRange:
@@ -435,13 +444,15 @@ def tightest_constants(p: ProbDist, r: ProbDist, q) -> SecondDerivativeRange:
     qf = _as_q(q)
     if qf == 0.0:
         raise DegenerateRangeError("q = 0 has identically zero curvature; no usable range")
+    cmin, cmax, interval = _hull(p, r)
+    return SecondDerivativeRange(qf * cmin ** (qf + 1.0), qf * cmax ** (qf + 1.0), interval)
+
+
+def _hull(p: ProbDist, r: ProbDist) -> tuple[float, float, tuple[float, float]]:
+    """The least and largest mass of p and r, and [1/largest, 1/least], the hull of 1/p u 1/r."""
     cmin = min(p._lo, r._lo)
     cmax = max(p._hi, r._hi)
-    return SecondDerivativeRange(
-        m=qf * cmin ** (qf + 1.0),
-        M=qf * cmax ** (qf + 1.0),
-        interval=(1.0 / cmax, 1.0 / cmin),
-    )
+    return cmin, cmax, (1.0 / cmax, 1.0 / cmin)
 
 
 def _spreads_and_crosses(
@@ -503,7 +514,8 @@ def tsallis_cross_entropy_sandwich(
 
         base + (mq/2) P - (Mq/2) R <= value <= base + (Mq/2) P - (mq/2) R
 
-    with base = ln_q(sum_j p_j/r_j) - ln_q(n).
+    with base = ln_q(sum_j p_j/r_j) - ln_q(n).  Its constants are m_q = mq,
+    M_q = Mq and [interval_lo, interval_hi], the hull of 1/p u 1/r.
     """
     check_lengths(p, r)
     qf = _as_q(q)
@@ -512,8 +524,10 @@ def tsallis_cross_entropy_sandwich(
     w = p.weights
     base = q_log(float(np.add.reduce(w / r.weights)), qf) - q_log(float(p.n), qf)
     (spread_p, spread_r), (cross_p, cross_r) = _spreads_and_crosses(w, qf, p, r)
+    _, _, (lo, hi) = _hull(p, r)
     return BoundReport(
-        lower=base + 0.5 * mq * spread_p - 0.5 * Mq * spread_r,
-        value=cross_r - cross_p,
-        upper=base + 0.5 * Mq * spread_p - 0.5 * mq * spread_r,
+        base + 0.5 * mq * spread_p - 0.5 * Mq * spread_r,
+        cross_r - cross_p,
+        base + 0.5 * Mq * spread_p - 0.5 * mq * spread_r,
+        {"m_q": mq, "M_q": Mq, "interval_lo": lo, "interval_hi": hi},
     )

@@ -11,7 +11,7 @@ Each compute functional and each bound case is one ``_Spec`` in
 its files fill (``p`` and ``r`` distributions, ``xs`` points), whether it
 needs, rejects or optionally takes ``--q``, which generator flag (``--psi``
 or ``--f``) it takes, the name it reports, and the callable that returns a
-functional's value or a bound case's constants.  A bound case's report is
+functional's value.  A bound case prints the report and the constants of
 the first claim of the registered check of the same id, on those inputs.
 Argparse choices, the cross-flag checks and dispatch all read those tables.
 
@@ -21,8 +21,8 @@ distributions use ``{"dims": [...], "cells": [...]}`` with cells flattened in
 row-major (C) order; scalar functionals treat the cells as one distribution.
 ``serialize`` reads every number from outside the library, so a file's
 numbers follow the report format's rules: finite doubles only, ``-0`` kept,
-and an integer whose float is finite.  A file error prints as its path (and
-line), then serialize's or the constructor's message.
+and an integer whose float is finite.  A file error prints as its path and,
+where known, the line, then serialize's or the constructor's message.
 
 Exit status: 0 clean, 1 usage or input error, 2 verification violations.
 """
@@ -38,7 +38,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import pairwise_spread, tightest_constants
 from .dist import ProbDist
 from .divergence import f_by_label, f_divergence, kl_divergence, renyi_relative, tsallis_relative
 from .entropy import renyi_entropy, shannon_entropy, tsallis_entropy
@@ -71,11 +70,13 @@ def _parse_vector_file(path: str, keys: tuple[str, ...]) -> np.ndarray:
     """Read a JSON or single-column CSV file into a raw float vector, by serialize's rules."""
     text = _read_text(path)
     if text.lstrip().startswith("{"):
+        # a syntax error knows its line; any other error only in a one-line document
+        at = path if "\n" in text.rstrip() else f"{path}:1"
         try:
             doc = loads(text)
             if "dims" in doc or "cells" in doc:
                 if not ("dims" in doc and "cells" in doc):
-                    raise _CliError(f"{path}:1: joint document needs both 'dims' and 'cells'")
+                    raise _CliError(f"{at}: joint document needs both 'dims' and 'cells'")
                 return _fit(_counts(doc["dims"], "'dims'"), _vector(doc["cells"], "'cells'"))
             for key in keys:
                 if key in doc:
@@ -83,8 +84,8 @@ def _parse_vector_file(path: str, keys: tuple[str, ...]) -> np.ndarray:
         except json.JSONDecodeError as exc:
             raise _CliError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
         except ValueError as exc:  # a number or a list that serialize rejects
-            raise _CliError(f"{path}:1: {exc}") from None
-        raise _CliError(f"{path}:1: expected a JSON object with one of {list(keys)}")
+            raise _CliError(f"{at}: {exc}") from None
+        raise _CliError(f"{at}: expected a JSON object with one of {list(keys)}")
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
@@ -122,43 +123,24 @@ _NEEDS, _REJECTS, _OPTIONAL = "needs", "rejects", "optional"
 class _Spec:
     """One compute functional or bound case.
 
-    ``reads`` names the draw keys its files fill, in order.  ``run(q, label,
-    *inputs)`` gets ``--q``, the label passed to the ``gen`` flag and one
-    input per key, and returns a functional's value or a bound case's
-    constants.  Its body names the library functions, so they are looked up
-    when it runs.  A case stated at one q rejects ``--q`` and is computed
-    and reported at ``fixed_q``.
+    ``reads`` names the draw keys its files fill, in order.  A functional's
+    ``run(q, label, *inputs)`` gets ``--q``, the ``gen`` flag's label and one
+    input per key, and returns its value, looking the library functions up
+    when it runs; a bound case has no ``run``, as its registered check gives
+    its report and constants.  A case stated at one q rejects ``--q`` and is
+    computed and reported at ``fixed_q``.
     """
 
     name: str
     reads: tuple[str, ...]
     q_policy: str
     gen: str | None
-    run: Callable
+    run: Callable | None = None
     fixed_q: float | None = None
 
 
 _READERS = {"p": _load_dist, "r": _load_dist, "xs": _load_points}
 _P, _R, _PR = ("p",), ("r",), ("p", "r")
-
-
-def _r_extremes(q, _label, r: ProbDist) -> dict:
-    return {"n_min_r": r.n * r._lo, "n_max_r": r.n * r._hi}
-
-
-def _ratios(q, _label, p: ProbDist, r: ProbDist) -> dict:
-    ratios = r.weights / p.weights
-    return {
-        "min_ratio": float(np.minimum.reduce(ratios)),
-        "max_ratio": float(np.maximum.reduce(ratios)),
-        "sum_t": float(np.add.reduce(p.weights**2 / r.weights)),
-    }
-
-
-def _cross_constants(q, _label, p: ProbDist, r: ProbDist) -> dict:
-    dr = tightest_constants(p, r, q)
-    lo, hi = dr.interval
-    return {"m_q": dr.m, "M_q": dr.M, "interval_lo": lo, "interval_hi": hi}
 
 
 _ENTROPY_SPECS = {
@@ -190,20 +172,14 @@ _DIVERGENCE_SPECS = {
 }
 
 _BOUND_SPECS = {
-    "thm3.1": _Spec("thm3.1", _R, _NEEDS, "psi", _r_extremes),
-    "cor3.1": _Spec("cor3.1", _R, _NEEDS, None, _r_extremes),
-    "thm3.2": _Spec(
-        "thm3.2", _PR, _OPTIONAL, "f", lambda q, f, p, r: {**_ratios(q, f, p, r), "f": f}
-    ),
-    "cor_dra": _Spec("cor_dra", _PR, _REJECTS, None, _ratios),
-    "thm4.2": _Spec("thm4.2", _PR, _NEEDS, None, _cross_constants),
-    "cor4": _Spec("cor4", _PR, _REJECTS, None, _cross_constants, fixed_q=1.0),
+    "thm3.1": _Spec("thm3.1", _R, _NEEDS, "psi"),
+    "cor3.1": _Spec("cor3.1", _R, _NEEDS, None),
+    "thm3.2": _Spec("thm3.2", _PR, _OPTIONAL, "f"),
+    "cor_dra": _Spec("cor_dra", _PR, _REJECTS, None),
+    "thm4.2": _Spec("thm4.2", _PR, _NEEDS, None),
+    "cor4": _Spec("cor4", _PR, _REJECTS, None, fixed_q=1.0),
     # cf reads a point file, then a weight file
-    "cf": _Spec("cf", ("xs", "p"), _REJECTS, None, lambda q, _, xs, p: {
-        "min_x": float(np.minimum.reduce(xs)),
-        "max_x": float(np.maximum.reduce(xs)),
-        "spread": pairwise_spread(xs, p),
-    }),
+    "cf": _Spec("cf", ("xs", "p"), _REJECTS, None),
 }
 
 
@@ -272,8 +248,10 @@ def _run_spec(args) -> dict:
     if label is not None:
         inputs[spec.gen] = label
     claim = REGISTRY[args.case].check(inputs, q)[0]
-    doc["report"] = getattr(claim, "report", claim).as_dict()
-    doc["constants"] = spec.run(q, label, *files)
+    report = getattr(claim, "report", claim)
+    doc["report"] = report.as_dict()
+    # thm3.2 prints its --f label after the sandwich's constants
+    doc["constants"] = {**report.constants, "f": label} if spec.gen == "f" else report.constants
     return doc
 
 

@@ -83,6 +83,17 @@ def test_bound_report_slacks_and_violation():
     assert list(d) == ["lower", "value", "upper", "lower_slack", "upper_slack"]
 
 
+def test_bound_report_constants_are_no_part_of_its_chain():
+    # a chain's constants ride along: ==, hash, repr and as_dict() see only the chain
+    bare = BoundReport(1.0, 2.0, 4.0)
+    built = BoundReport(1.0, 2.0, 4.0, {"m_q": 0.5, "M_q": 2.0})
+    assert bare.constants == {} and built.constants == {"m_q": 0.5, "M_q": 2.0}
+    assert built == bare and hash(built) == hash(bare)
+    assert repr(built) == repr(bare) == "BoundReport(lower=1.0, value=2.0, upper=4.0)"
+    assert built.as_dict() == bare.as_dict()
+    assert list(built.as_dict()) == ["lower", "value", "upper", "lower_slack", "upper_slack"]
+
+
 def test_bound_report_tolerance_is_abs_plus_rel():
     # violation just under CHECK_TOL + CHECK_TOL * scale still holds
     rep = BoundReport(lower=100.0 + 5e-8, value=100.0, upper=200.0)

@@ -193,7 +193,10 @@ _BIG_INT = "1" + "0" * 399
 
 # serialize reads every number in a file: finite doubles only, and an int
 # whose float is finite.  (file, its text, the whole of stderr without its
-# final newline): the path (and line) prefix, then serialize's message
+# final newline): the path and, where known, the line, then serialize's
+# message.  Outside a syntax error a JSON error knows no line, so a document
+# on several lines prints its path alone.
+_PRETTY = '{\n  "weights": [\n    0.5,\n    %s\n  ]\n}\n'
 NUMBER_ROWS = [
     ("nan.json", '{"weights": [NaN, 1.0]}', "nan.json:1: non-finite number NaN"),
     ("inf.json", '{"weights": [Infinity, 1.0]}', "inf.json:1: non-finite number Infinity"),
@@ -205,6 +208,11 @@ NUMBER_ROWS = [
     ("nan.csv", "weight\n0.5\nnan\n", "nan.csv:3: non-finite number nan"),
     ("inf.csv", "0.5\ninf\n", "inf.csv:2: non-finite number inf"),
     ("dims.json", '{"dims": [2, 0], "cells": [0.5, 0.5]}', "dims.json:1: 2 cells do not fit dims [2, 0]"),
+    ("pretty-nan.json", _PRETTY % "NaN", "pretty-nan.json: non-finite number NaN"),
+    ("pretty-bool.json", _PRETTY % "true", "pretty-bool.json: 'weights' must be a number, got True"),
+    ("pretty-joint.json", '{\n  "dims": [2]\n}\n',
+     "pretty-joint.json: joint document needs both 'dims' and 'cells'"),
+    ("pretty-syntax.json", _PRETTY % "0.5,", "pretty-syntax.json:5: invalid JSON: Expecting value"),
 ]
 
 
@@ -500,19 +508,29 @@ def _sandwich(p, r):
     }
 
 
+def _cross_constants(q, p, r):
+    # -ln_q'' = q x^(-q-1) is monotone over the hull [1/cmax, 1/cmin] of 1/p and 1/r
+    cmin = min(float(p.weights.min()), float(r.weights.min()))
+    cmax = max(float(p.weights.max()), float(r.weights.max()))
+    return {
+        "m_q": q * cmin ** (q + 1.0), "M_q": q * cmax ** (q + 1.0),
+        "interval_lo": 1.0 / cmax, "interval_hi": 1.0 / cmin,
+    }
+
+
 def _cross(q):
     p, r = _p(), _r()
     dr = qe.tightest_constants(p, r, q)
-    return qe.tsallis_cross_entropy_sandwich(p, r, q, dr.m, dr.M), {
-        "m_q": dr.m, "M_q": dr.M, "interval_lo": dr.interval[0], "interval_hi": dr.interval[1],
-    }
+    return qe.tsallis_cross_entropy_sandwich(p, r, q, dr.m, dr.M), _cross_constants(q, p, r)
+
+
+def _cf_constants(xs, p):
+    return {"min_x": float(xs.min()), "max_x": float(xs.max()), "spread": qe.pairwise_spread(xs, p)}
 
 
 def _cf():
     xs = np.asarray(XS)
-    return qe.cartwright_field(xs, _p()), {
-        "min_x": float(xs.min()), "max_x": float(xs.max()), "spread": qe.pairwise_spread(xs, _p()),
-    }
+    return qe.cartwright_field(xs, _p()), _cf_constants(xs, _p())
 
 
 def _bounds_rows():
@@ -792,8 +810,27 @@ def test_argparse_error_names_the_argument(capsys, workdir, line, usage, names):
         at = found + len(name)
 
 
+# case: the constants it prints, by this module's formulas, from the inputs
+# its files hold and its generator label
+CONSTANTS = {
+    "thm3.1": lambda q, v: _r_spread(v["r"]),
+    "cor3.1": lambda q, v: _r_spread(v["r"]),
+    "thm3.2": lambda q, v: {**_sandwich(v["p"], v["r"]), "f": v["f"]},
+    "cor_dra": lambda q, v: _sandwich(v["p"], v["r"]),
+    "thm4.2": lambda q, v: _cross_constants(q, v["p"], v["r"]),
+    "cor4": lambda q, v: _cross_constants(1.0, v["p"], v["r"]),
+    "cf": lambda q, v: _cf_constants(v["xs"], v["p"]),
+}
+
+
+def _hex(doc: dict) -> dict:
+    """A document's numbers as their bits; a label stays as it is."""
+    return {k: v if isinstance(v, str) else float(v).hex() for k, v in doc.items()}
+
+
 # Each bound case the CLI prints is the first claim of the registry case of
-# the same id, on the inputs that case draws; a FromZero chain prints its report.
+# the same id, on the inputs that case draws; a FromZero chain prints its
+# report.  The constants beside it are the chain's own, bit for bit.
 AGREE_ROWS = [
     (case, n, q)
     for case, spec in _BOUND_SPECS.items()
@@ -822,8 +859,9 @@ def test_bounds_report_is_the_registry_cases_first_claim(capsys, tmp_path, case,
     assert (status, err) == (0, "")
     claim = registered.check(inputs, q)[0]
     want = getattr(claim, "report", claim).as_dict()
-    got = loads(out)["report"]
-    assert {k: float(v).hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+    got = loads(out)
+    assert _hex(got["report"]) == _hex(want)
+    assert _hex(got["constants"]) == _hex(CONSTANTS[case](q, inputs))
 
 
 # Every bound case on extreme inputs prints the chain a direct library call
@@ -878,6 +916,7 @@ def test_every_bound_case_prints_its_chain_on_extreme_inputs(capsys, tmp_path, i
     argv = ["bounds", "--case", case] + ([] if q is None else ["--q", repr(q)])
     if label is not None:
         argv += [f"--{_BOUND_SPECS[case].gen}", label]
+        values[_BOUND_SPECS[case].gen] = label
     for key in keys:
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(docs[key]))
@@ -890,5 +929,6 @@ def test_every_bound_case_prints_its_chain_on_extreme_inputs(capsys, tmp_path, i
         return
     assert (status, err) == (0, "")
     want = chain(q, label, *(values[key] for key in keys)).as_dict()
-    got = loads(out)["report"]
-    assert {k: float(v).hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+    got = loads(out)
+    assert _hex(got["report"]) == _hex(want)
+    assert _hex(got["constants"]) == _hex(CONSTANTS[case](q, values))
